@@ -24,6 +24,7 @@ from .channels import (
     object_channel,
 )
 from .circuit import (
+    BatchReadout,
     MeasurementPair,
     PipelineStages,
     ProbeState,
@@ -31,10 +32,12 @@ from .circuit import (
     bell_ket,
     detection_probabilities,
     measurement_pair,
+    measurement_stack,
     pipeline_stages,
     prepare_probe,
     prepare_werner,
     probe_ket,
+    run_batch,
     run_pipeline,
     sample_detections,
     sample_detections_with_miss,

@@ -18,6 +18,7 @@ to a fixed state ``|Xi>``, the rest of the two-wire space is untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .qcore import (
     PAULI,
     PSD_SLACK,
     DensityMatrix,
+    Register,
     as_complex_matrix,
     embed,
 )
@@ -34,27 +36,65 @@ from .qcore import (
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
 
 
+def fold_angles(theta) -> np.ndarray:
+    """Fold angles into (-pi, pi], elementwise."""
+    out = (np.asarray(theta, dtype=float) + np.pi) % (2 * np.pi) - np.pi
+    return np.where(out == -np.pi, np.pi, out)
+
+
 def normalize_angle(theta: float) -> float:
-    """Fold an angle into (-pi, pi]."""
+    """Fold an angle into (-pi, pi]; the scalar form of :func:`fold_angles`."""
     out = (float(theta) + np.pi) % (2 * np.pi) - np.pi
     if out == -np.pi:
         out = np.pi
     return out
 
 
+def _param_error(t: float, gamma: float) -> str | None:
+    if not 0.0 <= t <= 1.0:
+        return f"transmission must lie in [0, 1], got {t}"
+    if not math.isfinite(gamma):
+        return f"phase must be finite, got {gamma}"
+    return None
+
+
+def object_param_errors(t, gamma) -> np.ndarray:
+    """The checks of :class:`ObjectParams` on arrays of settings.
+
+    Returns an object array holding each setting's first failed check as
+    a message, or None where ``t`` lies in [0, 1] and ``gamma`` is finite.
+    """
+    t = np.asarray(t, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    errors = np.full(t.shape, None, dtype=object)
+    for i in np.flatnonzero(~((t >= 0.0) & (t <= 1.0) & np.isfinite(gamma))):
+        errors[i] = _param_error(float(t[i]), float(gamma[i]))
+    return errors
+
+
 @dataclass(frozen=True)
 class ObjectParams:
-    """Transmission amplitude ``t`` in [0, 1] and phase ``gamma`` in radians."""
+    """Transmission amplitude ``t`` in [0, 1] and a finite phase ``gamma`` in radians."""
 
     t: float
     gamma: float = 0.0
 
     def __post_init__(self):
-        t = float(self.t)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {t}")
+        t, gamma = float(self.t), float(self.gamma)
+        err = _param_error(t, gamma)
+        if err is not None:
+            raise ValueError(err)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "gamma", normalize_angle(self.gamma))
+        object.__setattr__(self, "gamma", normalize_angle(gamma))
+
+
+TP_VIOLATED = "Kraus operators violate the trace-preserving condition"
+
+
+def tp_deviation(kraus) -> np.ndarray:
+    """Largest entry of ``|sum_k K_k^† K_k - I|`` per Kraus set of an ``(n, K, d, d)`` stack."""
+    total = np.einsum("nkab,nkac->nbc", kraus.conj(), kraus)
+    return np.abs(total - np.eye(kraus.shape[-1])).max(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -76,9 +116,8 @@ class KrausChannel:
         for k in ops:
             if k.shape != (d, d):
                 raise ValueError("all Kraus operators must share one square shape")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(d))) > ATOL:
-            raise ValueError("Kraus operators violate the trace-preserving condition")
+        if tp_deviation(np.stack(ops)[None])[0] > ATOL:
+            raise ValueError(TP_VIOLATED)
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
@@ -106,12 +145,22 @@ def identity_channel(dim: int = 2) -> KrausChannel:
     return KrausChannel((np.eye(dim, dtype=complex),))
 
 
+def object_kraus(t, gamma) -> np.ndarray:
+    """``(n, 2, 2, 2)`` stack of the Kraus pairs ``(K0, K1)`` of n object settings.
+
+    The settings are taken as valid (see :func:`object_param_errors`).
+    """
+    t = np.asarray(t, dtype=float)
+    kraus = np.zeros((t.size, 2, 2, 2), dtype=complex)
+    kraus[:, 0, 0, 0] = 1.0
+    kraus[:, 0, 1, 1] = t * np.exp(1j * np.asarray(gamma, dtype=float))
+    kraus[:, 1, 0, 1] = np.sqrt(1.0 - t ** 2)
+    return kraus
+
+
 def object_channel(params: ObjectParams) -> KrausChannel:
     """Amplitude-damping-with-phase channel of a semi-transparent object."""
-    k = params.t * np.exp(1j * params.gamma)
-    k0 = np.array([[1.0, 0.0], [0.0, k]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(1.0 - params.t ** 2)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((k0, k1))
+    return KrausChannel(tuple(object_kraus([params.t], [params.gamma])[0]))
 
 
 def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets) -> DensityMatrix:
@@ -121,11 +170,28 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets) -> DensityMatri
         raise ValueError(
             f"channel dimension {ch.dim} does not match {len(targets)} target wire(s)"
         )
-    out = np.zeros_like(rho.mat)
-    for k in ch.kraus_ops:
-        ke = embed(k, targets, rho.register)
-        out += ke @ rho.mat @ ke.conj().T
-    return DensityMatrix(out, rho.register)
+    out = apply_kraus_stack(rho.mat[None], np.stack(ch.kraus_ops)[None], targets, rho.register)
+    return DensityMatrix(out[0], rho.register)
+
+
+def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
+    """``rho -> sum_k K_k rho K_k^†`` on ``targets``, per state of an ``(n, D, D)`` stack.
+
+    ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
+    set.  The set becomes one ``d^2 x d^2`` superoperator per state, which
+    acts on the target legs of that state by a single batched matmul.
+    Unvalidated: the caller checks the resulting states.
+    """
+    idx = reg.positions(targets)
+    rest = [i for i in range(reg.n) if i not in idx]
+    n, w, d = len(stack), reg.n, kraus.shape[-1]
+    # axes: n, target rows, target columns, other rows, other columns
+    order = [0] + [1 + i for i in idx] + [1 + w + i for i in idx]
+    order += [1 + i for i in rest] + [1 + w + i for i in rest]
+    tensor = stack.reshape((n,) + (2,) * (2 * w)).transpose(order)
+    sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
+    out = (sup @ tensor.reshape(n, d * d, -1)).reshape(tensor.shape)
+    return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
 
 
 @dataclass(frozen=True)
@@ -256,6 +322,9 @@ def mode_mixer(xi=None, rest: str = "identity") -> ModeMixer:
     return ModeMixer(default_xi() if xi is None else xi, rest)
 
 
+MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
+
+
 def apply_mode_mixer(rho: DensityMatrix, mm: ModeMixer, targets) -> DensityMatrix:
     """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]``.
 
@@ -265,9 +334,19 @@ def apply_mode_mixer(rho: DensityMatrix, mm: ModeMixer, targets) -> DensityMatri
     targets = list(targets)
     if len(targets) != 2:
         raise ValueError("the mode mixer acts on exactly two wires")
-    m = embed(mm.op, targets, rho.register)
-    num = m @ rho.mat @ m.conj().T
-    norm = float(np.trace(num).real)
-    if norm <= 1e-14:
-        raise ValueError("mode mixer normalization vanished: state has no support on the mixer")
-    return DensityMatrix(num / norm, rho.register)
+    out, vanished = mix_stack(rho.mat[None], embed(mm.op, targets, rho.register))
+    if vanished[0]:
+        raise ValueError(MIXER_VANISHED)
+    return DensityMatrix(out[0], rho.register)
+
+
+def mix_stack(stack, m) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_mode_mixer` per state of an ``(n, D, D)`` stack, with ``m`` already embedded.
+
+    Returns the renormalized states and a mask of those whose
+    normalization vanished (at most 1e-14); those are left unnormalized.
+    """
+    num = m @ stack @ m.conj().T
+    norm = np.trace(num, axis1=1, axis2=2).real
+    vanished = norm <= 1e-14
+    return num / np.where(vanished, 1.0, norm)[:, None, None], vanished

@@ -9,6 +9,11 @@ the signal wires.  For the Bell probe the surviving signal state is::
                   + T e^{-i gamma} |01><10| + |01><01| )
 
 and the detector statistics follow ``P_{h/g} = (1 -/+ T cos(gamma+phi))/2``.
+
+One engine runs the stages from the object channel on: :func:`run_batch`
+takes many object settings as ``(n, 16, 16)`` stacks and reads them out
+against a stack of measurement operators; :func:`run_pipeline` and
+:func:`pipeline_stages` are its one-setting view.
 """
 
 from __future__ import annotations
@@ -18,24 +23,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    MIXER_VANISHED,
+    TP_VIOLATED,
     ModeMixer,
     ObjectParams,
-    apply_channel,
-    apply_mode_mixer,
-    object_channel,
+    apply_kraus_stack,
+    fold_angles,
+    mix_stack,
+    object_kraus,
+    object_param_errors,
+    tp_deviation,
 )
-from .gates import apply_unitary, cnot, hadamard, phase_shifter
+from .gates import apply_unitary, cnot, hadamard
 from .qcore import (
     ATOL,
     DEFAULT_REGISTER,
     DensityMatrix,
     Register,
     basis_ket,
-    kron,
-    partial_trace,
+    embed,
+    partial_trace_stack,
+    state_errors,
 )
 
 SIGNAL_REGISTER = Register(("s1", "s2"))
+
+# Object settings per pass of the batched engine.  A pass holds a few
+# (chunk, 16, 16) complex stacks, 0.26 MB each at 64, so peak memory
+# stays flat however many settings a call brings.
+BATCH_CHUNK = 64
 
 # the encoded two-qubit subspace: |0bar> = |00>, |1bar> = |11> on each
 # (signal, idler) pair, written in the (s1, i1, i2, s2) wire order
@@ -103,6 +119,91 @@ def prepare_werner(xi: float) -> ProbeState:
     return ProbeState(DensityMatrix(mat, DEFAULT_REGISTER), "werner", xi=xi)
 
 
+def _record(errors: np.ndarray, new) -> None:
+    """Keep each setting's first error: take ``new``'s message where there is none yet."""
+    pending = np.equal(errors, None)
+    errors[pending] = np.asarray(new, dtype=object)[pending]
+
+
+def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t, gamma):
+    """One engine pass over n object settings.
+
+    ``m`` is the mixer embedded on ``(i1, i2)``, or None to skip mixing.
+    Returns the post-object stack, the post-mixer stack (or None), the
+    signal stack and each setting's first failed check (None if it passed).
+    Every stage gets the checks of :class:`DensityMatrix`; a setting that
+    fails one carries on with harmless values and is reported, not raised.
+    """
+    t = np.asarray(t, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    errors = object_param_errors(t, gamma)
+    bad = ~np.equal(errors, None)
+    kraus = object_kraus(np.where(bad, 1.0, t), fold_angles(np.where(bad, 0.0, gamma)))
+    _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
+    reg = probe.rho.register
+    start = np.broadcast_to(probe.rho.mat, (len(t),) + probe.rho.mat.shape)
+    post_object = apply_kraus_stack(start, kraus, ["i1"], reg)
+    _record(errors, state_errors(post_object))
+    rho, post_mixer = post_object, None
+    if m is not None:
+        post_mixer, vanished = mix_stack(post_object, m)
+        _record(errors, np.where(vanished, MIXER_VANISHED, None))
+        _record(errors, state_errors(post_mixer))
+        rho = post_mixer
+    signal = partial_trace_stack(rho, reg, ["s1", "s2"])
+    _record(errors, state_errors(signal))
+    return post_object, post_mixer, signal, errors
+
+
+def _embedded_mixer(probe: ProbeState, mm: ModeMixer | None) -> np.ndarray | None:
+    return None if mm is None else embed(mm.op, ["i1", "i2"], probe.rho.register)
+
+
+@dataclass(frozen=True)
+class BatchReadout:
+    """Readouts of n object settings from :func:`run_batch`.
+
+    ``values[i]`` holds ``Tr[R rho_i]`` for every operator ``R`` of the
+    readout stack; a setting that failed a check holds NaN and its message
+    in ``errors[i]`` (None for the settings that passed).
+    """
+
+    values: np.ndarray
+    errors: tuple[str | None, ...]
+
+
+def run_batch(probe: ProbeState, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
+    """The pipeline of :func:`run_pipeline` for n object settings at once.
+
+    ``t`` and ``gamma`` give the n settings; ``readout`` is a ``(..., 4, 4)``
+    stack of signal observables (e.g. from :func:`measurement_stack`), and
+    ``values`` has shape ``(n, ...)``.  The settings run in passes of
+    :data:`BATCH_CHUNK`; each setting's result does not depend on the
+    others or on the pass size.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    if t.shape != gamma.shape:
+        raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
+    readout = np.asarray(readout)
+    if readout.shape[-2:] != (4, 4):
+        raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
+    flat = readout.reshape(-1, 16)
+    m = _embedded_mixer(probe, mm)
+    values = np.empty((t.size,) + readout.shape[:-2])
+    errors = np.full(t.size, None, dtype=object)
+    for lo in range(0, t.size, BATCH_CHUNK):
+        part = slice(lo, lo + BATCH_CHUNK)
+        _, _, signal, chunk_errors = _stage_stacks(probe, m, t[part], gamma[part])
+        errors[part] = chunk_errors
+        # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
+        # setting's value does not depend on how many share its pass
+        prod = flat[None] * signal.swapaxes(1, 2).reshape(len(signal), 1, 16)
+        values[part] = prod.sum(axis=-1).real.reshape(values[part].shape)
+    values[~np.equal(errors, None)] = np.nan
+    return BatchReadout(values, tuple(errors))
+
+
 def run_pipeline(probe: ProbeState, obj: ObjectParams, mm: ModeMixer | None) -> SignalState:
     """Object on i1, mixer on (i1, i2), then discard the idlers.
 
@@ -113,14 +214,18 @@ def run_pipeline(probe: ProbeState, obj: ObjectParams, mm: ModeMixer | None) -> 
 
 
 def pipeline_stages(probe: ProbeState, obj: ObjectParams, mm: ModeMixer | None) -> PipelineStages:
-    post_object = apply_channel(probe.rho, object_channel(obj), ["i1"])
-    post_mixer = None
-    rho = post_object
-    if mm is not None:
-        post_mixer = apply_mode_mixer(post_object, mm, ["i1", "i2"])
-        rho = post_mixer
-    signal = SignalState(partial_trace(rho, ["s1", "s2"]))
-    return PipelineStages(post_object, post_mixer, signal)
+    """The engine's stages for one setting; a failed check raises ValueError."""
+    post_object, post_mixer, signal, errors = _stage_stacks(
+        probe, _embedded_mixer(probe, mm), [obj.t], [obj.gamma]
+    )
+    if errors[0] is not None:
+        raise ValueError(errors[0])
+    reg = probe.rho.register
+    return PipelineStages(
+        DensityMatrix(post_object[0], reg),
+        None if post_mixer is None else DensityMatrix(post_mixer[0], reg),
+        SignalState(DensityMatrix(signal[0], SIGNAL_REGISTER)),
+    )
 
 
 _BELL_KETS = {
@@ -154,22 +259,28 @@ class MeasurementPair:
     m_g: np.ndarray
 
 
-def measurement_pair(phi: float = 0.0) -> MeasurementPair:
-    """Bell projectors conjugated by the phase shifter on the second wire.
+def measurement_stack(phis) -> np.ndarray:
+    """``(P, 2, 4, 4)`` stack of the detector pairs ``(m_h, m_g)`` for P phases.
 
-    This is the observable pair whose statistics sweep as
-    ``cos(gamma + phi)`` when the phase runs.
+    Each pair is the Bell projectors ``|psi-><psi-|``, ``|psi+><psi+|``
+    conjugated by the phase shifter ``Z_phi`` on the second wire, whose
+    statistics sweep as ``cos(gamma + phi)`` when the phase runs.  The
+    conjugation by ``I (x) Z_phi = diag(u)`` scales entry ``(i, j)`` by
+    ``u_i conj(u_j)``.
     """
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    u = np.ones((phis.size, 4), dtype=complex)
+    u[:, 1] = u[:, 3] = np.exp(1j * phis)
+    proj = np.array([np.outer(k, k.conj()) for k in (bell_ket("psi-"), bell_ket("psi+"))])
+    out = u[:, None, :, None] * proj[None] * u.conj()[:, None, None, :]
+    out.setflags(write=False)
+    return out
+
+
+def measurement_pair(phi: float = 0.0) -> MeasurementPair:
+    """The detector pair at one phase: the single-phase view of :func:`measurement_stack`."""
     phi = float(phi)
-    u = kron(np.eye(2), phase_shifter(phi).matrix)
-    obs = []
-    for label in ("psi-", "psi+"):
-        ket = bell_ket(label)
-        proj = np.outer(ket, ket.conj())
-        obs.append(u @ proj @ u.conj().T)
-    m_h, m_g = obs
-    m_h.setflags(write=False)
-    m_g.setflags(write=False)
+    m_h, m_g = measurement_stack([phi])[0]
     return MeasurementPair(phi, m_h, m_g)
 
 

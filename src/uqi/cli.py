@@ -18,20 +18,16 @@ radians unless ``--degrees`` is given, which converts inputs only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .channels import ObjectParams, chi_matrix, mode_mixer, normalize_angle, object_channel
-from .circuit import (
-    detection_probabilities,
-    measurement_pair,
-    prepare_probe,
-    prepare_werner,
-    run_pipeline,
-)
+from .circuit import measurement_stack, prepare_probe, prepare_werner, run_batch
 from .qcore import hermitian_eigenvalues, partial_transpose
 from .tomography import ImageMaps, estimate_object, image_scan, operator_schmidt, visibility
 
@@ -157,6 +153,15 @@ def cmd_schmidt(args) -> int:
     return 0
 
 
+def _readouts(probe, ts, gammas, readout) -> np.ndarray:
+    """Engine readouts over the settings ``(ts[i], gammas[i])``; a failed setting is a config error."""
+    batch = run_batch(probe, mode_mixer(), ts, gammas, readout)
+    for err in batch.errors:
+        if err is not None:
+            raise ConfigError(err)
+    return batch.values
+
+
 def cmd_probabilities(args) -> int:
     ts = _float_list(args.T, "T")
     gammas = _float_list(args.gamma, "gamma")
@@ -165,23 +170,22 @@ def cmd_probabilities(args) -> int:
     phis = _resolve_phis(args)
     if args.shots < 0:
         raise ConfigError("shots must be nonnegative")
-    probe = prepare_probe()
-    mm = mode_mixer()
-    pairs = {p: measurement_pair(p) for p in phis}
+    settings = list(itertools.product(ts, gammas))
+    probs = _readouts(
+        prepare_probe(), [t for t, _ in settings], [g for _, g in settings], measurement_stack(phis)
+    )
     recs = []
     idx = 0
-    for t in ts:
-        for g in gammas:
-            sig = run_pipeline(probe, ObjectParams(t, g), mm)
-            for p in phis:
-                p_h, p_g = detection_probabilities(sig, pairs[p])
-                if args.shots:
-                    rng = np.random.default_rng([args.seed, idx])
-                    n_h = int(rng.binomial(args.shots, min(max(p_h, 0.0), 1.0)))
-                    p_h = n_h / args.shots
-                    p_g = 1.0 - p_h
-                recs.append((t, g, p, p_h, p_g))
-                idx += 1
+    for (t, g), row in zip(settings, probs):
+        for p, (p_h, p_g) in zip(phis, row):
+            p_h, p_g = float(p_h), float(p_g)
+            if args.shots:
+                rng = np.random.default_rng([args.seed, idx])
+                n_h = int(rng.binomial(args.shots, min(max(p_h, 0.0), 1.0)))
+                p_h = n_h / args.shots
+                p_g = 1.0 - p_h
+            recs.append((t, g, p, p_h, p_g))
+            idx += 1
     config = {
         "command": "probabilities",
         "t": ts,
@@ -211,11 +215,11 @@ def cmd_sweep(args) -> int:
     method = args.method
     if method == "auto":
         method = "two-point" if len(phis) == 2 else "least-squares"
-    sig = run_pipeline(prepare_probe(), params, mode_mixer())
+    probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
     points = []
     recs = []
-    for i, p in enumerate(phis):
-        p_h, p_g = detection_probabilities(sig, measurement_pair(p))
+    for i, (p, (p_h, p_g)) in enumerate(zip(phis, probs)):
+        p_h, p_g = float(p_h), float(p_g)
         if args.shots:
             rng = np.random.default_rng([args.seed, i])
             n_h = int(rng.binomial(args.shots, min(max(p_h, 0.0), 1.0)))
@@ -261,17 +265,12 @@ def cmd_werner(args) -> int:
     if not 0.0 <= t <= 1.0:
         raise ConfigError(f"T must lie in [0, 1], got {t}")
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
-    mm = mode_mixer()
-    mp0 = measurement_pair(0.0)
+    pair0 = measurement_stack([0.0])[0]
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     recs = []
     for xi in xis:
         probe = prepare_werner(xi)
-        ph = np.empty(len(gammas))
-        pg = np.empty(len(gammas))
-        for i, g in enumerate(gammas):
-            sig = run_pipeline(probe, ObjectParams(t, g), mm)
-            ph[i], pg[i] = detection_probabilities(sig, mp0)
+        ph, pg = _readouts(probe, np.full(gammas.size, t), gammas, pair0).T
         coef, *_ = np.linalg.lstsq(design, ph, rcond=None)
         offset_raw, half_amp = float(coef[0]), float(coef[1])
         amplitude = 2.0 * abs(half_amp)
@@ -307,10 +306,10 @@ def cmd_werner(args) -> int:
 
 def _load_map(path: str, name: str) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # an empty file is rejected by ImageMaps with a clear message
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             grid = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"could not parse {name} map {path!r}: {exc}") from None
     return grid
@@ -453,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"uqi: {exc}", file=sys.stderr)

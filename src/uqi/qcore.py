@@ -86,6 +86,25 @@ class Register:
 DEFAULT_REGISTER = Register(DEFAULT_WIRES)
 
 
+def state_errors(stack) -> np.ndarray:
+    """First failed physicality check of each state in an ``(n, d, d)`` stack.
+
+    The checks are those of :class:`DensityMatrix`, in its order:
+    Hermiticity within 1e-12, unit trace within 1e-12, eigenvalues above
+    -1e-10.  Returns an object array holding the failed check's message,
+    or None for a physical state.  The stack must be finite.
+    """
+    errors = np.full(len(stack), None, dtype=object)
+    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    errors[herm > ATOL] = "density matrix is not Hermitian within 1e-12"
+    tr = np.trace(stack, axis1=1, axis2=2)
+    for i in np.flatnonzero((np.abs(tr - 1.0) > ATOL) & (herm <= ATOL)):
+        errors[i] = f"density matrix trace {tr[i]} is not 1 within 1e-12"
+    low = np.linalg.eigvalsh(stack)[:, 0] < -PSD_SLACK
+    errors[low & np.equal(errors, None)] = "density matrix has an eigenvalue below -1e-10"
+    return errors
+
+
 def kron(a, b) -> np.ndarray:
     """Tensor product of two matrices, left factor most significant."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
@@ -144,13 +163,9 @@ class DensityMatrix:
             raise ValueError(
                 f"state shape {m.shape} does not match register dimension {self.register.dim}"
             )
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
-        if np.linalg.eigvalsh(m).min() < -PSD_SLACK:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        err = state_errors(m[None])[0]
+        if err is not None:
+            raise ValueError(err)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -192,10 +207,17 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     Discarded wires are contracted; the trace is preserved.
     """
     keep = list(keep)
+    red = partial_trace_stack(rho.mat[None], rho.register, keep)[0]
+    return DensityMatrix(red, Register(tuple(keep)))
+
+
+def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
+    """:func:`partial_trace` of every matrix in an ``(n, D, D)`` stack, unvalidated."""
+    keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
-    idx = rho.register.positions(keep)
-    n = rho.n
+    idx = reg.positions(keep)
+    n = reg.n
     row = list(_AXIS_LETTERS[:n])
     col = []
     nxt = n
@@ -206,11 +228,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         else:
             col.append(row[i])  # repeated letter contracts the discarded wire
     out = "".join(row[i] for i in idx) + "".join(col[i] for i in idx)
-    sub = "".join(row) + "".join(col) + "->" + out
-    t = rho.mat.reshape((2,) * (2 * n))
+    sub = "z" + "".join(row) + "".join(col) + "->z" + out
+    t = stack.reshape((len(stack),) + (2,) * (2 * n))
     d = 2 ** len(keep)
-    red = np.einsum(sub, t).reshape(d, d)
-    return DensityMatrix(red, Register(tuple(keep)))
+    return np.einsum(sub, t).reshape(len(stack), d, d)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:

@@ -14,22 +14,13 @@ inverts the two object parameters from the sinusoid
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, ModeMixer, ObjectParams, mode_mixer, normalize_angle
-from .circuit import (
-    detection_probabilities,
-    measurement_pair,
-    prepare_probe,
-    run_pipeline,
-)
+from .channels import KrausChannel, ModeMixer, fold_angles, mode_mixer, normalize_angle
+from .circuit import measurement_stack, prepare_probe, run_batch
 from .qcore import DensityMatrix
-
-THREADS_ENV = "UQI_THREADS"
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
@@ -194,27 +185,72 @@ class ObjectEstimate:
     degenerate: bool = False
 
 
-def _finalize_estimate(c, s, cov, method, shots) -> ObjectEstimate:
-    t_hat = float(np.hypot(c, s))
-    stderr_t = stderr_gamma = None
+def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v_n^T m_n v_n`` for each row n."""
+    return (v[:, :, None] * m * v[:, None, :]).sum(axis=(1, 2))
+
+
+def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> dict:
+    """Estimates for every row of ``ps`` (n sweeps over the shared phases ``phis``).
+
+    Both methods are linear, ``(c, s) = G y`` with ``c = T cos(gamma)``,
+    ``s = T sin(gamma)`` and one ``2 x m`` matrix ``G`` fixed by the phases
+    alone, so G is computed once.  With shots the covariance of ``(c, s)``
+    is ``G diag(var y) G^T``.  Returns arrays ``t_hat``, ``gamma_hat``
+    (NaN when degenerate), ``stderr_t``, ``stderr_gamma`` (NaN when not
+    defined) and ``degenerate``.  Raises ValueError for a phase set that
+    cannot be inverted.
+    """
+    if method == "two-point":
+        if len(phis) < 2:
+            raise ValueError("two-point inversion needs at least two phase points")
+        p1, p2 = phis[:2]
+        if abs(normalize_angle(p1 - p2)) < 1e-12:
+            raise ValueError("duplicate phase values: cannot invert a single setting")
+        if abs(np.sin(p1 - p2)) < 1e-12:
+            raise ValueError("phase points pi apart are degenerate for the two-point inversion")
+        # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i)
+        g = np.linalg.inv(np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]]))
+        y = 1 - 2 * ps[:, :2]
+        var = 4.0 * np.maximum(ps[:, :2] * (1 - ps[:, :2]), 1e-12) / shots if shots else None
+    elif method == "least-squares":
+        if len(phis) < 3:
+            raise ValueError("least-squares inversion needs at least three phase points")
+        if len(np.unique(np.round(phis, 12))) < 2:
+            raise ValueError("duplicate phase values: cannot invert a single setting")
+        # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
+        design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+        g = np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
+        y = ps
+        var = np.clip(ps * (1.0 - ps), 1e-12, None) / shots if shots else None
+    else:
+        raise ValueError(f"unknown method {method!r}; use 'two-point' or 'least-squares'")
+
+    # every sum runs along one row, so a row's result does not depend on the others
+    cs = (y[:, None, :] * g).sum(axis=-1)
+    c, s = cs[:, 0], cs[:, 1]
+    t_hat = np.hypot(c, s)
+    stderr_t = np.full(len(ps), np.nan)
+    stderr_gamma = np.full(len(ps), np.nan)
     if shots:
-        jt = np.array([c, s]) / t_hat if t_hat > 1e-15 else np.array([1.0, 0.0])
-        stderr_t = float(np.sqrt(max(jt @ cov @ jt, 0.0)))
+        cov = (g[:, None, :] * g[None, :, :] * var[:, None, None, :]).sum(axis=-1)
+        nonzero = t_hat > 1e-15
+        jt = np.where(nonzero[:, None], cs / np.where(nonzero, t_hat, 1.0)[:, None], [1.0, 0.0])
+        stderr_t = np.sqrt(np.maximum(_quadratic_form(jt, cov), 0.0))
         degenerate = t_hat < 3.0 * stderr_t
-        if not degenerate:
-            jg = np.array([-s, c]) / t_hat ** 2
-            stderr_gamma = float(np.sqrt(max(jg @ cov @ jg, 0.0)))
+        live = ~degenerate
+        jg = np.column_stack([-s[live], c[live]]) / t_hat[live, None] ** 2
+        stderr_gamma[live] = np.sqrt(np.maximum(_quadratic_form(jg, cov[live]), 0.0))
     else:
         degenerate = t_hat < 1e-9
-    gamma_hat = normalize_angle(float(np.arctan2(s, c))) if not degenerate else float("nan")
-    return ObjectEstimate(
-        t_hat=t_hat,
-        gamma_hat=gamma_hat,
-        stderr_t=stderr_t,
-        stderr_gamma=stderr_gamma,
-        method=method,
-        degenerate=degenerate,
-    )
+    gamma_hat = np.where(degenerate, np.nan, fold_angles(np.arctan2(s, c)))
+    return {
+        "t_hat": t_hat,
+        "gamma_hat": gamma_hat,
+        "stderr_t": stderr_t,
+        "stderr_gamma": stderr_gamma,
+        "degenerate": degenerate,
+    }
 
 
 def estimate_object(probabilities, method: str = "least-squares", shots: int | None = None) -> ObjectEstimate:
@@ -234,52 +270,18 @@ def estimate_object(probabilities, method: str = "least-squares", shots: int | N
     errors and the degeneracy test becomes ``t_hat < 3 stderr_t``.
     """
     pts = [(float(p), float(v)) for p, v in probabilities]
-    if method == "two-point":
-        if len(pts) < 2:
-            raise ValueError("two-point inversion needs at least two phase points")
-        (p1, y1), (p2, y2) = pts[0], pts[1]
-        if abs(normalize_angle(p1 - p2)) < 1e-12:
-            raise ValueError("duplicate phase values: cannot invert a single setting")
-        det = np.sin(p1 - p2)
-        if abs(det) < 1e-12:
-            raise ValueError("phase points pi apart are degenerate for the two-point inversion")
-        # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i)
-        a = np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]])
-        y = np.array([1 - 2 * y1, 1 - 2 * y2])
-        ainv = np.linalg.inv(a)
-        c, s = ainv @ y
-        cov = None
-        if shots:
-            var_y = 4.0 * np.array([max(y1 * (1 - y1), 1e-12), max(y2 * (1 - y2), 1e-12)]) / shots
-            cov = ainv @ np.diag(var_y) @ ainv.T
-        return _finalize_estimate(c, s, cov, "two-point", shots)
-
-    if method == "least-squares":
-        if len(pts) < 3:
-            raise ValueError("least-squares inversion needs at least three phase points")
-        phis = np.array([p for p, _ in pts])
-        ps = np.array([v for _, v in pts])
-        if len(np.unique(np.round(phis, 12))) < 2:
-            raise ValueError("duplicate phase values: cannot invert a single setting")
-        design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-        coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
-        _, u, v = coef
-        c, s = -2.0 * u, 2.0 * v
-        cov = None
-        if shots:
-            var_p = np.clip(ps * (1.0 - ps), 1e-12, None) / shots
-            gram_inv = np.linalg.inv(design.T @ design)
-            cov_coef = gram_inv @ design.T @ np.diag(var_p) @ design @ gram_inv
-            # (c, s) = (-2u, 2v)
-            cov = np.array(
-                [
-                    [4 * cov_coef[1, 1], -4 * cov_coef[1, 2]],
-                    [-4 * cov_coef[1, 2], 4 * cov_coef[2, 2]],
-                ]
-            )
-        return _finalize_estimate(c, s, cov, "least-squares", shots)
-
-    raise ValueError(f"unknown method {method!r}; use 'two-point' or 'least-squares'")
+    phis = np.array([p for p, _ in pts])
+    ps = np.array([[v for _, v in pts]])
+    fit = _fit(phis, ps, method, shots)
+    stderr_t, stderr_gamma = fit["stderr_t"][0], fit["stderr_gamma"][0]
+    return ObjectEstimate(
+        t_hat=float(fit["t_hat"][0]),
+        gamma_hat=float(fit["gamma_hat"][0]),
+        stderr_t=float(stderr_t) if shots else None,
+        stderr_gamma=None if np.isnan(stderr_gamma) else float(stderr_gamma),
+        method=method,
+        degenerate=bool(fit["degenerate"][0]),
+    )
 
 
 def visibility(p_series) -> float:
@@ -309,6 +311,8 @@ class ImageMaps:
             raise ValueError("maps must be two-dimensional grids")
         if t.shape != g.shape:
             raise ValueError(f"map shapes differ: {t.shape} vs {g.shape}")
+        if t.size == 0:
+            raise ValueError("maps must not be empty")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
             raise ValueError("maps contain non-finite values")
         if np.any(t < 0) or np.any(t > 1):
@@ -345,105 +349,48 @@ class ScanResult:
         return not self.errors
 
 
-def _scan_pixel(probe, mm, pairs, t, gamma, shots, seed, row, col, method):
-    obj = ObjectParams(t, gamma)
-    sig = run_pipeline(probe, obj, mm)
-    points = []
-    if shots:
-        rng = np.random.default_rng([seed, row, col])
-    for mp in pairs:
-        p_h, _ = detection_probabilities(sig, mp)
-        if shots:
-            p_h = float(rng.binomial(shots, min(max(p_h, 0.0), 1.0))) / shots
-        points.append((mp.phi, p_h))
-    if method == "auto":
-        method = "two-point" if len(points) == 2 else "least-squares"
-    return estimate_object(points, method=method, shots=shots)
-
-
-def scan_workers(max_workers: int | None = None) -> int:
-    """Worker count for the image scan: argument, then the UQI_THREADS
-    environment variable, then available parallelism."""
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def image_scan(
     maps: ImageMaps,
     phi_sweep,
     shots: int = 0,
     seed: int = 0,
     method: str = "auto",
-    max_workers: int | None = None,
 ) -> ScanResult:
-    """Run the full pipeline and estimator independently for every pixel.
+    """Run the full pipeline and estimator for every pixel.
 
-    Analytic mode (``shots=0``) inverts exact probabilities; shot mode
-    draws per-pixel binomial counts from streams derived from the root
-    seed, so results do not depend on scheduling.  Pixel failures are
-    recorded without aborting the scan.  Output grids match the input
-    shape and are ordered by pixel index regardless of execution order.
+    All pixels go through the batched engine (:func:`run_batch`) and one
+    shared-design estimator.  Analytic mode (``shots=0``) inverts exact
+    probabilities; shot mode draws each pixel's binomial counts from its
+    own stream ``default_rng([seed, row, col])``, so a pixel's result does
+    not depend on the others.  Pixel failures are recorded without
+    aborting the scan.  Output grids match the input shape.
     """
-    phis = [float(p) for p in phi_sweep]
-    if not phis:
+    phis = np.array([float(p) for p in phi_sweep])
+    if not phis.size:
         raise ValueError("phase sweep must be nonempty")
     shots = int(shots) if shots else 0
-    probe = prepare_probe()
-    mm = mode_mixer()
-    pairs = [measurement_pair(p) for p in phis]
-
+    if method == "auto":
+        method = "two-point" if phis.size == 2 else "least-squares"
     h, w = maps.height, maps.width
-    t_hat = np.full((h, w), np.nan)
-    gamma_hat = np.full((h, w), np.nan)
-    stderr_t = np.full((h, w), np.nan)
-    stderr_gamma = np.full((h, w), np.nan)
-    degenerate = np.zeros((h, w), dtype=bool)
-    errors: list[tuple[int, int, str]] = []
+    batch = run_batch(
+        prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, measurement_stack(phis)[:, 0]
+    )
+    p_h = batch.values
+    errors = list(batch.errors)
+    live = np.array([e is None for e in errors], dtype=bool)
+    if shots:
+        for i in np.flatnonzero(live):
+            rng = np.random.default_rng([seed, *divmod(int(i), w)])
+            p_h[i] = rng.binomial(shots, np.clip(p_h[i], 0.0, 1.0)) / shots
 
-    def work(pix):
-        row, col = pix
-        try:
-            est = _scan_pixel(
-                probe, mm, pairs,
-                maps.t_map[row, col], maps.gamma_map[row, col],
-                shots, seed, row, col, method,
-            )
-            return row, col, est, None
-        except Exception as exc:  # recorded per pixel, scan continues
-            return row, col, None, str(exc)
-
-    pixels = [(r, c) for r in range(h) for c in range(w)]
-    workers = scan_workers(max_workers)
-    if workers > 1 and len(pixels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, pixels))
-    else:
-        results = [work(p) for p in pixels]
-
-    for row, col, est, err in results:
-        if err is not None:
-            errors.append((row, col, err))
-            continue
-        t_hat[row, col] = est.t_hat
-        gamma_hat[row, col] = est.gamma_hat
-        if est.stderr_t is not None:
-            stderr_t[row, col] = est.stderr_t
-        if est.stderr_gamma is not None:
-            stderr_gamma[row, col] = est.stderr_gamma
-        degenerate[row, col] = est.degenerate
-
+    fit = {key: np.full(h * w, np.nan) for key in ("t_hat", "gamma_hat", "stderr_t", "stderr_gamma")}
+    fit["degenerate"] = np.zeros(h * w, dtype=bool)
+    try:
+        for key, value in _fit(phis, p_h[live], method, shots).items():
+            fit[key][live] = value
+    except ValueError as exc:  # the phase set fails for every pixel alike
+        errors = [e or str(exc) for e in errors]
     return ScanResult(
-        t_hat=t_hat,
-        gamma_hat=gamma_hat,
-        stderr_t=stderr_t,
-        stderr_gamma=stderr_gamma,
-        degenerate=degenerate,
-        errors=tuple(errors),
+        **{key: value.reshape(h, w) for key, value in fit.items()},
+        errors=tuple((*divmod(i, w), e) for i, e in enumerate(errors) if e is not None),
     )

@@ -31,6 +31,9 @@ def test_object_params_validation():
         ObjectParams(-0.1)
     with pytest.raises(ValueError):
         ObjectParams(1.1)
+    for gamma in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            ObjectParams(0.5, gamma)
     assert ObjectParams(0.5, 3 * np.pi).gamma == pytest.approx(np.pi)
     assert ObjectParams(0.5, -np.pi / 2).gamma == pytest.approx(-np.pi / 2)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -325,3 +326,47 @@ def test_csv_uses_lf_line_endings(capsys):
     _, out, _ = run_cli(capsys, "probabilities", "--T", "1", "--phi", "0")
     assert "\r" not in out
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--T", "0.5", "--gamma", "nan"),
+        ("sweep", "--T", "0.5", "--gamma", "inf"),
+        ("chi", "--T", "0.5", "--gamma=-inf"),
+        ("probabilities", "--T", "0.5", "--gamma", "0,nan", "--phi", "0"),
+    ],
+)
+def test_non_finite_phase_rejected_early(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("uqi: phase must be finite")
+
+
+def test_image_empty_map_is_config_error(tmp_path, capsys):
+    t_file = tmp_path / "t.csv"
+    g_file = tmp_path / "g.csv"
+    t_file.write_text("")
+    g_file.write_text("\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "image", "--t-map", str(t_file), "--gamma-map", str(g_file))
+    assert code == 2
+    assert out == ""
+    assert err == "uqi: maps must not be empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("probabilities", "--T", "0.5", "--phi", "0"),
+        ("sweep", "--T", "0.5", "--shots", "10"),
+        ("image", "--t-map", "t.csv", "--gamma-map", "g.csv"),
+    ],
+)
+def test_negative_seed_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "uqi: seed must be nonnegative, got -1\n"

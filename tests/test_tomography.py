@@ -9,6 +9,7 @@ from uqi.channels import (
     mode_mixer,
     object_channel,
 )
+from uqi import circuit
 from uqi.circuit import detection_probabilities, measurement_pair, prepare_probe, run_pipeline
 from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed, kron
 from uqi.tomography import (
@@ -272,6 +273,33 @@ def test_estimate_shot_mode_reports_standard_errors():
     assert abs(est.t_hat - 0.7) < 5 * est.stderr_t
 
 
+def dense_reference_covariance(phis, ps, shots, method):
+    """Covariance of (c, s) written out with the dense diagonal variance matrix."""
+    if method == "two-point":
+        a = np.array([[np.cos(p), -np.sin(p)] for p in phis[:2]])
+        ainv = np.linalg.inv(a)
+        var_y = 4.0 * np.maximum(ps[:2] * (1 - ps[:2]), 1e-12) / shots
+        return ainv @ np.diag(var_y) @ ainv.T
+    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    var_p = np.clip(ps * (1.0 - ps), 1e-12, None) / shots
+    gram_inv = np.linalg.inv(design.T @ design)
+    cc = gram_inv @ design.T @ np.diag(var_p) @ design @ gram_inv
+    return 4 * np.array([[cc[1, 1], -cc[1, 2]], [-cc[1, 2], cc[2, 2]]])
+
+
+@pytest.mark.parametrize("method", ["two-point", "least-squares"])
+def test_estimate_standard_errors_match_dense_covariance(method):
+    phis = np.array([0.3, 1.4, 2.0, 4.1, 5.5])
+    ps = np.array([0.2, 0.61, 0.75, 0.35, 0.1])
+    est = estimate_object(zip(phis, ps), method=method, shots=1000)
+    cov = dense_reference_covariance(phis, ps, 1000, method)
+    c, s = est.t_hat * np.cos(est.gamma_hat), est.t_hat * np.sin(est.gamma_hat)
+    jt = np.array([c, s]) / est.t_hat
+    jg = np.array([-s, c]) / est.t_hat ** 2
+    assert est.stderr_t == pytest.approx(np.sqrt(jt @ cov @ jt), rel=1e-12)
+    assert est.stderr_gamma == pytest.approx(np.sqrt(jg @ cov @ jg), rel=1e-12)
+
+
 def test_estimate_error_scales_with_shot_noise():
     # RMSE of t_hat should fall as shots^(-1/2): slope within 0.1 of -0.5
     t, g = 0.6, -1.0
@@ -314,6 +342,8 @@ def test_image_maps_validation():
         ImageMaps(np.array([[1.5]]), np.array([[0.0]]))
     with pytest.raises(ValueError):
         ImageMaps(np.array([0.5]), np.array([0.0]))
+    with pytest.raises(ValueError, match="must not be empty"):
+        ImageMaps(np.zeros((0, 1)), np.zeros((0, 1)))
 
 
 def test_image_scan_single_pixel_exact():
@@ -354,13 +384,42 @@ def test_image_scan_checkerboard_shot_noise_rmse():
     assert rmse < 0.03
 
 
-def test_image_scan_deterministic_and_thread_independent():
-    maps = ImageMaps(np.full((4, 4), 0.7), np.full((4, 4), -0.5))
+@pytest.mark.parametrize("shots", [0, 500])
+def test_image_scan_independent_of_batch_size(monkeypatch, shots):
+    rng = np.random.default_rng(5)
+    maps = ImageMaps(rng.uniform(0.0, 1.0, size=(4, 5)), rng.uniform(-3.0, 3.0, size=(4, 5)))
     phis = [2 * np.pi * k / 8 for k in range(8)]
-    a = image_scan(maps, phis, shots=500, seed=3, max_workers=1)
-    b = image_scan(maps, phis, shots=500, seed=3, max_workers=4)
-    assert np.array_equal(a.t_hat, b.t_hat)
-    assert np.array_equal(a.gamma_hat, b.gamma_hat)
+    scans = []
+    for chunk in (1, 7, 20, 64):
+        monkeypatch.setattr(circuit, "BATCH_CHUNK", chunk)
+        scans.append(image_scan(maps, phis, shots=shots, seed=3))
+    # the first row alone: same pixel positions, so the same shot streams
+    scans.append(image_scan(ImageMaps(maps.t_map[:1], maps.gamma_map[:1]), phis, shots=shots, seed=3))
+    for scan in scans[1:]:
+        rows = slice(0, scan.t_hat.shape[0])
+        for field in ("t_hat", "gamma_hat", "stderr_t", "stderr_gamma", "degenerate"):
+            want = getattr(scans[0], field)[rows]
+            assert np.array_equal(getattr(scan, field), want, equal_nan=True)
+
+
+def test_image_scan_shot_streams_are_per_pixel_in_phase_order():
+    # pixel (row, col) draws its counts one phase after another from
+    # default_rng([seed, row, col]); the layout is part of the output contract
+    maps = ImageMaps(np.array([[0.3, 0.9], [0.6, 0.0]]), np.array([[1.0, -2.0], [0.5, 0.0]]))
+    phis = [2 * np.pi * k / 6 for k in range(6)]
+    scan = image_scan(maps, phis, shots=200, seed=9)
+    mm, probe = mode_mixer(), prepare_probe()
+    for row in range(2):
+        for col in range(2):
+            sig = run_pipeline(probe, ObjectParams(maps.t_map[row, col], maps.gamma_map[row, col]), mm)
+            rng = np.random.default_rng([9, row, col])
+            pts = []
+            for phi in phis:
+                p_h = detection_probabilities(sig, measurement_pair(phi))[0]
+                pts.append((phi, rng.binomial(200, min(max(p_h, 0.0), 1.0)) / 200))
+            est = estimate_object(pts, method="least-squares", shots=200)
+            assert scan.t_hat[row, col] == pytest.approx(est.t_hat, abs=1e-12)
+            assert scan.stderr_t[row, col] == pytest.approx(est.stderr_t, rel=1e-12)
 
 
 def test_image_scan_records_pixel_errors_without_aborting():
@@ -385,16 +444,3 @@ def test_image_scan_empty_sweep_rejected():
     maps = ImageMaps(np.array([[0.5]]), np.array([[0.0]]))
     with pytest.raises(ValueError):
         image_scan(maps, [])
-
-
-def test_scan_worker_count_from_environment(monkeypatch):
-    from uqi.tomography import THREADS_ENV, scan_workers
-
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert scan_workers(3) == 3
-    assert scan_workers() >= 1
-    monkeypatch.setenv(THREADS_ENV, "2")
-    assert scan_workers() == 2
-    monkeypatch.setenv(THREADS_ENV, "not-a-number")
-    with pytest.raises(ValueError):
-        scan_workers()
