@@ -39,8 +39,7 @@ from .circuit import (
     probe_ket,
     run_batch,
     run_pipeline,
-    sample_detections,
-    sample_detections_with_miss,
+    sample_frequencies,
 )
 from .gates import Gate, apply_unitary, cnot, cz, hadamard, pauli, phase_shifter
 from .qcore import (

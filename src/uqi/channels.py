@@ -44,10 +44,7 @@ def fold_angles(theta) -> np.ndarray:
 
 def normalize_angle(theta: float) -> float:
     """Fold an angle into (-pi, pi]; the scalar form of :func:`fold_angles`."""
-    out = (float(theta) + np.pi) % (2 * np.pi) - np.pi
-    if out == -np.pi:
-        out = np.pi
-    return out
+    return float(fold_angles(theta))
 
 
 def _param_error(t: float, gamma: float) -> str | None:
@@ -286,14 +283,10 @@ def default_xi() -> np.ndarray:
 class ModeMixer:
     """Two-wire operator sending both ``|01>`` and ``|10>`` to ``|Xi>``.
 
-    ``rest`` selects what happens on span{|00>, |11>}: ``"identity"``
-    keeps those states untouched (the convention consistent with the rest
-    of the pipeline), ``"coherent"`` uses the rank-one alternative
-    ``(|00> + |11>)(<00| + <11|)``, kept only for comparison experiments.
+    ``|00>`` and ``|11>`` are left untouched.
     """
 
     xi: np.ndarray
-    rest: str = "identity"
     op: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -302,24 +295,18 @@ class ModeMixer:
             raise ValueError("xi must be a 4-component vector on the two idler wires")
         if abs(np.linalg.norm(v) - 1.0) > ATOL:
             raise ValueError("xi must be a unit vector")
-        if self.rest not in ("identity", "coherent"):
-            raise ValueError(f"rest must be 'identity' or 'coherent', got {self.rest!r}")
         v = v.copy()
         v.setflags(write=False)
         e = np.eye(4, dtype=complex)
-        m = np.outer(v, e[1] + e[2])
-        if self.rest == "identity":
-            m += np.outer(e[0], e[0]) + np.outer(e[3], e[3])
-        else:
-            m += np.outer(e[0] + e[3], e[0] + e[3])
+        m = np.outer(v, e[1] + e[2]) + np.outer(e[0], e[0]) + np.outer(e[3], e[3])
         m.setflags(write=False)
         object.__setattr__(self, "xi", v)
         object.__setattr__(self, "op", m)
 
 
-def mode_mixer(xi=None, rest: str = "identity") -> ModeMixer:
+def mode_mixer(xi=None) -> ModeMixer:
     """Build a mode mixer; defaults to the ``|Xi> = |-+>`` target state."""
-    return ModeMixer(default_xi() if xi is None else xi, rest)
+    return ModeMixer(default_xi() if xi is None else xi)
 
 
 MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"

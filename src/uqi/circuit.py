@@ -3,7 +3,7 @@
 Stages, in order: probe preparation (optionally degraded to a Werner
 state), the object channel on ``i1``, the mode mixer on ``(i1, i2)``,
 discarding of both idler wires, and Bell or phase-shifted measurements on
-the signal wires.  For the Bell probe the surviving signal state is::
+the signal wires, whose click counts :func:`sample_frequencies` draws.  For the Bell probe the surviving signal state is::
 
     Upsilon = 1/2 ( |10><10| + T e^{i gamma} |10><01|
                   + T e^{-i gamma} |01><10| + |01><01| )
@@ -19,6 +19,7 @@ against a stack of measurement operators; :func:`run_pipeline` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -81,12 +82,14 @@ class PipelineStages:
     signal: SignalState
 
 
+@cache
 def prepare_probe() -> ProbeState:
     """Run the preparation chain: H on i2, then three CNOTs.
 
     The first CNOT fires on control ``|0>`` (together with the Hadamard it
     plays the beam splitter); the other two model the photon-pair sources.
-    The result is ``(|1100> + |0011>)/sqrt(2)``.
+    The result is ``(|1100> + |0011>)/sqrt(2)``.  The chain runs once per
+    process; every call returns the same immutable :class:`ProbeState`.
     """
     rho = DensityMatrix.from_ket(basis_ket("0000"), DEFAULT_REGISTER)
     rho = apply_unitary(rho, hadamard(), ["i2"])
@@ -296,45 +299,25 @@ def detection_probabilities(sig: SignalState, mp: MeasurementPair) -> tuple[floa
     return p_h, p_g
 
 
-def sample_detections(p_h: float, shots: int, seed: int) -> tuple[int, int]:
-    """Binomial click counts for a two-detector Bernoulli trial.
+def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
+    """Shot estimates ``n_h / shots`` of an ``(n, k)`` array of click probabilities.
 
-    Deterministic for a fixed seed.  Use this for the Bell probe, where
-    one of the two detectors always fires.
+    Row ``r`` draws its k binomial counts, in order, from its own
+    generator seeded with ``[seed, *keys[r]]``, so a row's counts depend
+    on the seed, its key and its own probabilities only.  The
+    probabilities are clipped to [0, 1] first, which absorbs the engine's
+    rounding.
     """
-    p_h = float(p_h)
-    if not -ATOL <= p_h <= 1.0 + ATOL:
-        raise ValueError(f"probability must lie in [0, 1], got {p_h}")
-    p_h = min(max(p_h, 0.0), 1.0)
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    rng = np.random.default_rng(seed)
-    n_h = int(rng.binomial(shots, p_h))
-    return n_h, shots - n_h
-
-
-def sample_detections_with_miss(
-    p_h: float, p_g: float, shots: int, seed: int
-) -> tuple[int, int, int]:
-    """Trinomial counts ``(n_h, n_g, n_none)`` when ``p_h + p_g < 1``.
-
-    Needed for Werner probes, where the detector pair does not resolve the
-    identity on the support and some runs produce no click at all.
-    """
-    p_h, p_g = float(p_h), float(p_g)
-    for p in (p_h, p_g):
-        if not -ATOL <= p <= 1.0 + ATOL:
-            raise ValueError(f"probability must lie in [0, 1], got {p}")
-    p_h = min(max(p_h, 0.0), 1.0)
-    p_g = min(max(p_g, 0.0), 1.0)
-    if p_h + p_g > 1.0 + ATOL:
-        raise ValueError("p_h + p_g exceeds 1")
-    p_none = max(1.0 - p_h - p_g, 0.0)
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    rng = np.random.default_rng(seed)
-    total = np.array([p_h, p_g, p_none])
-    n = rng.multinomial(shots, total / total.sum())
-    return int(n[0]), int(n[1]), int(n[2])
+    p_h = np.clip(np.asarray(p_h, dtype=float), 0.0, 1.0)
+    if p_h.ndim != 2 or len(keys) != len(p_h):
+        raise ValueError(f"need an (n, k) array and n keys, got shape {p_h.shape} and {len(keys)} keys")
+    counts = []
+    for key, row in zip(np.asarray(keys, dtype=np.int64).tolist(), p_h.tolist()):
+        rng = np.random.default_rng([seed, *key])
+        # scalar draws in row order are the draws of one array call on the row,
+        # without its per-call validation pass over the array
+        counts.append([rng.binomial(shots, p) for p in row])
+    return np.array(counts, dtype=np.int64).reshape(p_h.shape) / shots

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .channels import ObjectParams, chi_matrix, mode_mixer, normalize_angle, object_channel
-from .circuit import measurement_stack, prepare_probe, prepare_werner, run_batch
+from .circuit import measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import hermitian_eigenvalues, partial_transpose
 from .tomography import ImageMaps, estimate_object, image_scan, operator_schmidt, visibility
 
@@ -162,6 +162,19 @@ def _readouts(probe, ts, gammas, readout) -> np.ndarray:
     return batch.values
 
 
+def _shot_mode(p_h, p_g, args):
+    """``(p_h, p_g)`` per record, or with ``--shots`` the sampled click frequencies.
+
+    Record k draws from the stream ``[seed, k]``; the Bell probe always
+    clicks, so ``p_g = 1 - p_h``.
+    """
+    if not args.shots:
+        return p_h, p_g
+    keys = np.arange(p_h.size)[:, None]
+    p_h = sample_frequencies(p_h[:, None], args.shots, args.seed, keys)[:, 0]
+    return p_h, 1.0 - p_h
+
+
 def cmd_probabilities(args) -> int:
     ts = _float_list(args.T, "T")
     gammas = _float_list(args.gamma, "gamma")
@@ -173,19 +186,12 @@ def cmd_probabilities(args) -> int:
     settings = list(itertools.product(ts, gammas))
     probs = _readouts(
         prepare_probe(), [t for t, _ in settings], [g for _, g in settings], measurement_stack(phis)
-    )
-    recs = []
-    idx = 0
-    for (t, g), row in zip(settings, probs):
-        for p, (p_h, p_g) in zip(phis, row):
-            p_h, p_g = float(p_h), float(p_g)
-            if args.shots:
-                rng = np.random.default_rng([args.seed, idx])
-                n_h = int(rng.binomial(args.shots, min(max(p_h, 0.0), 1.0)))
-                p_h = n_h / args.shots
-                p_g = 1.0 - p_h
-            recs.append((t, g, p, p_h, p_g))
-            idx += 1
+    ).reshape(-1, 2)
+    p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
+    recs = [
+        (t, g, p, float(ph), float(pg))
+        for ((t, g), p), ph, pg in zip(itertools.product(settings, phis), p_h, p_g)
+    ]
     config = {
         "command": "probabilities",
         "t": ts,
@@ -216,17 +222,12 @@ def cmd_sweep(args) -> int:
     if method == "auto":
         method = "two-point" if len(phis) == 2 else "least-squares"
     probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
-    points = []
-    recs = []
-    for i, (p, (p_h, p_g)) in enumerate(zip(phis, probs)):
-        p_h, p_g = float(p_h), float(p_g)
-        if args.shots:
-            rng = np.random.default_rng([args.seed, i])
-            n_h = int(rng.binomial(args.shots, min(max(p_h, 0.0), 1.0)))
-            p_h = n_h / args.shots
-            p_g = 1.0 - p_h
-        points.append((p, p_h))
-        recs.append(("sample", p, p_h, p_g, None, None, None, None, None, None))
+    p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
+    points = list(zip(phis, p_h))
+    recs = [
+        ("sample", p, float(ph), float(pg), None, None, None, None, None, None)
+        for p, ph, pg in zip(phis, p_h, p_g)
+    ]
     try:
         est = estimate_object(points, method=method, shots=args.shots or None)
     except ValueError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, ModeMixer, fold_angles, mode_mixer, normalize_angle
-from .circuit import measurement_stack, prepare_probe, run_batch
+from .circuit import measurement_stack, prepare_probe, run_batch, sample_frequencies
 from .qcore import DensityMatrix
 
 # singular values closer than this (relative) are treated as one
@@ -220,6 +220,10 @@ def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> di
             raise ValueError("duplicate phase values: cannot invert a single setting")
         # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
         design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+        if np.linalg.matrix_rank(design) < 3:
+            # (1, cos, sin) has rank 3 exactly when three phases differ modulo 2 pi;
+            # with two, one quadrature is unidentifiable and pinv would return it as 0
+            raise ValueError("least-squares inversion needs three distinct phases modulo 2 pi")
         g = np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
         y = ps
         var = np.clip(ps * (1.0 - ps), 1e-12, None) / shots if shots else None
@@ -360,10 +364,11 @@ def image_scan(
 
     All pixels go through the batched engine (:func:`run_batch`) and one
     shared-design estimator.  Analytic mode (``shots=0``) inverts exact
-    probabilities; shot mode draws each pixel's binomial counts from its
-    own stream ``default_rng([seed, row, col])``, so a pixel's result does
-    not depend on the others.  Pixel failures are recorded without
-    aborting the scan.  Output grids match the input shape.
+    probabilities; shot mode draws each pixel's counts with
+    :func:`sample_frequencies` from its own stream ``[seed, row, col]``,
+    so a pixel's result does not depend on the others.  Pixel failures
+    are recorded without aborting the scan.  Output grids match the input
+    shape.
     """
     phis = np.array([float(p) for p in phi_sweep])
     if not phis.size:
@@ -379,9 +384,8 @@ def image_scan(
     errors = list(batch.errors)
     live = np.array([e is None for e in errors], dtype=bool)
     if shots:
-        for i in np.flatnonzero(live):
-            rng = np.random.default_rng([seed, *divmod(int(i), w)])
-            p_h[i] = rng.binomial(shots, np.clip(p_h[i], 0.0, 1.0)) / shots
+        pixels = np.column_stack(divmod(np.flatnonzero(live), w))
+        p_h[live] = sample_frequencies(p_h[live], shots, seed, pixels)
 
     fit = {key: np.full(h * w, np.nan) for key in ("t_hat", "gamma_hat", "stderr_t", "stderr_gamma")}
     fit["degenerate"] = np.zeros(h * w, dtype=bool)

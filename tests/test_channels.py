@@ -257,14 +257,6 @@ def test_mode_mixer_rejects_non_unit_xi():
         mode_mixer(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
-def test_mode_mixer_coherent_rest_variant():
-    mm = mode_mixer(rest="coherent")
-    e = np.eye(4, dtype=complex)
-    assert np.allclose(mm.op @ e[0], e[0] + e[3], atol=ATOL)
-    with pytest.raises(ValueError):
-        mode_mixer(rest="bogus")
-
-
 def test_apply_mode_mixer_on_post_object_state():
     # after the mixer every surviving idler term carries |Xi><Xi| except the
     # damped population, which stays on |00>

@@ -11,8 +11,7 @@ from uqi.circuit import (
     prepare_werner,
     probe_ket,
     run_pipeline,
-    sample_detections,
-    sample_detections_with_miss,
+    sample_frequencies,
 )
 from uqi.qcore import (
     basis_ket,
@@ -44,6 +43,17 @@ def test_probe_matches_target_superposition():
     want = np.outer(probe_ket(), probe_ket().conj())
     assert np.allclose(rho.mat, want, atol=ATOL)
     assert rho.mat[int("1100", 2), int("0011", 2)] == pytest.approx(0.5, abs=ATOL)
+
+
+def test_probe_is_built_once_and_immutable():
+    # every call shares one ProbeState, so nothing may write to it
+    probe = prepare_probe()
+    prepare_werner(0.5)
+    assert prepare_probe() is probe
+    assert not probe.rho.mat.flags.writeable
+    with pytest.raises(ValueError):
+        probe.rho.mat[0, 0] = 1.0
+    assert np.array_equal(probe.rho.mat, prepare_probe.__wrapped__().rho.mat)
 
 
 def test_werner_limits():
@@ -223,36 +233,41 @@ def test_sinusoid_law_over_phase_sweep():
             assert abs(p_h + p_g - 1.0) < ATOL
 
 
-def test_sample_detections_degenerate_probabilities():
-    assert sample_detections(0.0, 1000, seed=1) == (0, 1000)
-    assert sample_detections(1.0, 1000, seed=1) == (1000, 0)
+def test_sample_frequencies_degenerate_probabilities():
+    # p = 0 and p = 1 give exact counts, also a rounding step outside [0, 1]
+    p = np.array([[0.0, 1.0, -1e-15], [1.0 + 1e-15, 0.0, 1.0]])
+    out = sample_frequencies(p, 1000, seed=1, keys=[(0,), (1,)])
+    assert np.array_equal(out, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
-def test_sample_detections_concentration():
-    # 5-sigma binomial bound at p = 0.3 with 1e5 shots
-    n_h, n_g = sample_detections(0.3, 10**5, seed=7)
-    assert n_h + n_g == 10**5
-    bound = 5 * np.sqrt(0.3 * 0.7 / 10**5)
-    assert abs(n_h / 10**5 - 0.3) < bound
+def test_sample_frequencies_concentration():
+    # 5-sigma binomial bound at p = 0.3 with 1e5 shots, in every row
+    out = sample_frequencies(np.full((4, 3), 0.3), 10**5, seed=7, keys=np.arange(4)[:, None])
+    assert np.all(np.abs(out - 0.3) < 5 * np.sqrt(0.3 * 0.7 / 10**5))
 
 
-def test_sample_detections_deterministic_and_validated():
-    assert sample_detections(0.42, 1234, seed=99) == sample_detections(0.42, 1234, seed=99)
+def test_sample_frequencies_deterministic_per_row_stream():
+    # row r gets the draws of one array call on it from default_rng([seed, *keys[r]]),
+    # so reordering the rows with their keys reorders the result
+    p = np.array([[0.42, 0.1], [0.9, 0.5], [0.3, 0.7]])
+    keys = [(0, 2), (1, 0), (5, 3)]
+    out = sample_frequencies(p, 1234, seed=99, keys=keys)
+    assert np.array_equal(out, sample_frequencies(p, 1234, seed=99, keys=keys))
+    for r, key in enumerate(keys):
+        assert np.array_equal(out[r], np.random.default_rng([99, *key]).binomial(1234, p[r]) / 1234)
+    back = sample_frequencies(p[::-1], 1234, seed=99, keys=keys[::-1])
+    assert np.array_equal(back, out[::-1])
+
+
+def test_sample_frequencies_rejects_bad_input():
+    p = np.full((2, 3), 0.5)
+    for shots in (0, -5):
+        with pytest.raises(ValueError, match="shots must be at least 1"):
+            sample_frequencies(p, shots, seed=0, keys=[(0,), (1,)])
     with pytest.raises(ValueError):
-        sample_detections(-0.2, 100, seed=0)
+        sample_frequencies(p, 100, seed=0, keys=[(0,)])
     with pytest.raises(ValueError):
-        sample_detections(1.2, 100, seed=0)
-    with pytest.raises(ValueError):
-        sample_detections(0.5, 0, seed=0)
-
-
-def test_sample_detections_with_miss():
-    n_h, n_g, n_none = sample_detections_with_miss(0.3, 0.45, 10**4, seed=3)
-    assert n_h + n_g + n_none == 10**4
-    assert n_none > 0  # miss probability 0.25 at 1e4 shots
-    assert sample_detections_with_miss(0.3, 0.45, 10**4, seed=3) == (n_h, n_g, n_none)
-    with pytest.raises(ValueError):
-        sample_detections_with_miss(0.7, 0.5, 100, seed=0)
+        sample_frequencies(p[0], 100, seed=0, keys=[(0,)] * 3)
 
 
 def test_werner_click_deficit_matches_no_click_weight():

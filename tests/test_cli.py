@@ -302,6 +302,11 @@ def test_config_errors_exit_2(capsys):
         capsys, "sweep", "--T", "0.5", "--phi", "0,1", "--phi-points", "4"
     )
     assert code == 2
+    # two distinct phases modulo 2 pi leave one quadrature unidentifiable
+    for phi in ("0,3.141592653589793,0", "0,6.283185307179586,1"):
+        code, out, err = run_cli(capsys, "sweep", "--T", "0.8", "--gamma", "1", "--phi", phi)
+        assert (code, out) == (2, "")
+        assert err.startswith("uqi: least-squares inversion needs three distinct phases")
 
 
 def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys):
@@ -370,3 +375,30 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "uqi: seed must be nonnegative, got -1\n"
+
+
+def _shot_rows(capsys, argv, shots, seed):
+    """Analytic and shot-mode sample rows of the same run, in output order."""
+    _, exact, _ = run_cli(capsys, *argv)
+    _, sampled, _ = run_cli(capsys, *argv, "--shots", str(shots), "--seed", str(seed))
+    rows = [parse_csv(text)[1] for text in (exact, sampled)]
+    return [[r for r in rs if r.get("record", "sample") == "sample"] for rs in rows]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # record k (settings outer, phases inner) draws from default_rng([seed, k])
+        ("probabilities", "--T", "0.2,0.9", "--gamma", "0.4,-1.3", "--phi-points", "3"),
+        # phase point k draws from default_rng([seed, k])
+        ("sweep", "--T", "0.6", "--gamma", "0.9", "--phi-points", "5"),
+    ],
+)
+def test_shot_streams_follow_record_order(capsys, argv):
+    exact, sampled = _shot_rows(capsys, argv, shots=300, seed=7)
+    assert len(exact) == len(sampled) == (12 if argv[0] == "probabilities" else 5)
+    for k, (e, s) in enumerate(zip(exact, sampled)):
+        assert (s["phi"], s.get("t"), s.get("gamma")) == (e["phi"], e.get("t"), e.get("gamma"))
+        n_h = np.random.default_rng([7, k]).binomial(300, min(max(float(e["p_h"]), 0.0), 1.0))
+        assert float(s["p_h"]) == n_h / 300
+        assert float(s["p_g"]) == 1.0 - n_h / 300

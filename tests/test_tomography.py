@@ -240,6 +240,10 @@ def test_estimate_rejects_single_phase():
         estimate_object([(0.0, 0.4), (np.pi / 2, 0.3)], method="least-squares")
     with pytest.raises(ValueError):
         estimate_object([(0.0, 0.4), (np.pi, 0.6)], method="two-point")
+    # three points on two phases modulo 2 pi: the design has rank 2
+    for phis in ([0.0, np.pi, 0.0], [0.0, 2 * np.pi, 1.0], [0.3, 1.2, 0.3, 1.2]):
+        with pytest.raises(ValueError, match="three distinct phases"):
+            estimate_object(sweep_points(0.8, 1.0, phis), method="least-squares")
     with pytest.raises(ValueError):
         estimate_object(sweep_points(0.5, 0.5, [0.0, np.pi / 2]), method="bogus")
 
