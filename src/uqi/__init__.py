@@ -13,8 +13,6 @@ from .channels import (
     KrausChannel,
     ModeMixer,
     ObjectParams,
-    apply_channel,
-    apply_mode_mixer,
     chi_matrix,
     choi_matrix,
     choi_psd_check,
@@ -25,20 +23,14 @@ from .channels import (
 )
 from .circuit import (
     BatchReadout,
-    MeasurementPair,
     PipelineStages,
     ProbeState,
-    SignalState,
     bell_ket,
-    detection_probabilities,
-    measurement_pair,
     measurement_stack,
     pipeline_stages,
     prepare_probe,
     prepare_werner,
-    probe_ket,
     run_batch,
-    run_pipeline,
     sample_frequencies,
 )
 from .gates import Gate, apply_unitary, cnot, cz, hadamard, pauli, phase_shifter
@@ -51,7 +43,6 @@ from .qcore import (
     embed,
     hermitian_eigenvalues,
     kron,
-    partial_trace,
     partial_transpose,
     pauli_decompose,
     pauli_reconstruct,

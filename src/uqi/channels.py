@@ -27,10 +27,8 @@ from .qcore import (
     ATOL,
     PAULI,
     PSD_SLACK,
-    DensityMatrix,
     Register,
     as_complex_matrix,
-    embed,
 )
 
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
@@ -160,17 +158,6 @@ def object_channel(params: ObjectParams) -> KrausChannel:
     return KrausChannel(tuple(object_kraus([params.t], [params.gamma])[0]))
 
 
-def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets) -> DensityMatrix:
-    """Apply a channel to a subset of wires, identity elsewhere."""
-    targets = list(targets)
-    if ch.dim != 2 ** len(targets):
-        raise ValueError(
-            f"channel dimension {ch.dim} does not match {len(targets)} target wire(s)"
-        )
-    out = apply_kraus_stack(rho.mat[None], np.stack(ch.kraus_ops)[None], targets, rho.register)
-    return DensityMatrix(out[0], rho.register)
-
-
 def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
     """``rho -> sum_k K_k rho K_k^†`` on ``targets``, per state of an ``(n, D, D)`` stack.
 
@@ -182,6 +169,8 @@ def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
     idx = reg.positions(targets)
     rest = [i for i in range(reg.n) if i not in idx]
     n, w, d = len(stack), reg.n, kraus.shape[-1]
+    if d != 2 ** len(idx):
+        raise ValueError(f"channel dimension {d} does not match {len(idx)} target wire(s)")
     # axes: n, target rows, target columns, other rows, other columns
     order = [0] + [1 + i for i in idx] + [1 + w + i for i in idx]
     order += [1 + i for i in rest] + [1 + w + i for i in rest]
@@ -312,26 +301,13 @@ def mode_mixer(xi=None) -> ModeMixer:
 MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
 
 
-def apply_mode_mixer(rho: DensityMatrix, mm: ModeMixer, targets) -> DensityMatrix:
-    """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]``.
-
-    Raises when the normalization vanishes, i.e. the state has no overlap
-    with the mixer's support.  Nonlinear by construction.
-    """
-    targets = list(targets)
-    if len(targets) != 2:
-        raise ValueError("the mode mixer acts on exactly two wires")
-    out, vanished = mix_stack(rho.mat[None], embed(mm.op, targets, rho.register))
-    if vanished[0]:
-        raise ValueError(MIXER_VANISHED)
-    return DensityMatrix(out[0], rho.register)
-
-
 def mix_stack(stack, m) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`apply_mode_mixer` per state of an ``(n, D, D)`` stack, with ``m`` already embedded.
+    """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]`` per state of a stack.
 
-    Returns the renormalized states and a mask of those whose
-    normalization vanished (at most 1e-14); those are left unnormalized.
+    ``m`` is the mixer already embedded on the register of the ``(n, D, D)``
+    stack.  Nonlinear by construction.  Returns the renormalized states and
+    a mask of those whose normalization vanished (at most 1e-14), i.e. that
+    have no overlap with the mixer's support; those are left unnormalized.
     """
     num = m @ stack @ m.conj().T
     norm = np.trace(num, axis1=1, axis2=2).real

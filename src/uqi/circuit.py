@@ -11,9 +11,10 @@ the signal wires, whose click counts :func:`sample_frequencies` draws.  For the 
 and the detector statistics follow ``P_{h/g} = (1 -/+ T cos(gamma+phi))/2``.
 
 One engine runs the stages from the object channel on: :func:`run_batch`
-takes many object settings as ``(n, 16, 16)`` stacks and reads them out
-against a stack of measurement operators; :func:`run_pipeline` and
-:func:`pipeline_stages` are its one-setting view.
+takes n object settings as ``(n, 16, 16)`` stacks and reads them out
+against a stack of measurement operators (:func:`measurement_stack`);
+:func:`pipeline_stages` returns the same pass's stage stacks for
+inspection.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .channels import (
     MIXER_VANISHED,
     TP_VIOLATED,
     ModeMixer,
-    ObjectParams,
     apply_kraus_stack,
     fold_angles,
     mix_stack,
@@ -40,14 +40,11 @@ from .qcore import (
     ATOL,
     DEFAULT_REGISTER,
     DensityMatrix,
-    Register,
     basis_ket,
     embed,
     partial_trace_stack,
     state_errors,
 )
-
-SIGNAL_REGISTER = Register(("s1", "s2"))
 
 # Object settings per pass of the batched engine.  A pass holds a few
 # (chunk, 16, 16) complex stacks, 0.26 MB each at 64, so peak memory
@@ -66,22 +63,6 @@ class ProbeState:
     xi: float | None = None
 
 
-@dataclass(frozen=True)
-class SignalState:
-    """Reduced state on (s1, s2) after the idlers are discarded."""
-
-    rho: DensityMatrix
-
-
-@dataclass(frozen=True)
-class PipelineStages:
-    """Intermediate states exposed for introspection."""
-
-    post_object: DensityMatrix
-    post_mixer: DensityMatrix | None
-    signal: SignalState
-
-
 @cache
 def prepare_probe() -> ProbeState:
     """Run the preparation chain: H on i2, then three CNOTs.
@@ -97,11 +78,6 @@ def prepare_probe() -> ProbeState:
     rho = apply_unitary(rho, cnot(control_value=1), ["i1", "s1"])
     rho = apply_unitary(rho, cnot(control_value=1), ["i2", "s2"])
     return ProbeState(rho, "bell")
-
-
-def probe_ket() -> np.ndarray:
-    """Amplitude vector of the ideal probe, ``(|1100> + |0011>)/sqrt(2)``."""
-    return (basis_ket("1100") + basis_ket("0011")) / np.sqrt(2)
 
 
 def prepare_werner(xi: float) -> ProbeState:
@@ -128,8 +104,17 @@ def _record(errors: np.ndarray, new) -> None:
     errors[pending] = np.asarray(new, dtype=object)[pending]
 
 
-def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t, gamma):
-    """One engine pass over n object settings.
+def _settings(t, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float arrays of the n object settings ``(t[i], gamma[i])``."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    if t.shape != gamma.shape:
+        raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
+    return t, gamma
+
+
+def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t: np.ndarray, gamma: np.ndarray):
+    """One engine pass over the n object settings of the float arrays ``t``, ``gamma``.
 
     ``m`` is the mixer embedded on ``(i1, i2)``, or None to skip mixing.
     Returns the post-object stack, the post-mixer stack (or None), the
@@ -137,8 +122,6 @@ def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t, gamma):
     Every stage gets the checks of :class:`DensityMatrix`; a setting that
     fails one carries on with harmless values and is reported, not raised.
     """
-    t = np.asarray(t, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
     errors = object_param_errors(t, gamma)
     bad = ~np.equal(errors, None)
     kraus = object_kraus(np.where(bad, 1.0, t), fold_angles(np.where(bad, 0.0, gamma)))
@@ -163,6 +146,34 @@ def _embedded_mixer(probe: ProbeState, mm: ModeMixer | None) -> np.ndarray | Non
 
 
 @dataclass(frozen=True)
+class PipelineStages:
+    """The stage stacks of n object settings, from :func:`pipeline_stages`.
+
+    ``post_object`` and ``post_mixer`` are ``(n, 16, 16)`` on the probe's
+    register (``post_mixer`` is None without a mixer); ``signal`` is
+    ``(n, 4, 4)`` on ``(s1, s2)``.  ``errors[i]`` holds setting i's first
+    failed check, or None; the rows of a failed setting hold the harmless
+    values the pass carried on with, not a physical state.
+    """
+
+    post_object: np.ndarray
+    post_mixer: np.ndarray | None
+    signal: np.ndarray
+    errors: tuple[str | None, ...]
+
+
+def pipeline_stages(probe: ProbeState, mm: ModeMixer | None, t, gamma) -> PipelineStages:
+    """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
+
+    One engine pass over all n settings with the mixer embedded once: the
+    same stacks, checks and per-setting messages as in :func:`run_batch`.
+    """
+    t, gamma = _settings(t, gamma)
+    post_object, post_mixer, signal, errors = _stage_stacks(probe, _embedded_mixer(probe, mm), t, gamma)
+    return PipelineStages(post_object, post_mixer, signal, tuple(errors))
+
+
+@dataclass(frozen=True)
 class BatchReadout:
     """Readouts of n object settings from :func:`run_batch`.
 
@@ -176,18 +187,17 @@ class BatchReadout:
 
 
 def run_batch(probe: ProbeState, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
-    """The pipeline of :func:`run_pipeline` for n object settings at once.
+    """Object on i1, mixer on (i1, i2), discard the idlers, read out the signals.
 
-    ``t`` and ``gamma`` give the n settings; ``readout`` is a ``(..., 4, 4)``
-    stack of signal observables (e.g. from :func:`measurement_stack`), and
-    ``values`` has shape ``(n, ...)``.  The settings run in passes of
-    :data:`BATCH_CHUNK`; each setting's result does not depend on the
-    others or on the pass size.
+    ``t`` and ``gamma`` give the n object settings; ``readout`` is a
+    ``(..., 4, 4)`` stack of signal observables (e.g. from
+    :func:`measurement_stack`), and ``values`` has shape ``(n, ...)``.
+    Passing ``mm=None`` skips the mixing step, which destroys the
+    interference: without indistinguishability the detectors see 1/2 each.
+    The settings run in passes of :data:`BATCH_CHUNK`; each setting's
+    result does not depend on the others or on the pass size.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if t.shape != gamma.shape:
-        raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
+    t, gamma = _settings(t, gamma)
     readout = np.asarray(readout)
     if readout.shape[-2:] != (4, 4):
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
@@ -207,30 +217,6 @@ def run_batch(probe: ProbeState, mm: ModeMixer | None, t, gamma, readout) -> Bat
     return BatchReadout(values, tuple(errors))
 
 
-def run_pipeline(probe: ProbeState, obj: ObjectParams, mm: ModeMixer | None) -> SignalState:
-    """Object on i1, mixer on (i1, i2), then discard the idlers.
-
-    Passing ``mm=None`` skips the mixing step entirely, which destroys the
-    interference: without indistinguishability the detectors see 1/2 each.
-    """
-    return pipeline_stages(probe, obj, mm).signal
-
-
-def pipeline_stages(probe: ProbeState, obj: ObjectParams, mm: ModeMixer | None) -> PipelineStages:
-    """The engine's stages for one setting; a failed check raises ValueError."""
-    post_object, post_mixer, signal, errors = _stage_stacks(
-        probe, _embedded_mixer(probe, mm), [obj.t], [obj.gamma]
-    )
-    if errors[0] is not None:
-        raise ValueError(errors[0])
-    reg = probe.rho.register
-    return PipelineStages(
-        DensityMatrix(post_object[0], reg),
-        None if post_mixer is None else DensityMatrix(post_mixer[0], reg),
-        SignalState(DensityMatrix(signal[0], SIGNAL_REGISTER)),
-    )
-
-
 _BELL_KETS = {
     "phi+": ("00", "11", +1),
     "phi-": ("00", "11", -1),
@@ -248,20 +234,6 @@ def bell_ket(label: str) -> np.ndarray:
     return (basis_ket(a) + sign * basis_ket(b)) / np.sqrt(2)
 
 
-@dataclass(frozen=True)
-class MeasurementPair:
-    """Detector observables on (s1, s2) for one phase-shifter setting.
-
-    ``m_h + m_g`` is always the projector on the one-photon subspace,
-    ``(II - ZZ)/2``; at ``phi = 0`` the pair reduces to the Bell
-    projectors ``|psi-><psi-|`` and ``|psi+><psi+|``.
-    """
-
-    phi: float
-    m_h: np.ndarray
-    m_g: np.ndarray
-
-
 def measurement_stack(phis) -> np.ndarray:
     """``(P, 2, 4, 4)`` stack of the detector pairs ``(m_h, m_g)`` for P phases.
 
@@ -269,7 +241,10 @@ def measurement_stack(phis) -> np.ndarray:
     conjugated by the phase shifter ``Z_phi`` on the second wire, whose
     statistics sweep as ``cos(gamma + phi)`` when the phase runs.  The
     conjugation by ``I (x) Z_phi = diag(u)`` scales entry ``(i, j)`` by
-    ``u_i conj(u_j)``.
+    ``u_i conj(u_j)``.  ``m_h + m_g`` is the projector ``(II - ZZ)/2`` on
+    the one-photon subspace at every phase, so ``P_h + P_g = 1`` for the
+    Bell probe; a Werner probe leaks weight outside it, and the missing
+    weight is the no-click probability.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
     u = np.ones((phis.size, 4), dtype=complex)
@@ -278,25 +253,6 @@ def measurement_stack(phis) -> np.ndarray:
     out = u[:, None, :, None] * proj[None] * u.conj()[:, None, None, :]
     out.setflags(write=False)
     return out
-
-
-def measurement_pair(phi: float = 0.0) -> MeasurementPair:
-    """The detector pair at one phase: the single-phase view of :func:`measurement_stack`."""
-    phi = float(phi)
-    m_h, m_g = measurement_stack([phi])[0]
-    return MeasurementPair(phi, m_h, m_g)
-
-
-def detection_probabilities(sig: SignalState, mp: MeasurementPair) -> tuple[float, float]:
-    """``(P_h, P_g) = (Tr[m_h rho], Tr[m_g rho])``.
-
-    For the Bell probe the two always sum to one; degraded probes leak
-    weight outside the one-photon subspace and the sum drops below one
-    (the missing weight is the no-click probability).
-    """
-    p_h = float(np.trace(mp.m_h @ sig.rho.mat).real)
-    p_g = float(np.trace(mp.m_g @ sig.rho.mat).real)
-    return p_h, p_g
 
 
 def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import warnings
 
@@ -56,6 +57,9 @@ def _resolve_phis(args) -> list[float]:
         phis = _float_list(args.phi, "phi")
         if args.degrees:
             phis = [p * _DEG for p in phis]
+        for p in phis:
+            if not math.isfinite(p):
+                raise ConfigError(f"measurement phase must be finite, got {p}")
         return phis
     n = args.phi_points if getattr(args, "phi_points", None) is not None else args.default_phi_points
     if n < 1:

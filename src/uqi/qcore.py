@@ -183,13 +183,6 @@ class DensityMatrix:
     def n(self) -> int:
         return self.register.n
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
-    def expectation(self, observable) -> complex:
-        """``Tr[O rho]`` for a full-register operator ``O``."""
-        return complex(np.trace(as_complex_matrix(observable) @ self.mat))
-
     def reordered(self, new_wires) -> np.ndarray:
         """Matrix of the same state with wires permuted into ``new_wires``."""
         perm = self.register.positions(new_wires)
@@ -201,18 +194,12 @@ class DensityMatrix:
         return np.ascontiguousarray(t.reshape(self.register.dim, self.register.dim))
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the ``keep`` wires (in the order given).
-
-    Discarded wires are contracted; the trace is preserved.
-    """
-    keep = list(keep)
-    red = partial_trace_stack(rho.mat[None], rho.register, keep)[0]
-    return DensityMatrix(red, Register(tuple(keep)))
-
-
 def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
-    """:func:`partial_trace` of every matrix in an ``(n, D, D)`` stack, unvalidated."""
+    """Reduced matrices on the ``keep`` wires (in the order given) of an ``(n, D, D)`` stack.
+
+    Discarded wires are contracted, so the trace is preserved.  Unvalidated:
+    the caller checks the resulting states.
+    """
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")

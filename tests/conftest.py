@@ -1,5 +1,7 @@
 import numpy as np
 
+from uqi.channels import mode_mixer
+from uqi.circuit import measurement_stack, prepare_probe, run_batch
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register
 
 
@@ -28,3 +30,22 @@ def angle_diff(a: float, b: float) -> float:
 
 def four_wire_register() -> Register:
     return DEFAULT_REGISTER
+
+
+def readout(probe, mm, ts, gammas, phis) -> np.ndarray:
+    """``(P_h, P_g)`` of every setting at every phase, shape ``(n, P, 2)``; every setting must pass."""
+    batch = run_batch(probe, mm, ts, gammas, measurement_stack(phis))
+    assert batch.errors == (None,) * len(batch.errors)
+    return batch.values
+
+
+def sweep_points(t, g, phis, shots=None, seed=None):
+    """``[(phi, P_h), ...]`` of the Bell probe; with shots, drawn in phase order from ``default_rng(seed)``."""
+    p_h = readout(prepare_probe(), mode_mixer(), [t], [g], phis)[0, :, 0]
+    rng = np.random.default_rng(seed) if shots else None
+    pts = []
+    for p, v in zip(phis, p_h):
+        if shots:
+            v = rng.binomial(shots, min(max(v, 0.0), 1.0)) / shots
+        pts.append((p, float(v)))
+    return pts

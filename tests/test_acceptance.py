@@ -7,7 +7,7 @@ a failed assertion in any criterion fails the corresponding test.
 import time
 
 import numpy as np
-from conftest import angle_diff
+from conftest import angle_diff, readout, sweep_points
 
 from uqi.channels import (
     ObjectParams,
@@ -18,11 +18,10 @@ from uqi.channels import (
 )
 from uqi.circuit import (
     bell_ket,
-    detection_probabilities,
-    measurement_pair,
+    measurement_stack,
+    pipeline_stages,
     prepare_probe,
     prepare_werner,
-    run_pipeline,
 )
 from uqi.qcore import (
     PAULI,
@@ -46,49 +45,30 @@ def t_gamma_grid(nt=20, ng=20):
             yield t, g
 
 
-def sweep_points(t, g, phis, shots=None, seed=None):
-    sig = run_pipeline(prepare_probe(), ObjectParams(t, g), mode_mixer())
-    rng = np.random.default_rng(seed) if shots else None
-    pts = []
-    for p in phis:
-        p_h, _ = detection_probabilities(sig, measurement_pair(p))
-        if shots:
-            p_h = rng.binomial(shots, min(max(p_h, 0.0), 1.0)) / shots
-        pts.append((p, p_h))
-    return pts
-
-
 def test_criterion_1_detection_law():
-    probe = prepare_probe()
-    mm = mode_mixer()
-    mp = measurement_pair(0.0)
-    worst = 0.0
-    for t, g in t_gamma_grid():
-        sig = run_pipeline(probe, ObjectParams(t, g), mm)
-        p_h, p_g = detection_probabilities(sig, mp)
-        worst = max(
-            worst,
-            abs(p_h - (1 - t * np.cos(g)) / 2),
-            abs(p_g - (1 + t * np.cos(g)) / 2),
-            abs(p_h + p_g - 1.0),
-        )
+    ts, gs = np.array(list(t_gamma_grid())).T
+    p_h, p_g = readout(prepare_probe(), mode_mixer(), ts, gs, [0.0])[:, 0].T
+    worst = max(
+        np.max(np.abs(p_h - (1 - ts * np.cos(gs)) / 2)),
+        np.max(np.abs(p_g - (1 + ts * np.cos(gs)) / 2)),
+        np.max(np.abs(p_h + p_g - 1.0)),
+    )
     assert worst < TOL
     report(1, f"detection law (1 -/+ T cos gamma)/2 on 20x20 grid, worst error {worst:.2e}")
 
 
 def test_criterion_2_reduced_state_equivalence():
     rng = np.random.default_rng(2024)
-    probe = prepare_probe()
-    mm = mode_mixer()
+    ts, gs = rng.uniform(0, 1, 50), rng.uniform(-np.pi, np.pi, 50)
+    stages = pipeline_stages(prepare_probe(), mode_mixer(), ts, gs)
+    assert stages.errors == (None,) * 50
     worst = 0.0
-    for _ in range(50):
-        t, g = rng.uniform(0, 1), rng.uniform(-np.pi, np.pi)
-        sig = run_pipeline(probe, ObjectParams(t, g), mm)
+    for sig, t, g in zip(stages.signal, ts, gs):
         want = np.zeros((4, 4), dtype=complex)
         want[2, 2] = want[1, 1] = 0.5
         want[2, 1] = t * np.exp(1j * g) / 2
         want[1, 2] = t * np.exp(-1j * g) / 2
-        worst = max(worst, float(np.max(np.abs(sig.rho.mat - want))))
+        worst = max(worst, float(np.max(np.abs(sig - want))))
     assert worst < TOL
     report(2, f"pipeline state equals the analytic reduced state, worst entry error {worst:.2e}")
 
@@ -210,8 +190,8 @@ def test_criterion_6_bell_measurements():
         for k, v in want.items():
             worst = max(worst, abs(terms[k] - v))
     assert worst < TOL
-    mp = measurement_pair(0.0)
-    for m, label in ((mp.m_h, "psi-"), (mp.m_g, "psi+")):
+    m_h, m_g = measurement_stack([0.0])[0]
+    for m, label in ((m_h, "psi-"), (m_g, "psi+")):
         ket = bell_ket(label)
         worst = max(worst, float(np.max(np.abs(m - np.outer(ket, ket.conj())))))
     assert worst < TOL
@@ -221,18 +201,13 @@ def test_criterion_6_bell_measurements():
 def test_criterion_7_werner_experiment():
     t = 0.8
     mm = mode_mixer()
-    mp = measurement_pair(0.0)
     gammas = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     offsets = {}
     worst = 0.0
     for xi in (0.0, 0.25, 0.5, 2 / 3, 0.9, 1.0, 0.75):
-        probe = prepare_werner(xi)
-        ps = []
-        for g in gammas:
-            sig = run_pipeline(probe, ObjectParams(t, g), mm)
-            ps.append(detection_probabilities(sig, mp)[0])
-        coef, *_ = np.linalg.lstsq(design, np.array(ps), rcond=None)
+        ps = readout(prepare_werner(xi), mm, np.full(gammas.size, t), gammas, [0.0])[:, 0, 0]
+        coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
         amplitude = 2 * abs(float(coef[1]))
         offsets[xi] = float(coef[0])
         worst = max(worst, abs(amplitude - (1 - xi) * t))
@@ -255,13 +230,9 @@ def test_criterion_7_werner_experiment():
 
 
 def test_criterion_8_which_path_necessity():
-    probe = prepare_probe()
-    worst = 0.0
-    for t, g in t_gamma_grid(12, 12):
-        sig = run_pipeline(probe, ObjectParams(t, g), None)
-        for phi in (0.0, 1.0, np.pi / 2):
-            p_h, p_g = detection_probabilities(sig, measurement_pair(phi))
-            worst = max(worst, abs(p_h - 0.5), abs(p_g - 0.5))
+    ts, gs = np.array(list(t_gamma_grid(12, 12))).T
+    values = readout(prepare_probe(), None, ts, gs, [0.0, 1.0, np.pi / 2])
+    worst = float(np.max(np.abs(values - 0.5)))
     assert worst < TOL
     report(8, f"no mode mixing leaves both detectors at 1/2, worst deviation {worst:.2e}")
 

@@ -6,19 +6,20 @@ from uqi.channels import (
     ChiMatrix,
     KrausChannel,
     ObjectParams,
-    apply_channel,
-    apply_mode_mixer,
+    apply_kraus_stack,
     chi_matrix,
     choi_matrix,
     choi_psd_check,
     default_xi,
     identity_channel,
+    mix_stack,
     mode_mixer,
     normalize_angle,
     object_channel,
+    object_kraus,
 )
-from uqi.circuit import prepare_probe
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket
+from uqi.circuit import pipeline_stages, prepare_probe
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed
 
 ATOL = 1e-12
 
@@ -109,24 +110,29 @@ def test_kraus_channel_rejects_non_trace_preserving():
 def test_apply_channel_identity():
     rng = np.random.default_rng(4)
     rho = random_density_matrix(rng, DEFAULT_REGISTER)
-    out = apply_channel(rho, identity_channel(), ["i1"])
-    assert np.allclose(out.mat, rho.mat, atol=ATOL)
+    kraus = np.stack(identity_channel().kraus_ops)[None]
+    out = apply_kraus_stack(rho.mat[None], kraus, ["i1"], DEFAULT_REGISTER)
+    assert np.allclose(out[0], rho.mat, atol=ATOL)
 
 
 def test_apply_channel_dimension_mismatch():
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng, DEFAULT_REGISTER)
+    with pytest.raises(ValueError, match="channel dimension 2 does not match 2 target wire"):
+        apply_kraus_stack(rho.mat[None], object_kraus([0.3], [1.0]), ["i1", "i2"], DEFAULT_REGISTER)
     with pytest.raises(ValueError):
-        apply_channel(rho, identity_channel(2), ["i1", "i2"])
+        identity_channel(2).apply(rho.mat)
+    with pytest.raises(ValueError):
+        identity_channel(4).apply(np.eye(2))
 
 
 def test_object_on_probe_reproduces_intermediate_state():
     # applying the object channel on i1 of the probe leaves five terms with
     # weights {T^2, 1-T^2, T e^{i g}, T e^{-i g}, 1} / 2
     t, g = 0.6, 0.3
-    probe = prepare_probe().rho
-    out = apply_channel(probe, object_channel(ObjectParams(t, g)), ["i1"])
-    m = out.mat
+    stages = pipeline_stages(prepare_probe(), mode_mixer(), [t], [g])
+    assert stages.errors == (None,)
+    m = stages.post_object[0]
     i1100, i1000, i0011 = int("1100", 2), int("1000", 2), int("0011", 2)
     expected = np.zeros_like(m)
     expected[i1100, i1100] = t**2 / 2
@@ -139,11 +145,10 @@ def test_object_on_probe_reproduces_intermediate_state():
 
 def test_trace_preserved_through_apply_channel():
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        p = ObjectParams(rng.uniform(0, 1), rng.uniform(-np.pi, np.pi))
-        rho = random_density_matrix(rng, DEFAULT_REGISTER)
-        out = apply_channel(rho, object_channel(p), ["i1"])
-        assert abs(np.trace(out.mat).real - 1.0) < ATOL
+    ts, gs = rng.uniform(0, 1, 20), rng.uniform(-np.pi, np.pi, 20)
+    stack = np.array([random_density_matrix(rng, DEFAULT_REGISTER).mat for _ in range(20)])
+    out = apply_kraus_stack(stack, object_kraus(ts, gs), ["i1"], DEFAULT_REGISTER)
+    assert np.max(np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)) < ATOL
 
 
 def test_chi_identity_channel():
@@ -261,10 +266,9 @@ def test_apply_mode_mixer_on_post_object_state():
     # after the mixer every surviving idler term carries |Xi><Xi| except the
     # damped population, which stays on |00>
     t, g = 0.6, 0.3
-    probe = prepare_probe().rho
-    mid = apply_channel(probe, object_channel(ObjectParams(t, g)), ["i1"])
     mm = mode_mixer()
-    out = apply_mode_mixer(mid, mm, ["i1", "i2"])
+    stages = pipeline_stages(prepare_probe(), mm, [t], [g])
+    assert stages.errors == (None,)
     xixi = np.outer(mm.xi, mm.xi.conj())
     e2 = np.eye(2, dtype=complex)
     k = {(a, b): np.outer(e2[a], e2[b]) for a in (0, 1) for b in (0, 1)}
@@ -277,36 +281,40 @@ def test_apply_mode_mixer_on_post_object_state():
         + t * np.exp(-1j * g) * np.kron(np.kron(k[0, 1], xixi), k[1, 0])
         + np.kron(np.kron(k[0, 0], xixi), k[1, 1])
     )
-    assert np.allclose(out.mat, want, atol=ATOL)
+    assert np.allclose(stages.post_mixer[0], want, atol=ATOL)
+
+
+MIXER_ON_IDLERS = embed(mode_mixer().op, ["i1", "i2"], DEFAULT_REGISTER)
 
 
 def test_apply_mode_mixer_leaves_00_support_alone():
     rho = DensityMatrix.from_ket(basis_ket("0000"), DEFAULT_REGISTER)
-    out = apply_mode_mixer(rho, mode_mixer(), ["i1", "i2"])
-    assert np.allclose(out.mat, rho.mat, atol=ATOL)
+    out, vanished = mix_stack(rho.mat[None], MIXER_ON_IDLERS)
+    assert not vanished[0]
+    assert np.allclose(out[0], rho.mat, atol=ATOL)
 
 
 def test_apply_mode_mixer_maps_01_to_target():
     rho = DensityMatrix.from_ket(basis_ket("01"), Register(("i1", "i2")))
     mm = mode_mixer()
-    out = apply_mode_mixer(rho, mm, ["i1", "i2"])
-    assert np.allclose(out.mat, np.outer(mm.xi, mm.xi.conj()), atol=ATOL)
+    out, _ = mix_stack(rho.mat[None], mm.op)
+    assert np.allclose(out[0], np.outer(mm.xi, mm.xi.conj()), atol=ATOL)
 
 
 def test_apply_mode_mixer_renormalizes_exactly():
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        rho = random_density_matrix(rng, DEFAULT_REGISTER)
-        out = apply_mode_mixer(rho, mode_mixer(), ["i1", "i2"])
-        assert abs(np.trace(out.mat).real - 1.0) < 1e-14
+    stack = np.array([random_density_matrix(rng, DEFAULT_REGISTER).mat for _ in range(10)])
+    out, vanished = mix_stack(stack, MIXER_ON_IDLERS)
+    assert not vanished.any()
+    assert np.max(np.abs(np.trace(out, axis1=1, axis2=2).real - 1.0)) < 1e-14
 
 
 def test_apply_mode_mixer_vanishing_support():
     # (|01> - |10>)/sqrt(2) spans the mixer kernel; embed it on the idlers
     psi = (basis_ket("0010") - basis_ket("0100")) / np.sqrt(2)
     rho = DensityMatrix.from_ket(psi, DEFAULT_REGISTER)
-    with pytest.raises(ValueError):
-        apply_mode_mixer(rho, mode_mixer(), ["i1", "i2"])
+    _, vanished = mix_stack(np.stack([rho.mat, np.eye(16) / 16]), MIXER_ON_IDLERS)
+    assert vanished.tolist() == [True, False]
 
 
 def test_channel_tensor_product():
@@ -314,6 +322,5 @@ def test_channel_tensor_product():
     t, g = 0.4, 0.7
     lifted = object_channel(ObjectParams(t, g)).tensor(identity_channel(2))
     rho = random_density_matrix(rng, Register(("i1", "i2")))
-    reg4 = Register(("i1", "i2"))
-    via_apply = apply_channel(DensityMatrix(rho.mat, reg4), object_channel(ObjectParams(t, g)), ["i1"])
-    assert np.allclose(lifted.apply(rho.mat), via_apply.mat, atol=ATOL)
+    via_stack = apply_kraus_stack(rho.mat[None], object_kraus([t], [g]), ["i1"], rho.register)
+    assert np.allclose(lifted.apply(rho.mat), via_stack[0], atol=ATOL)

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+from conftest import readout
 
-from uqi.channels import ObjectParams, mode_mixer
+from uqi.channels import mode_mixer
 from uqi.circuit import (
     bell_ket,
-    detection_probabilities,
-    measurement_pair,
+    measurement_stack,
     pipeline_stages,
     prepare_probe,
     prepare_werner,
-    probe_ket,
-    run_pipeline,
     sample_frequencies,
 )
 from uqi.qcore import (
+    Register,
     basis_ket,
     hermitian_eigenvalues,
     kron,
@@ -22,6 +21,7 @@ from uqi.qcore import (
 )
 
 ATOL = 1e-12
+SIGNAL_WIRES = Register(("s1", "s2"))
 
 
 def analytic_signal_state(t, g):
@@ -34,13 +34,21 @@ def analytic_signal_state(t, g):
     return m
 
 
+def signal_stack(probe, mm, ts, gammas):
+    stages = pipeline_stages(probe, mm, ts, gammas)
+    assert stages.errors == (None,) * len(stages.errors)
+    return stages.signal
+
+
 def test_probe_is_pure():
-    assert prepare_probe().rho.purity() == pytest.approx(1.0, abs=ATOL)
+    m = prepare_probe().rho.mat
+    assert np.trace(m @ m).real == pytest.approx(1.0, abs=ATOL)
 
 
 def test_probe_matches_target_superposition():
     rho = prepare_probe().rho
-    want = np.outer(probe_ket(), probe_ket().conj())
+    ket = (basis_ket("1100") + basis_ket("0011")) / np.sqrt(2)
+    want = np.outer(ket, ket.conj())
     assert np.allclose(rho.mat, want, atol=ATOL)
     assert rho.mat[int("1100", 2), int("0011", 2)] == pytest.approx(0.5, abs=ATOL)
 
@@ -87,23 +95,21 @@ def test_werner_ppt_threshold():
 
 def test_pipeline_reproduces_analytic_state():
     rng = np.random.default_rng(0)
-    probe = prepare_probe()
-    mm = mode_mixer()
-    for _ in range(50):
-        t, g = rng.uniform(0, 1), rng.uniform(-np.pi, np.pi)
-        sig = run_pipeline(probe, ObjectParams(t, g), mm)
-        assert np.allclose(sig.rho.mat, analytic_signal_state(t, g), atol=ATOL)
+    ts, gs = rng.uniform(0, 1, 50), rng.uniform(-np.pi, np.pi, 50)
+    signal = signal_stack(prepare_probe(), mode_mixer(), ts, gs)
+    for sig, t, g in zip(signal, ts, gs):
+        assert np.allclose(sig, analytic_signal_state(t, g), atol=ATOL)
 
 
 def test_pipeline_offdiagonal_coherence():
     t, g = 0.8, -0.4
-    sig = run_pipeline(prepare_probe(), ObjectParams(t, g), mode_mixer())
-    assert sig.rho.mat[2, 1] == pytest.approx(t * np.exp(1j * g) / 2, abs=ATOL)
+    sig = signal_stack(prepare_probe(), mode_mixer(), [t], [g])[0]
+    assert sig[2, 1] == pytest.approx(t * np.exp(1j * g) / 2, abs=ATOL)
 
 
 def test_pipeline_pauli_coefficients_transparent_object():
-    sig = run_pipeline(prepare_probe(), ObjectParams(1.0, 0.0), mode_mixer())
-    got = {p.label: p.coefficient for p in pauli_decompose(sig.rho.mat, sig.rho.register)}
+    sig = signal_stack(prepare_probe(), mode_mixer(), [1.0], [0.0])[0]
+    got = {p.label: p.coefficient for p in pauli_decompose(sig, SIGNAL_WIRES)}
     assert got["II"] == pytest.approx(0.25, abs=ATOL)
     assert got["ZZ"] == pytest.approx(-0.25, abs=ATOL)
     assert got["XX"] == pytest.approx(0.25, abs=ATOL)
@@ -113,8 +119,8 @@ def test_pipeline_pauli_coefficients_transparent_object():
 
 def test_pipeline_pauli_coefficients_carry_both_quadratures():
     t, g = 0.7, 1.1
-    sig = run_pipeline(prepare_probe(), ObjectParams(t, g), mode_mixer())
-    got = {p.label: p.coefficient for p in pauli_decompose(sig.rho.mat, sig.rho.register)}
+    sig = signal_stack(prepare_probe(), mode_mixer(), [t], [g])[0]
+    got = {p.label: p.coefficient for p in pauli_decompose(sig, SIGNAL_WIRES)}
     assert got["XX"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["YY"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["XY"] == pytest.approx(-t * np.sin(g) / 4, abs=ATOL)
@@ -123,51 +129,43 @@ def test_pipeline_pauli_coefficients_carry_both_quadratures():
 
 def test_pipeline_stages_exposed():
     t, g = 0.6, 0.3
-    stages = pipeline_stages(prepare_probe(), ObjectParams(t, g), mode_mixer())
-    assert stages.post_object.mat[int("1100", 2), int("1100", 2)] == pytest.approx(t**2 / 2, abs=ATOL)
-    assert stages.post_mixer is not None
-    assert abs(np.trace(stages.post_mixer.mat) - 1.0) < ATOL
-    assert stages.signal.rho.register.wires == ("s1", "s2")
+    stages = pipeline_stages(prepare_probe(), mode_mixer(), [t, 0.2], [g, -1.0])
+    assert stages.errors == (None, None)
+    assert stages.post_object.shape == stages.post_mixer.shape == (2, 16, 16)
+    assert stages.signal.shape == (2, 4, 4)
+    assert stages.post_object[0, int("1100", 2), int("1100", 2)] == pytest.approx(t**2 / 2, abs=ATOL)
+    assert np.allclose(np.trace(stages.post_mixer, axis1=1, axis2=2), 1.0, atol=ATOL)
+    # the signal stack is the post-mixer stack with both idlers traced out
+    traced = np.einsum("nabcdebcf->nadef", stages.post_mixer.reshape((2,) + (2,) * 8))
+    assert np.allclose(stages.signal, traced.reshape(2, 4, 4), atol=ATOL)
+    unmixed = pipeline_stages(prepare_probe(), None, [t], [g])
+    assert unmixed.post_mixer is None
+    assert np.array_equal(unmixed.post_object[0], stages.post_object[0])
 
 
 def test_pipeline_without_mixer_erases_image():
     # no indistinguishability, no interference: both detectors at 1/2
     rng = np.random.default_rng(1)
-    probe = prepare_probe()
-    for _ in range(20):
-        t, g = rng.uniform(0, 1), rng.uniform(-np.pi, np.pi)
-        sig = run_pipeline(probe, ObjectParams(t, g), None)
-        for phi in (0.0, 0.7, np.pi / 2):
-            p_h, p_g = detection_probabilities(sig, measurement_pair(phi))
-            assert p_h == pytest.approx(0.5, abs=ATOL)
-            assert p_g == pytest.approx(0.5, abs=ATOL)
+    ts, gs = rng.uniform(0, 1, 20), rng.uniform(-np.pi, np.pi, 20)
+    values = readout(prepare_probe(), None, ts, gs, [0.0, 0.7, np.pi / 2])
+    assert np.max(np.abs(values - 0.5)) < ATOL
 
 
 def test_werner_probe_kills_gamma_dependence_at_full_mixing():
-    probe = prepare_werner(1.0)
-    mm = mode_mixer()
-    mp = measurement_pair(0.0)
-    ps = []
-    for g in np.linspace(-np.pi, np.pi, 7):
-        sig = run_pipeline(probe, ObjectParams(0.9, g), mm)
-        ps.append(detection_probabilities(sig, mp)[0])
-    assert np.max(np.abs(np.array(ps) - ps[0])) < ATOL
+    gammas = np.linspace(-np.pi, np.pi, 7)
+    ps = readout(prepare_werner(1.0), mode_mixer(), np.full(7, 0.9), gammas, [0.0])[:, 0, 0]
+    assert np.max(np.abs(ps - ps[0])) < ATOL
 
 
 def test_werner_modulation_amplitude():
     # the cos(gamma) part of P_h scales exactly as (1 - xi) T / 2
     t = 0.8
     mm = mode_mixer()
-    mp = measurement_pair(0.0)
     gammas = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     for xi in (0.0, 0.3, 0.6, 1.0):
-        probe = prepare_werner(xi)
-        ps = []
-        for g in gammas:
-            sig = run_pipeline(probe, ObjectParams(t, g), mm)
-            ps.append(detection_probabilities(sig, mp)[0])
-        coef, *_ = np.linalg.lstsq(design, np.array(ps), rcond=None)
+        ps = readout(prepare_werner(xi), mm, np.full(12, t), gammas, [0.0])[:, 0, 0]
+        coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
         assert abs(coef[1]) == pytest.approx((1 - xi) * t / 2, abs=ATOL)
 
 
@@ -179,8 +177,8 @@ def test_bell_kets():
 
 
 def test_measurement_pair_at_zero_phase_is_bell_projectors():
-    mp = measurement_pair(0.0)
-    for m, label in ((mp.m_h, "psi-"), (mp.m_g, "psi+")):
+    m_h, m_g = measurement_stack([0.0])[0]
+    for m, label in ((m_h, "psi-"), (m_g, "psi+")):
         ket = bell_ket(label)
         assert np.allclose(m, np.outer(ket, ket.conj()), atol=ATOL)
 
@@ -188,49 +186,36 @@ def test_measurement_pair_at_zero_phase_is_bell_projectors():
 def test_measurement_pair_sums_to_one_photon_projector():
     zz = kron(np.diag([1, -1]).astype(complex), np.diag([1, -1]).astype(complex))
     want = (np.eye(4) - zz) / 2
-    for phi in np.linspace(0, 2 * np.pi, 17):
-        mp = measurement_pair(phi)
-        assert np.allclose(mp.m_h + mp.m_g, want, atol=ATOL)
-        for m in (mp.m_h, mp.m_g):
+    stack = measurement_stack(np.linspace(0, 2 * np.pi, 17))
+    assert stack.shape == (17, 2, 4, 4)
+    for m_h, m_g in stack:
+        assert np.allclose(m_h + m_g, want, atol=ATOL)
+        for m in (m_h, m_g):
             eigs = np.linalg.eigvalsh(m)
             assert eigs.min() > -ATOL and eigs.max() < 1 + ATOL
 
 
 def test_measurement_pair_half_turn_swaps_detectors():
-    mp0 = measurement_pair(0.0)
-    mppi = measurement_pair(np.pi)
-    assert np.allclose(mppi.m_h, mp0.m_g, atol=ATOL)
-    assert np.allclose(mppi.m_g, mp0.m_h, atol=ATOL)
+    (m0_h, m0_g), (mpi_h, mpi_g) = measurement_stack([0.0, np.pi])
+    assert np.allclose(mpi_h, m0_g, atol=ATOL)
+    assert np.allclose(mpi_g, m0_h, atol=ATOL)
 
 
 def test_detection_probabilities_reference_points():
-    probe = prepare_probe()
-    mm = mode_mixer()
-    mp0 = measurement_pair(0.0)
-    sig = run_pipeline(probe, ObjectParams(1.0, 0.0), mm)
-    p_h, p_g = detection_probabilities(sig, mp0)
-    assert p_h == pytest.approx(0.0, abs=ATOL)
-    assert p_g == pytest.approx(1.0, abs=ATOL)
-    sig = run_pipeline(probe, ObjectParams(0.0, 1.3), mm)
-    p_h, p_g = detection_probabilities(sig, measurement_pair(2.0))
-    assert p_h == pytest.approx(0.5, abs=ATOL)
-    assert p_g == pytest.approx(0.5, abs=ATOL)
-    sig = run_pipeline(probe, ObjectParams(0.8, np.pi / 3), mm)
-    p_h, _ = detection_probabilities(sig, mp0)
-    assert p_h == pytest.approx(0.3, abs=ATOL)
+    values = readout(prepare_probe(), mode_mixer(), [1.0, 0.0, 0.8], [0.0, 1.3, np.pi / 3], [0.0, 2.0])
+    assert values[0, 0] == pytest.approx((0.0, 1.0), abs=ATOL)
+    assert values[1, 1] == pytest.approx((0.5, 0.5), abs=ATOL)
+    assert values[2, 0, 0] == pytest.approx(0.3, abs=ATOL)
 
 
 def test_sinusoid_law_over_phase_sweep():
     rng = np.random.default_rng(2)
-    probe = prepare_probe()
-    mm = mode_mixer()
-    for _ in range(10):
-        t, g = rng.uniform(0, 1), rng.uniform(-np.pi, np.pi)
-        sig = run_pipeline(probe, ObjectParams(t, g), mm)
-        for phi in np.linspace(0, 2 * np.pi, 24, endpoint=False):
-            p_h, p_g = detection_probabilities(sig, measurement_pair(phi))
-            assert abs(p_h - 0.5 * (1 - t * np.cos(g + phi))) < ATOL
-            assert abs(p_h + p_g - 1.0) < ATOL
+    ts, gs = rng.uniform(0, 1, 10), rng.uniform(-np.pi, np.pi, 10)
+    phis = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+    values = readout(prepare_probe(), mode_mixer(), ts, gs, phis)
+    p_h, p_g = values[..., 0], values[..., 1]
+    assert np.max(np.abs(p_h - 0.5 * (1 - ts[:, None] * np.cos(gs[:, None] + phis)))) < ATOL
+    assert np.max(np.abs(p_h + p_g - 1.0)) < ATOL
 
 
 def test_sample_frequencies_degenerate_probabilities():
@@ -273,6 +258,5 @@ def test_sample_frequencies_rejects_bad_input():
 def test_werner_click_deficit_matches_no_click_weight():
     # the detector pair underresolves the Werner signal state by xi/2
     xi, t = 0.4, 0.9
-    sig = run_pipeline(prepare_werner(xi), ObjectParams(t, 0.7), mode_mixer())
-    p_h, p_g = detection_probabilities(sig, measurement_pair(0.0))
+    p_h, p_g = readout(prepare_werner(xi), mode_mixer(), [t], [0.7], [0.0])[0, 0]
     assert p_h + p_g == pytest.approx(1 - xi / 2, abs=ATOL)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqi.cli import main
 
@@ -291,7 +296,7 @@ def test_out_file_and_unwritable_path(tmp_path, capsys):
     assert code == 3
 
 
-def test_config_errors_exit_2(capsys):
+def test_config_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "probabilities", "--T", "1.4", "--phi", "0")
     assert code == 2
     code, _, err = run_cli(capsys, "probabilities", "--T", "0.5", "--shots", "-5")
@@ -307,6 +312,20 @@ def test_config_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, "sweep", "--T", "0.8", "--gamma", "1", "--phi", phi)
         assert (code, out) == (2, "")
         assert err.startswith("uqi: least-squares inversion needs three distinct phases")
+    # a non-finite measurement phase, also after the --degrees conversion
+    np.savetxt(tmp_path / "t.csv", np.full((2, 2), 0.5), delimiter=",")
+    np.savetxt(tmp_path / "g.csv", np.zeros((2, 2)), delimiter=",")
+    maps = ("--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"))
+    for argv in (
+        ("probabilities", "--T", "0.5", "--phi", "nan"),
+        ("sweep", "--T", "0.5", "--phi", "inf,0"),
+        ("sweep", "--T", "0.5", "--phi", "inf,0,1"),
+        ("sweep", "--T", "0.5", "--phi=-inf,0,1", "--degrees"),
+        ("image", *maps, "--phi", "nan,0,1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("uqi: measurement phase must be finite")
 
 
 def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys):
@@ -402,3 +421,49 @@ def test_shot_streams_follow_record_order(capsys, argv):
         n_h = np.random.default_rng([7, k]).binomial(300, min(max(float(e["p_h"]), 0.0), 1.0))
         assert float(s["p_h"]) == n_h / 300
         assert float(s["p_g"]) == 1.0 - n_h / 300
+
+
+_numbers = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1.7e308"]),
+    st.floats(-0.5, 1.5).map(repr),
+    st.floats(-7.0, 7.0).map(repr),
+)
+_lists = st.lists(_numbers, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["probabilities", "sweep"]))
+    value = _lists if command == "probabilities" else _numbers
+    argv = [command, f"--T={draw(value)}", f"--gamma={draw(value)}"]
+    if draw(st.booleans()):
+        argv.append(f"--phi={draw(_lists)}")
+    if draw(st.booleans()):
+        argv.append(f"--phi-points={draw(st.integers(-2, 40))}")
+    if draw(st.booleans()):
+        argv.append(f"--shots={draw(st.integers(-3, 3000))}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.integers(-2, 2**65))}")
+    if draw(st.booleans()):
+        argv.append("--degrees")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argvs())
+def test_fuzzed_arguments_exit_0_or_2_with_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("uqi: ")
+        return
+    _, rows = parse_csv(out.getvalue())
+    assert rows
+    for row in rows:
+        for column in ("p_h", "p_g", "t_hat"):
+            if row.get(column, "") != "":
+                assert math.isfinite(float(row[column])), (argv, row)
+    if argv[0] == "sweep":
+        assert rows[-1]["record"] == "estimate" and rows[-1]["t_hat"] != ""

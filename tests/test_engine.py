@@ -1,8 +1,9 @@
-"""Differential tests of the batched engine against its one-setting view,
-a loop over embedded Kraus operators, and the closed forms."""
+"""Differential tests of the batched engine and its stage view against a
+loop over embedded Kraus operators and the closed forms."""
 
 import numpy as np
 import pytest
+from conftest import readout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +11,11 @@ from uqi import circuit
 from uqi.channels import MIXER_VANISHED, ModeMixer, ObjectParams, mode_mixer, object_channel
 from uqi.circuit import (
     ProbeState,
-    detection_probabilities,
-    measurement_pair,
     measurement_stack,
+    pipeline_stages,
     prepare_probe,
     prepare_werner,
     run_batch,
-    run_pipeline,
 )
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, basis_ket, embed
 
@@ -42,35 +41,44 @@ def loop_reference_signal(probe: ProbeState, t: float, gamma: float, mm: ModeMix
     return np.einsum("abcdebcf->adef", rho.reshape((2,) * 8)).reshape(4, 4)
 
 
-def readouts(probe, mm, pairs, phis):
-    ts, gammas = np.array(pairs, dtype=float).T
-    batch = run_batch(probe, mm, ts, gammas, measurement_stack(phis))
-    assert batch.errors == (None,) * len(pairs)
-    return ts, gammas, batch.values
+def loop_readout(ref: np.ndarray, phi: float) -> tuple[float, float]:
+    """``(Tr[m_h rho], Tr[m_g rho])`` of a 4x4 signal state, one matrix product each."""
+    m_h, m_g = measurement_stack([phi])[0]
+    return np.trace(m_h @ ref).real, np.trace(m_g @ ref).real
 
 
 @settings(max_examples=40, deadline=None)
 @given(object_settings, phase_lists)
 def test_engine_matches_single_setting_loop_and_closed_form(pairs, phis):
     probe, mm = prepare_probe(), mode_mixer()
-    ts, gammas, values = readouts(probe, mm, pairs, phis)
+    ts, gammas = np.array(pairs, dtype=float).T
+    values = readout(probe, mm, ts, gammas, phis)
     assert values.shape == (len(pairs), len(phis), 2)
     for i, (t, g) in enumerate(pairs):
-        sig = run_pipeline(probe, ObjectParams(t, g), mm)
         ref = loop_reference_signal(probe, t, g, mm)
         for j, phi in enumerate(phis):
-            mp = measurement_pair(phi)
-            single = detection_probabilities(sig, mp)
-            loop = (np.trace(mp.m_h @ ref).real, np.trace(mp.m_g @ ref).real)
             closed = ((1 - t * np.cos(g + phi)) / 2, (1 + t * np.cos(g + phi)) / 2)
-            for want in (single, loop, closed):
+            for want in (loop_readout(ref, phi), closed):
                 assert values[i, j] == pytest.approx(want, abs=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), object_settings, st.booleans())
+def test_pipeline_stages_signal_matches_loop_reference(xi, pairs, mixed):
+    probe, mm = prepare_werner(xi), mode_mixer() if mixed else None
+    ts, gammas = np.array(pairs, dtype=float).T
+    stages = pipeline_stages(probe, mm, ts, gammas)
+    assert stages.errors == (None,) * len(pairs)
+    assert (stages.post_mixer is None) == (mm is None)
+    for sig, (t, g) in zip(stages.signal, pairs):
+        assert np.max(np.abs(sig - loop_reference_signal(probe, t, g, mm))) < TOL
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), object_settings, phase_lists)
 def test_werner_probe_closed_forms(xi, pairs, phis):
-    ts, gammas, values = readouts(prepare_werner(xi), mode_mixer(), pairs, phis)
+    ts, gammas = np.array(pairs, dtype=float).T
+    values = readout(prepare_werner(xi), mode_mixer(), ts, gammas, phis)
     fringe = (1 - xi) * ts[:, None] * np.cos(gammas[:, None] + np.array(phis)) / 2
     p_h, p_g = values[..., 0], values[..., 1]
     # modulation (1 - xi) T around the raw offset (2 - xi)/4
@@ -82,7 +90,8 @@ def test_werner_probe_closed_forms(xi, pairs, phis):
 @settings(max_examples=40, deadline=None)
 @given(object_settings, phase_lists)
 def test_engine_without_mixer_reads_one_half(pairs, phis):
-    _, _, values = readouts(prepare_probe(), None, pairs, phis)
+    ts, gammas = np.array(pairs, dtype=float).T
+    values = readout(prepare_probe(), None, ts, gammas, phis)
     assert np.max(np.abs(values - 0.5)) < TOL
 
 
@@ -103,8 +112,8 @@ def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk)
     probe, mm = singlet_idler_probe(), mode_mixer()
     ts = [0.5, 1.0, 1.0, 1.5, 0.3]
     gammas = [0.0, 0.0, 0.5, 0.0, np.nan]
-    readout = measurement_stack([0.0, 1.0])
-    batch = run_batch(probe, mm, ts, gammas, readout)
+    stack = measurement_stack([0.0, 1.0])
+    batch = run_batch(probe, mm, ts, gammas, stack)
     assert batch.errors == (
         None,
         MIXER_VANISHED,
@@ -112,13 +121,11 @@ def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk)
         "transmission must lie in [0, 1], got 1.5",
         "phase must be finite, got nan",
     )
+    # the stage view runs the same checks over all settings in one pass
+    assert pipeline_stages(probe, mm, ts, gammas).errors == batch.errors
     assert np.all(np.isnan(batch.values[1:2])) and np.all(np.isnan(batch.values[3:]))
     for i in (0, 2):
-        alone = run_batch(probe, mm, ts[i : i + 1], gammas[i : i + 1], readout)
+        alone = run_batch(probe, mm, ts[i : i + 1], gammas[i : i + 1], stack)
         assert np.array_equal(batch.values[i], alone.values[0])
-        sig = run_pipeline(probe, ObjectParams(ts[i], gammas[i]), mm)
-        assert batch.values[i, 1, 0] == pytest.approx(
-            detection_probabilities(sig, measurement_pair(1.0))[0], abs=TOL
-        )
-    with pytest.raises(ValueError, match="mode mixer normalization vanished"):
-        run_pipeline(probe, ObjectParams(1.0, 0.0), mm)
+        ref = loop_reference_signal(probe, ts[i], gammas[i], mm)
+        assert batch.values[i, 1] == pytest.approx(loop_readout(ref, 1.0), abs=TOL)

@@ -11,7 +11,7 @@ from uqi.qcore import (
     embed,
     hermitian_eigenvalues,
     kron,
-    partial_trace,
+    partial_trace_stack,
     partial_transpose,
     pauli_decompose,
     pauli_reconstruct,
@@ -115,16 +115,15 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(11)
     ra = random_density_matrix(rng, Register(("a", "b")))
     rb = random_density_matrix(rng, Register(("c", "d")))
-    joint = DensityMatrix(np.kron(ra.mat, rb.mat), Register(("a", "b", "c", "d")))
-    red = partial_trace(joint, ["a", "b"])
-    assert np.allclose(red.mat, ra.mat, atol=1e-12)
+    red = partial_trace_stack(np.kron(ra.mat, rb.mat)[None], Register(("a", "b", "c", "d")), ["a", "b"])
+    assert np.allclose(red[0], ra.mat, atol=1e-12)
 
 
 def test_partial_trace_bell_pair():
     bell = (basis_ket("01") - basis_ket("10")) / np.sqrt(2)
     rho = DensityMatrix.from_ket(bell, Register(("a", "b")))
-    red = partial_trace(rho, ["a"])
-    assert np.allclose(red.mat, np.eye(2) / 2, atol=1e-12)
+    red = partial_trace_stack(rho.mat[None], rho.register, ["a"])
+    assert np.allclose(red[0], np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_of_mixed_four_wire_state():
@@ -143,30 +142,31 @@ def test_partial_trace_of_mixed_four_wire_state():
         + np.kron(np.kron(k[0, 0], xixi), k[1, 1])
     )
     reg = Register(("s1", "i1", "i2", "s2"))
-    red = partial_trace(DensityMatrix(sigma, reg), ["s1", "s2"])
-    assert abs(red.mat[2, 2] - 0.5) < 1e-12
-    assert abs(red.mat[1, 1] - 0.5) < 1e-12
-    assert abs(red.mat[2, 1] - t * np.exp(1j * g) / 2) < 1e-12
-    assert abs(red.mat[1, 2] - t * np.exp(-1j * g) / 2) < 1e-12
+    red = partial_trace_stack(DensityMatrix(sigma, reg).mat[None], reg, ["s1", "s2"])[0]
+    assert abs(red[2, 2] - 0.5) < 1e-12
+    assert abs(red[1, 1] - 0.5) < 1e-12
+    assert abs(red[2, 1] - t * np.exp(1j * g) / 2) < 1e-12
+    assert abs(red[1, 2] - t * np.exp(-1j * g) / 2) < 1e-12
 
 
 def test_partial_trace_empty_keep_rejected():
     rng = np.random.default_rng(1)
     rho = random_density_matrix(rng, DEFAULT_REGISTER)
     with pytest.raises(ValueError):
-        partial_trace(rho, [])
+        partial_trace_stack(rho.mat[None], DEFAULT_REGISTER, [])
 
 
 def test_partial_trace_unitary_invariance_on_discarded_wires():
     rng = np.random.default_rng(5)
+    stack, rotated = [], []
     for _ in range(25):
         rho = random_density_matrix(rng, DEFAULT_REGISTER)
-        u = random_unitary(rng, 4)
-        ue = embed(u, ["i1", "i2"], DEFAULT_REGISTER)
-        rotated = DensityMatrix(ue @ rho.mat @ ue.conj().T, DEFAULT_REGISTER)
-        a = partial_trace(rho, ["s1", "s2"])
-        b = partial_trace(rotated, ["s1", "s2"])
-        assert np.allclose(a.mat, b.mat, atol=1e-12)
+        ue = embed(random_unitary(rng, 4), ["i1", "i2"], DEFAULT_REGISTER)
+        stack.append(rho.mat)
+        rotated.append(ue @ rho.mat @ ue.conj().T)
+    a = partial_trace_stack(np.array(stack), DEFAULT_REGISTER, ["s1", "s2"])
+    b = partial_trace_stack(np.array(rotated), DEFAULT_REGISTER, ["s1", "s2"])
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_partial_transpose_product_state_stays_positive():

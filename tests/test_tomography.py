@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
-from conftest import angle_diff, random_density_matrix
+from conftest import angle_diff, random_density_matrix, readout, sweep_points
 
 from uqi.channels import (
     ObjectParams,
-    apply_channel,
     identity_channel,
     mode_mixer,
     object_channel,
 )
 from uqi import circuit
-from uqi.circuit import detection_probabilities, measurement_pair, prepare_probe, run_pipeline
+from uqi.circuit import pipeline_stages, prepare_probe, sample_frequencies
 from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed, kron
 from uqi.tomography import (
     ImageMaps,
     SchmidtData,
+    _fit,
     aapt_predict,
     estimate_object,
     image_scan,
@@ -120,7 +120,10 @@ def brute_force_ancilla_expectations(sd, obj, with_mixer):
     comparison matches the linear relation term by term.
     """
     rho = prepare_probe().rho
-    out = apply_channel(rho, object_channel(obj), ["i1"]).mat
+    out = np.zeros_like(rho.mat)
+    for k in object_channel(obj).kraus_ops:
+        ke = embed(k, ["i1"], rho.register)
+        out += ke @ rho.mat @ ke.conj().T
     if with_mixer:
         m = embed(mode_mixer().op, ["i1", "i2"], rho.register)
         out = m @ out @ m.conj().T
@@ -177,9 +180,9 @@ def test_aapt_predict_quadratures_with_explicit_basis():
     assert got[2] == pytest.approx(scale * t * np.cos(g), abs=ATOL)
     assert got[3] == pytest.approx(-scale * t * np.sin(g), abs=ATOL)
     # the same numbers read off the simulated signal state
-    sig = run_pipeline(prepare_probe(), obj, mode_mixer())
+    sig = pipeline_stages(prepare_probe(), mode_mixer(), [t], [g]).signal[0]
     for i, b in enumerate(sd.b_ops):
-        direct = np.trace(b.conj().T @ sig.rho.mat)
+        direct = np.trace(b.conj().T @ sig)
         assert got[i] == pytest.approx(direct, abs=ATOL)
 
 
@@ -187,18 +190,6 @@ def test_aapt_predict_dimension_check():
     sd = operator_schmidt(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
     with pytest.raises(ValueError):
         aapt_predict(sd, identity_channel(2))
-
-
-def sweep_points(t, g, phis, shots=None, seed=None):
-    sig = run_pipeline(prepare_probe(), ObjectParams(t, g), mode_mixer())
-    pts = []
-    rng = np.random.default_rng(seed) if shots else None
-    for p in phis:
-        p_h, _ = detection_probabilities(sig, measurement_pair(p))
-        if shots:
-            p_h = rng.binomial(shots, min(max(p_h, 0.0), 1.0)) / shots
-        pts.append((p, p_h))
-    return pts
 
 
 def test_estimate_two_point_exact():
@@ -267,6 +258,25 @@ def test_estimate_monte_carlo_bounds():
         if abs(est.t_hat - t) < 0.02 and abs(angle_diff(est.gamma_hat, g)) < 0.04:
             good += 1
     assert good >= 95
+
+
+@pytest.mark.parametrize("t, g", [(0.6, -1.0), (0.3, 2.0), (0.95, 0.4)])
+@pytest.mark.parametrize(
+    "method, phis",
+    [("two-point", [0.0, np.pi / 2]), ("least-squares", [2 * np.pi * k / 8 for k in range(8)])],
+)
+def test_estimate_standard_errors_are_calibrated(t, g, method, phis):
+    # over 400 seeded sweeps at 1e4 shots the z-scores of both estimates
+    # have unit variance: the reported errors are the real spread, not a bound
+    shots, repeats = 10**4, 400
+    p_h = np.array([v for _, v in sweep_points(t, g, phis)])
+    freq = sample_frequencies(np.tile(p_h, (repeats, 1)), shots, seed=7, keys=np.arange(repeats)[:, None])
+    fit = _fit(np.array(phis), freq, method, shots)
+    assert not fit["degenerate"].any()
+    z_t = (fit["t_hat"] - t) / fit["stderr_t"]
+    z_g = angle_diff(fit["gamma_hat"], g) / fit["stderr_gamma"]
+    for z in (z_t, z_g):
+        assert 0.8 <= np.var(z, ddof=1) <= 1.25
 
 
 def test_estimate_shot_mode_reports_standard_errors():
@@ -412,15 +422,13 @@ def test_image_scan_shot_streams_are_per_pixel_in_phase_order():
     maps = ImageMaps(np.array([[0.3, 0.9], [0.6, 0.0]]), np.array([[1.0, -2.0], [0.5, 0.0]]))
     phis = [2 * np.pi * k / 6 for k in range(6)]
     scan = image_scan(maps, phis, shots=200, seed=9)
-    mm, probe = mode_mixer(), prepare_probe()
+    p_h = readout(prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, phis)[..., 0].reshape(2, 2, -1)
     for row in range(2):
         for col in range(2):
-            sig = run_pipeline(probe, ObjectParams(maps.t_map[row, col], maps.gamma_map[row, col]), mm)
             rng = np.random.default_rng([9, row, col])
             pts = []
-            for phi in phis:
-                p_h = detection_probabilities(sig, measurement_pair(phi))[0]
-                pts.append((phi, rng.binomial(200, min(max(p_h, 0.0), 1.0)) / 200))
+            for phi, p in zip(phis, p_h[row, col]):
+                pts.append((phi, rng.binomial(200, min(max(p, 0.0), 1.0)) / 200))
             est = estimate_object(pts, method="least-squares", shots=200)
             assert scan.t_hat[row, col] == pytest.approx(est.t_hat, abs=1e-12)
             assert scan.stderr_t[row, col] == pytest.approx(est.stderr_t, rel=1e-12)
