@@ -24,7 +24,6 @@ from .channels import (
 from .circuit import (
     BatchReadout,
     PipelineStages,
-    ProbeState,
     bell_ket,
     measurement_stack,
     pipeline_stages,
@@ -33,19 +32,15 @@ from .circuit import (
     run_batch,
     sample_frequencies,
 )
-from .gates import Gate, apply_unitary, cnot, cz, hadamard, pauli, phase_shifter
+from .gates import Gate, apply_unitary, cnot, hadamard
 from .qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,
-    PauliString,
     Register,
     basis_ket,
     embed,
-    hermitian_eigenvalues,
-    kron,
     partial_transpose,
     pauli_decompose,
-    pauli_reconstruct,
 )
 from .tomography import (
     ImageMaps,

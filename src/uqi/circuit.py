@@ -56,31 +56,24 @@ BATCH_CHUNK = 64
 ENCODED_BASIS = ("0000", "0011", "1100", "1111")
 
 
-@dataclass(frozen=True)
-class ProbeState:
-    rho: DensityMatrix
-    kind: str
-    xi: float | None = None
-
-
 @cache
-def prepare_probe() -> ProbeState:
+def prepare_probe() -> DensityMatrix:
     """Run the preparation chain: H on i2, then three CNOTs.
 
     The first CNOT fires on control ``|0>`` (together with the Hadamard it
     plays the beam splitter); the other two model the photon-pair sources.
     The result is ``(|1100> + |0011>)/sqrt(2)``.  The chain runs once per
-    process; every call returns the same immutable :class:`ProbeState`.
+    process; every call returns the same immutable :class:`DensityMatrix`.
     """
     rho = DensityMatrix.from_ket(basis_ket("0000"), DEFAULT_REGISTER)
     rho = apply_unitary(rho, hadamard(), ["i2"])
     rho = apply_unitary(rho, cnot(control_value=0), ["i2", "i1"])
     rho = apply_unitary(rho, cnot(control_value=1), ["i1", "s1"])
     rho = apply_unitary(rho, cnot(control_value=1), ["i2", "s2"])
-    return ProbeState(rho, "bell")
+    return rho
 
 
-def prepare_werner(xi: float) -> ProbeState:
+def prepare_werner(xi: float) -> DensityMatrix:
     """Mix the probe with the maximally mixed state of the encoded subspace.
 
     ``W = (xi/4) * P_encoded + (1 - xi) * |probe><probe|`` where
@@ -90,12 +83,11 @@ def prepare_werner(xi: float) -> ProbeState:
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must lie in [0, 1], got {xi}")
-    probe = prepare_probe().rho
-    mat = (1.0 - xi) * probe.mat.copy()
+    mat = (1.0 - xi) * prepare_probe().mat
     for bits in ENCODED_BASIS:
         i = int(bits, 2)
         mat[i, i] += xi / 4.0
-    return ProbeState(DensityMatrix(mat, DEFAULT_REGISTER), "werner", xi=xi)
+    return DensityMatrix(mat, DEFAULT_REGISTER)
 
 
 def _record(errors: np.ndarray, new) -> None:
@@ -113,7 +105,7 @@ def _settings(t, gamma) -> tuple[np.ndarray, np.ndarray]:
     return t, gamma
 
 
-def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t: np.ndarray, gamma: np.ndarray):
+def _stage_stacks(probe: DensityMatrix, m: np.ndarray | None, t: np.ndarray, gamma: np.ndarray):
     """One engine pass over the n object settings of the float arrays ``t``, ``gamma``.
 
     ``m`` is the mixer embedded on ``(i1, i2)``, or None to skip mixing.
@@ -126,8 +118,8 @@ def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t: np.ndarray, gamma:
     bad = ~np.equal(errors, None)
     kraus = object_kraus(np.where(bad, 1.0, t), fold_angles(np.where(bad, 0.0, gamma)))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
-    reg = probe.rho.register
-    start = np.broadcast_to(probe.rho.mat, (len(t),) + probe.rho.mat.shape)
+    reg = probe.register
+    start = np.broadcast_to(probe.mat, (len(t),) + probe.mat.shape)
     post_object = apply_kraus_stack(start, kraus, ["i1"], reg)
     _record(errors, state_errors(post_object))
     rho, post_mixer = post_object, None
@@ -141,8 +133,8 @@ def _stage_stacks(probe: ProbeState, m: np.ndarray | None, t: np.ndarray, gamma:
     return post_object, post_mixer, signal, errors
 
 
-def _embedded_mixer(probe: ProbeState, mm: ModeMixer | None) -> np.ndarray | None:
-    return None if mm is None else embed(mm.op, ["i1", "i2"], probe.rho.register)
+def _embedded_mixer(probe: DensityMatrix, mm: ModeMixer | None) -> np.ndarray | None:
+    return None if mm is None else embed(mm.op, ["i1", "i2"], probe.register)
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class PipelineStages:
     errors: tuple[str | None, ...]
 
 
-def pipeline_stages(probe: ProbeState, mm: ModeMixer | None, t, gamma) -> PipelineStages:
+def pipeline_stages(probe: DensityMatrix, mm: ModeMixer | None, t, gamma) -> PipelineStages:
     """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
 
     One engine pass over all n settings with the mixer embedded once: the
@@ -186,7 +178,7 @@ class BatchReadout:
     errors: tuple[str | None, ...]
 
 
-def run_batch(probe: ProbeState, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
+def run_batch(probe: DensityMatrix, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
     """Object on i1, mixer on (i1, i2), discard the idlers, read out the signals.
 
     ``t`` and ``gamma`` give the n object settings; ``readout`` is a

@@ -29,15 +29,15 @@ import numpy as np
 from . import __version__
 from .channels import ObjectParams, chi_matrix, mode_mixer, normalize_angle, object_channel
 from .circuit import measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
-from .qcore import hermitian_eigenvalues, partial_transpose
+from .qcore import partial_transpose
 from .tomography import ImageMaps, estimate_object, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
 
 
-class ConfigError(Exception):
-    """Invalid configuration; the process exits with status 2."""
+class ConfigError(ValueError):
+    """Invalid configuration; the process exits with status 2, as for any ValueError."""
 
 
 def _float_list(text: str, name: str) -> list[float]:
@@ -112,18 +112,13 @@ def _matrix_records(mat) -> list[tuple]:
 
 
 def cmd_probe(args) -> int:
-    rho = prepare_probe().rho
     config = {"command": "probe", "format": args.format}
-    _write_output(("row", "col", "re", "im"), _matrix_records(rho.mat), config, args)
+    _write_output(("row", "col", "re", "im"), _matrix_records(prepare_probe().mat), config, args)
     return 0
 
 
 def _object_params(args) -> ObjectParams:
-    gamma = args.gamma * _DEG if args.degrees else args.gamma
-    try:
-        return ObjectParams(args.T, gamma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ObjectParams(args.T, args.gamma * _DEG if args.degrees else args.gamma)
 
 
 def cmd_chi(args) -> int:
@@ -140,7 +135,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_schmidt(args) -> int:
-    sd = operator_schmidt(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
+    sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     recs: list[tuple] = []
     for ell, (r, herm) in enumerate(zip(sd.r, sd.hermitian)):
         recs.append((ell, "coeff", None, None, _round15(float(r)), 0.0, herm))
@@ -232,10 +227,7 @@ def cmd_sweep(args) -> int:
         ("sample", p, float(ph), float(pg), None, None, None, None, None, None)
         for p, ph, pg in zip(phis, p_h, p_g)
     ]
-    try:
-        est = estimate_object(points, method=method, shots=args.shots or None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    est = estimate_object(points, method=method, shots=args.shots or None)
     recs.append(
         (
             "estimate", None, None, None,
@@ -282,8 +274,7 @@ def cmd_werner(args) -> int:
         clicks = ph + pg
         cond = ph / clicks
         coef_c, *_ = np.linalg.lstsq(design, cond, rcond=None)
-        pt = partial_transpose(probe.rho, ["s1", "i1"])
-        ppt_min = float(hermitian_eigenvalues(pt)[0])
+        ppt_min = float(np.linalg.eigvalsh(partial_transpose(probe, ["s1", "i1"]))[0])
         recs.append(
             (
                 xi,
@@ -325,10 +316,7 @@ def cmd_image(args) -> int:
     gamma_map = _load_map(args.gamma_map, "phase")
     if args.degrees:
         gamma_map = gamma_map * _DEG
-    try:
-        maps = ImageMaps(t_map, gamma_map)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    maps = ImageMaps(t_map, gamma_map)
     phis = _resolve_phis(args)
     if len(phis) < 2:
         raise ConfigError("image reconstruction needs at least two phase points")
@@ -460,9 +448,6 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"uqi: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"uqi: {exc}", file=sys.stderr)
         return 2

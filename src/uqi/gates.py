@@ -1,7 +1,8 @@
-"""Fixed gate set of the four-wire imaging circuit.
+"""Gates of the probe-preparation chain.
 
-Hadamard, the Pauli gates, CZ, CNOT with selectable control polarity and
-the phase shifter ``Z_phi = diag(1, e^{i phi})``.  Angles are radians.
+Hadamard and CNOT with selectable control polarity, applied by unitary
+conjugation of a :class:`DensityMatrix`.  The measurement's phase shifter
+acts inside :func:`uqi.circuit.measurement_stack`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, PAULI, DensityMatrix, as_complex_matrix, embed
+from .qcore import ATOL, DensityMatrix, as_complex_matrix, embed
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,6 @@ class Gate:
     name: str
     matrix: np.ndarray
     arity: int
-    param: float | None = None
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix).copy()
@@ -36,16 +36,6 @@ def hadamard() -> Gate:
     return Gate("H", m, 1)
 
 
-def pauli(which: str) -> Gate:
-    if which not in ("X", "Y", "Z"):
-        raise ValueError(f"pauli gate must be one of X, Y, Z, got {which!r}")
-    return Gate(which, PAULI[which], 1)
-
-
-def cz() -> Gate:
-    return Gate("CZ", np.diag([1, 1, 1, -1]).astype(complex), 2)
-
-
 def cnot(control_value: int = 1) -> Gate:
     """CNOT on (control, target); flips the target when the control qubit
     equals ``control_value``.  ``control_value=0`` is the polarity used by
@@ -59,17 +49,6 @@ def cnot(control_value: int = 1) -> Gate:
             t_out = t ^ 1 if c == control_value else t
             m[(c << 1) | t_out, (c << 1) | t] = 1.0
     return Gate(f"CNOT{control_value}", m, 2)
-
-
-def phase_shifter(phi: float) -> Gate:
-    """``Z_phi = diag(1, e^{i phi})``.
-
-    Conjugation rotates the equatorial Paulis:
-    ``Z_phi X Z_phi^† = cos(phi) X + sin(phi) Y`` and
-    ``Z_phi Y Z_phi^† = -sin(phi) X + cos(phi) Y``.
-    """
-    m = np.diag([1.0, np.exp(1j * float(phi))])
-    return Gate("Zphi", m, 1, param=float(phi))
 
 
 def apply_unitary(rho: DensityMatrix, gate: Gate, targets) -> DensityMatrix:

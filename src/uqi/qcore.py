@@ -1,10 +1,11 @@
 """Dense complex linear algebra on a labeled multi-qubit register.
 
 Everything in this package runs through the primitives defined here:
-tensor products, embedding of small operators onto a labeled register,
-partial trace, partial transpose, Pauli-basis decomposition and Hermitian
-eigenvalues.  Matrices are plain complex numpy arrays; states are wrapped
-in :class:`DensityMatrix`, which validates physicality on construction.
+embedding of small operators onto a labeled register, the batched
+physicality checks, partial trace, partial transpose and Pauli-basis
+decomposition.  Matrices are plain complex numpy arrays; states are
+wrapped in :class:`DensityMatrix`, which validates physicality on
+construction.
 
 Conventions:
 
@@ -32,7 +33,6 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-PAULI_LETTERS = "IXYZ"
 
 DEFAULT_WIRES = ("s1", "i1", "i2", "s2")
 
@@ -103,11 +103,6 @@ def state_errors(stack) -> np.ndarray:
     low = np.linalg.eigvalsh(stack)[:, 0] < -PSD_SLACK
     errors[low & np.equal(errors, None)] = "density matrix has an eigenvalue below -1e-10"
     return errors
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two matrices, left factor most significant."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def basis_ket(bits: str) -> np.ndarray:
@@ -239,75 +234,22 @@ def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.register.dim, rho.register.dim))
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """One term of a Pauli-basis expansion: a letter per wire and a weight."""
-
-    letters: tuple[str, ...]
-    coefficient: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for c in self.letters:
-            if c not in PAULI:
-                raise ValueError(f"invalid Pauli letter {c!r}")
-
-    @property
-    def label(self) -> str:
-        return "".join(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for c in self.letters:
-            out = np.kron(out, PAULI[c])
-        return self.coefficient * out
-
-
-def _pauli_iter(n: int):
-    for letters in itertools.product(PAULI_LETTERS, repeat=n):
-        mat = np.array([[1.0 + 0j]])
-        for c in letters:
-            mat = np.kron(mat, PAULI[c])
-        yield letters, mat
-
-
-def pauli_decompose(m, reg: Register) -> list[PauliString]:
+def pauli_decompose(m, reg: Register) -> dict[str, complex]:
     """Expand a square matrix over Pauli strings of the register.
 
-    Coefficients are ``c_P = Tr[P m] / 2^n``; terms below 1e-14 in
-    magnitude are dropped.  ``pauli_reconstruct`` inverts the expansion.
+    Returns ``{label: c_P}`` with ``c_P = Tr[P m] / 2^n``, one letter of
+    ``IXYZ`` per wire, in ``IXYZ`` order; terms below 1e-14 in magnitude
+    are dropped, so ``m = sum_P c_P P`` over the returned labels.
     """
     m = as_complex_matrix(m)
     if m.shape != (reg.dim, reg.dim):
         raise ValueError(f"matrix shape {m.shape} does not match register dimension {reg.dim}")
-    terms = []
-    scale = 1.0 / reg.dim
-    for letters, pmat in _pauli_iter(reg.n):
-        c = np.einsum("ij,ji->", pmat, m) * scale
+    terms = {}
+    for letters in itertools.product("IXYZ", repeat=reg.n):
+        p = np.array([[1.0 + 0j]])
+        for w in letters:
+            p = np.kron(p, PAULI[w])
+        c = np.einsum("ij,ji->", p, m) / reg.dim
         if abs(c) > 1e-14:
-            terms.append(PauliString(letters, complex(c)))
+            terms["".join(letters)] = complex(c)
     return terms
-
-
-def pauli_reconstruct(terms) -> np.ndarray:
-    """Sum a list of :class:`PauliString` back into a dense matrix."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("nothing to reconstruct from an empty term list")
-    out = terms[0].matrix()
-    for t in terms[1:]:
-        out = out + t.matrix()
-    return out
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real spectrum of a Hermitian matrix.
-
-    Raises if the input deviates from Hermiticity by more than 1e-10.
-    """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("eigenvalues require a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh(m)

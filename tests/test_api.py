@@ -1,0 +1,93 @@
+"""The public API of ``uqi`` is pinned: a change to it must edit these lists."""
+
+import importlib
+import types
+
+import pytest
+
+import uqi
+
+PUBLIC = [
+    "BatchReadout",
+    "ChiMatrix",
+    "DEFAULT_REGISTER",
+    "DensityMatrix",
+    "Gate",
+    "ImageMaps",
+    "KrausChannel",
+    "ModeMixer",
+    "ObjectEstimate",
+    "ObjectParams",
+    "PipelineStages",
+    "Register",
+    "ScanResult",
+    "SchmidtData",
+    "aapt_predict",
+    "apply_unitary",
+    "basis_ket",
+    "bell_ket",
+    "chi_matrix",
+    "choi_matrix",
+    "choi_psd_check",
+    "cnot",
+    "embed",
+    "estimate_object",
+    "hadamard",
+    "identity_channel",
+    "image_scan",
+    "measurement_stack",
+    "mode_mixer",
+    "normalize_angle",
+    "object_channel",
+    "operator_schmidt",
+    "partial_transpose",
+    "pauli_decompose",
+    "pipeline_stages",
+    "prepare_probe",
+    "prepare_werner",
+    "run_batch",
+    "sample_frequencies",
+    "visibility",
+]
+
+# deleted names, with the README's removal table giving each replacement
+REMOVED = [
+    "MeasurementPair",
+    "PauliString",
+    "ProbeState",
+    "SIGNAL_REGISTER",
+    "SignalState",
+    "apply_channel",
+    "apply_mode_mixer",
+    "cz",
+    "detection_probabilities",
+    "hermitian_eigenvalues",
+    "kron",
+    "measurement_pair",
+    "partial_trace",
+    "pauli",
+    "pauli_reconstruct",
+    "phase_shifter",
+    "probe_ket",
+    "run_pipeline",
+    "sample_detections",
+    "sample_detections_with_miss",
+]
+
+MODULES = ["channels", "circuit", "cli", "gates", "qcore", "tomography"]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name for name, value in vars(uqi).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    with pytest.raises(ImportError):
+        exec(f"from uqi import {name}", {})
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"uqi.{module}"), name), (module, name)

@@ -11,14 +11,7 @@ from uqi.circuit import (
     prepare_werner,
     sample_frequencies,
 )
-from uqi.qcore import (
-    Register,
-    basis_ket,
-    hermitian_eigenvalues,
-    kron,
-    partial_transpose,
-    pauli_decompose,
-)
+from uqi.qcore import PAULI, DensityMatrix, Register, basis_ket, partial_transpose, pauli_decompose
 
 ATOL = 1e-12
 SIGNAL_WIRES = Register(("s1", "s2"))
@@ -41,12 +34,13 @@ def signal_stack(probe, mm, ts, gammas):
 
 
 def test_probe_is_pure():
-    m = prepare_probe().rho.mat
+    m = prepare_probe().mat
     assert np.trace(m @ m).real == pytest.approx(1.0, abs=ATOL)
 
 
 def test_probe_matches_target_superposition():
-    rho = prepare_probe().rho
+    rho = prepare_probe()
+    assert isinstance(rho, DensityMatrix)
     ket = (basis_ket("1100") + basis_ket("0011")) / np.sqrt(2)
     want = np.outer(ket, ket.conj())
     assert np.allclose(rho.mat, want, atol=ATOL)
@@ -54,20 +48,20 @@ def test_probe_matches_target_superposition():
 
 
 def test_probe_is_built_once_and_immutable():
-    # every call shares one ProbeState, so nothing may write to it
+    # every call shares one DensityMatrix, so nothing may write to it
     probe = prepare_probe()
     prepare_werner(0.5)
     assert prepare_probe() is probe
-    assert not probe.rho.mat.flags.writeable
+    assert not probe.mat.flags.writeable
     with pytest.raises(ValueError):
-        probe.rho.mat[0, 0] = 1.0
-    assert np.array_equal(probe.rho.mat, prepare_probe.__wrapped__().rho.mat)
+        probe.mat[0, 0] = 1.0
+    assert np.array_equal(probe.mat, prepare_probe.__wrapped__().mat)
 
 
 def test_werner_limits():
-    probe = prepare_probe().rho
-    assert np.allclose(prepare_werner(0.0).rho.mat, probe.mat, atol=ATOL)
-    eigs = np.linalg.eigvalsh(prepare_werner(1.0).rho.mat)
+    assert isinstance(prepare_werner(0.5), DensityMatrix)
+    assert np.allclose(prepare_werner(0.0).mat, prepare_probe().mat, atol=ATOL)
+    eigs = np.linalg.eigvalsh(prepare_werner(1.0).mat)
     nonzero = eigs[eigs > 1e-12]
     assert len(nonzero) == 4
     assert np.allclose(nonzero, 0.25, atol=ATOL)
@@ -83,14 +77,13 @@ def test_werner_out_of_range():
 def test_werner_ppt_threshold():
     # entangled below 2/3, PPT-zero exactly at the threshold
     for xi, sign in ((0.0, -1), (0.5, -1), (0.9, +1)):
-        pt = partial_transpose(prepare_werner(xi).rho, ["s1", "i1"])
-        m = hermitian_eigenvalues(pt).min()
+        m = np.linalg.eigvalsh(partial_transpose(prepare_werner(xi), ["s1", "i1"])).min()
         if sign < 0:
             assert m < -1e-6
         else:
             assert m > -1e-10
-    pt = partial_transpose(prepare_werner(2 / 3).rho, ["s1", "i1"])
-    assert abs(hermitian_eigenvalues(pt).min()) < 1e-9
+    pt = partial_transpose(prepare_werner(2 / 3), ["s1", "i1"])
+    assert abs(np.linalg.eigvalsh(pt).min()) < 1e-9
 
 
 def test_pipeline_reproduces_analytic_state():
@@ -109,7 +102,7 @@ def test_pipeline_offdiagonal_coherence():
 
 def test_pipeline_pauli_coefficients_transparent_object():
     sig = signal_stack(prepare_probe(), mode_mixer(), [1.0], [0.0])[0]
-    got = {p.label: p.coefficient for p in pauli_decompose(sig, SIGNAL_WIRES)}
+    got = pauli_decompose(sig, SIGNAL_WIRES)
     assert got["II"] == pytest.approx(0.25, abs=ATOL)
     assert got["ZZ"] == pytest.approx(-0.25, abs=ATOL)
     assert got["XX"] == pytest.approx(0.25, abs=ATOL)
@@ -120,7 +113,7 @@ def test_pipeline_pauli_coefficients_transparent_object():
 def test_pipeline_pauli_coefficients_carry_both_quadratures():
     t, g = 0.7, 1.1
     sig = signal_stack(prepare_probe(), mode_mixer(), [t], [g])[0]
-    got = {p.label: p.coefficient for p in pauli_decompose(sig, SIGNAL_WIRES)}
+    got = pauli_decompose(sig, SIGNAL_WIRES)
     assert got["XX"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["YY"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["XY"] == pytest.approx(-t * np.sin(g) / 4, abs=ATOL)
@@ -184,8 +177,7 @@ def test_measurement_pair_at_zero_phase_is_bell_projectors():
 
 
 def test_measurement_pair_sums_to_one_photon_projector():
-    zz = kron(np.diag([1, -1]).astype(complex), np.diag([1, -1]).astype(complex))
-    want = (np.eye(4) - zz) / 2
+    want = (np.eye(4) - np.diag([1, -1, -1, 1])) / 2  # (II - ZZ)/2
     stack = measurement_stack(np.linspace(0, 2 * np.pi, 17))
     assert stack.shape == (17, 2, 4, 4)
     for m_h, m_g in stack:
@@ -199,6 +191,23 @@ def test_measurement_pair_half_turn_swaps_detectors():
     (m0_h, m0_g), (mpi_h, mpi_g) = measurement_stack([0.0, np.pi])
     assert np.allclose(mpi_h, m0_g, atol=ATOL)
     assert np.allclose(mpi_g, m0_h, atol=ATOL)
+
+
+def test_measurement_stack_is_phase_shifted_bell_projectors():
+    # the phase shifter Z_phi = diag(1, e^{i phi}) on s2 conjugates both Bell
+    # projectors; conjugation rotates the equatorial Paulis by phi
+    x, y = PAULI["X"], PAULI["Y"]
+    proj = [np.outer(k, k.conj()) for k in (bell_ket("psi-"), bell_ket("psi+"))]
+    phis = np.random.default_rng(42).uniform(-2 * np.pi, 2 * np.pi, size=100)
+    stack = measurement_stack(phis)
+    for phi, pair in zip(phis, stack):
+        z = np.diag([1.0, np.exp(1j * phi)])
+        u = np.kron(np.eye(2), z)
+        for m, p in zip(pair, proj):
+            assert np.max(np.abs(m - u @ p @ u.conj().T)) < ATOL
+        zd = z.conj().T
+        assert np.max(np.abs(z @ x @ zd - (np.cos(phi) * x + np.sin(phi) * y))) < ATOL
+        assert np.max(np.abs(z @ y @ zd - (-np.sin(phi) * x + np.cos(phi) * y))) < ATOL
 
 
 def test_detection_probabilities_reference_points():

@@ -467,3 +467,111 @@ def test_fuzzed_arguments_exit_0_or_2_with_finite_output(argv):
                 assert math.isfinite(float(row[column])), (argv, row)
     if argv[0] == "sweep":
         assert rows[-1]["record"] == "estimate" and rows[-1]["t_hat"] != ""
+
+
+_map_cells = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e300", "-1.7e308"]),
+    st.floats(-0.5, 1.5).map(repr),
+    st.floats(-7.0, 7.0).map(repr),
+)
+_unit = st.floats(0.0, 1.0).map(repr)
+_special_maps = st.sampled_from(["", "\n", "missing", "directory", "non-utf8"])
+
+
+def _grid_text(rows) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _grids(h, w, cells):
+    return st.lists(st.lists(cells, min_size=w, max_size=w), min_size=h, max_size=h).map(_grid_text)
+
+
+def _maps(h, w, good):
+    """A valid h x w grid, one with bad cells, a ragged grid, or a special file."""
+    ragged = st.lists(st.lists(_map_cells, min_size=1, max_size=3), min_size=2, max_size=3)
+    return st.one_of(_grids(h, w, good), _grids(h, w, st.one_of(good, _map_cells)), ragged.map(_grid_text), _special_maps)
+
+
+@pytest.fixture(scope="module")
+def map_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("maps")
+    (base / "directory").mkdir()
+    (base / "non-utf8").write_bytes(b"0.5,\xff\xfe\n0.5,0.5\n")
+    return base
+
+
+@st.composite
+def _other_argvs(draw):
+    command = draw(st.sampled_from(["werner", "chi", "image"]))
+    if command == "werner":
+        argv = ["werner"]
+        xis = st.one_of(st.sampled_from(["", ",", "nan,0.5"]), _lists, st.lists(_unit, min_size=1, max_size=3).map(",".join))
+        if draw(st.booleans()):
+            argv.append(f"--xi={draw(xis)}")
+        if draw(st.booleans()):
+            argv.append(f"--T={draw(st.one_of(_numbers, _unit))}")
+        return argv
+    if command == "chi":
+        argv = ["chi", f"--T={draw(st.one_of(_numbers, _unit))}"]
+        if draw(st.booleans()):
+            argv.append(f"--gamma={draw(_numbers)}")
+        if draw(st.booleans()):
+            argv.append("--degrees")
+        return argv
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    t_map = draw(_maps(h, w, _unit))
+    gamma_map = draw(_maps(h, w, st.floats(-7.0, 7.0).map(repr)))
+    argv = ["image", ("--t-map", t_map), ("--gamma-map", gamma_map)]
+    if draw(st.booleans()):
+        argv.append(f"--phi={draw(_lists)}")
+    if draw(st.booleans()):
+        argv.append(f"--phi-points={draw(st.integers(-2, 12))}")
+    if draw(st.booleans()):
+        argv.append(f"--shots={draw(st.integers(-3, 2000))}")
+    if draw(st.booleans()):
+        argv.append(f"--method={draw(st.sampled_from(['auto', 'two-point', 'least-squares']))}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.integers(-2, 2**65))}")
+    if draw(st.booleans()):
+        argv.append("--degrees")
+    return argv
+
+
+def _csv_cell_is_clean(cell: str) -> bool:
+    """An empty cell, a flag, or a finite number."""
+    if cell in ("", "true", "false"):
+        return True
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_other_argvs())
+def test_fuzzed_werner_chi_image_exit_cleanly(map_dir, argv):
+    # each map option names a file written here, or a missing path, a directory
+    # or a non-UTF-8 file
+    for i, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            option, content = arg
+            if content in ("missing", "directory", "non-utf8"):
+                path = map_dir / content
+            else:
+                path = map_dir / f"{option[2:]}.csv"
+                path.write_text(content, encoding="utf-8")
+            argv[i] = f"{option}={path}"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == "" and err.getvalue().startswith("uqi: "), argv
+        return
+    header, rows = parse_csv(out.getvalue())
+    assert rows
+    if code == 1:  # image only: every pixel reported, the failed ones with a status
+        assert argv[0] == "image" and any(row["status"] for row in rows)
+        return
+    for row in rows:
+        assert all(_csv_cell_is_clean(cell) for cell in row.values()), (argv, row)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from uqi import circuit
 from uqi.channels import MIXER_VANISHED, ModeMixer, ObjectParams, mode_mixer, object_channel
 from uqi.circuit import (
-    ProbeState,
     measurement_stack,
     pipeline_stages,
     prepare_probe,
@@ -27,12 +26,12 @@ object_settings = st.lists(st.tuples(transmissions, angles), min_size=1, max_siz
 phase_lists = st.lists(angles, min_size=1, max_size=5)
 
 
-def loop_reference_signal(probe: ProbeState, t: float, gamma: float, mm: ModeMixer | None) -> np.ndarray:
+def loop_reference_signal(probe: DensityMatrix, t: float, gamma: float, mm: ModeMixer | None) -> np.ndarray:
     """The pipeline written out per Kraus operator on full-register matrices."""
     rho = np.zeros((16, 16), dtype=complex)
     for k in object_channel(ObjectParams(t, gamma)).kraus_ops:
         ke = embed(k, ["i1"], DEFAULT_REGISTER)
-        rho += ke @ probe.rho.mat @ ke.conj().T
+        rho += ke @ probe.mat @ ke.conj().T
     if mm is not None:
         m = embed(mm.op, ["i1", "i2"], DEFAULT_REGISTER)
         rho = m @ rho @ m.conj().T
@@ -95,7 +94,7 @@ def test_engine_without_mixer_reads_one_half(pairs, phis):
     assert np.max(np.abs(values - 0.5)) < TOL
 
 
-def singlet_idler_probe() -> ProbeState:
+def singlet_idler_probe() -> DensityMatrix:
     """Idlers in (|01> - |10>)/sqrt(2), signals in |00>.
 
     After the object the mixer's normalization is
@@ -103,7 +102,7 @@ def singlet_idler_probe() -> ProbeState:
     ``T = 1, gamma = 0``.
     """
     ket = basis_ket("0010") - basis_ket("0100")
-    return ProbeState(DensityMatrix.from_ket(ket, DEFAULT_REGISTER), "singlet-idlers")
+    return DensityMatrix.from_ket(ket, DEFAULT_REGISTER)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 64])

@@ -27,6 +27,9 @@ CASES = {
     "image-analytic": ("image", *MAPS),
     "image-shots": ("image", *MAPS, "--shots", "1000", "--seed", "3"),
     "werner": ("werner",),
+    "probe": ("probe",),
+    "chi": ("chi", "--T", "0.6", "--gamma", "0.3"),
+    "schmidt": ("schmidt", "--format", "json"),
 }
 
 

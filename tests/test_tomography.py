@@ -10,7 +10,7 @@ from uqi.channels import (
 )
 from uqi import circuit
 from uqi.circuit import pipeline_stages, prepare_probe, sample_frequencies
-from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed, kron
+from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed
 from uqi.tomography import (
     ImageMaps,
     SchmidtData,
@@ -32,10 +32,10 @@ def explicit_hermitian_basis():
     i2 = np.eye(2, dtype=complex)
     x, y, z = PAULI["X"], PAULI["Y"], PAULI["Z"]
     ops = [
-        (kron(i2, i2) - kron(z, z)) / s8,
-        (kron(z, i2) - kron(i2, z)) / s8,
-        (kron(x, x) + kron(y, y)) / s8,
-        (kron(x, y) - kron(y, x)) / s8,
+        (np.kron(i2, i2) - np.kron(z, z)) / s8,
+        (np.kron(z, i2) - np.kron(i2, z)) / s8,
+        (np.kron(x, x) + np.kron(y, y)) / s8,
+        (np.kron(x, y) - np.kron(y, x)) / s8,
     ]
     return ops, [0.5, 0.5, 0.5, -0.5]
 
@@ -66,7 +66,7 @@ def test_schmidt_product_state_rank_one():
 
 
 def test_schmidt_probe_singular_values():
-    sd = check_schmidt_contract(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
+    sd = check_schmidt_contract(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     assert sd.rank == 4
     assert np.allclose(sd.r, 0.5, atol=ATOL)
     assert all(sd.hermitian)
@@ -88,7 +88,7 @@ def test_schmidt_random_states_and_bipartitions():
 
 
 def test_schmidt_bad_bipartitions():
-    rho = prepare_probe().rho
+    rho = prepare_probe()
     with pytest.raises(ValueError):
         operator_schmidt(rho, (("s1",), ("i1", "i2")))
     with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ def test_schmidt_bad_bipartitions():
 def test_explicit_basis_satisfies_schmidt_identity():
     # Tr[(A_l (x) B_m) rho] = r_l delta_lm with r = (1/2, 1/2, 1/2, -1/2)
     ops, r = explicit_hermitian_basis()
-    rho = prepare_probe().rho
+    rho = prepare_probe()
     for l in range(4):
         for m in range(4):
             obs = embed(ops[l], ["i1", "i2"], rho.register) @ embed(
@@ -119,7 +119,7 @@ def brute_force_ancilla_expectations(sd, obj, with_mixer):
     The mixer (when present) is applied without renormalization so the
     comparison matches the linear relation term by term.
     """
-    rho = prepare_probe().rho
+    rho = prepare_probe()
     out = np.zeros_like(rho.mat)
     for k in object_channel(obj).kraus_ops:
         ke = embed(k, ["i1"], rho.register)
@@ -135,7 +135,7 @@ def brute_force_ancilla_expectations(sd, obj, with_mixer):
 
 
 def test_aapt_predict_identity_channel():
-    sd = operator_schmidt(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
+    sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     got = aapt_predict(sd, identity_channel(4))
     want = np.array([r * np.trace(a) for r, a in zip(sd.r, sd.a_ops)])
     assert np.allclose(got, want, atol=ATOL)
@@ -143,7 +143,7 @@ def test_aapt_predict_identity_channel():
 
 def test_aapt_predict_matches_brute_force_linear_post():
     obj = ObjectParams(0.7, -0.9)
-    sd = operator_schmidt(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
+    sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     lifted = object_channel(obj).tensor(identity_channel(2))
     got = aapt_predict(sd, lifted)
     want = brute_force_ancilla_expectations(sd, obj, with_mixer=False)
@@ -152,7 +152,7 @@ def test_aapt_predict_matches_brute_force_linear_post():
 
 def test_aapt_predict_matches_brute_force_with_mixer():
     obj = ObjectParams(0.55, 2.1)
-    sd = operator_schmidt(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
+    sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     lifted = object_channel(obj).tensor(identity_channel(2))
     got = aapt_predict(sd, lifted, post=mode_mixer())
     want = brute_force_ancilla_expectations(sd, obj, with_mixer=True)
@@ -187,7 +187,7 @@ def test_aapt_predict_quadratures_with_explicit_basis():
 
 
 def test_aapt_predict_dimension_check():
-    sd = operator_schmidt(prepare_probe().rho, (("i1", "i2"), ("s1", "s2")))
+    sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     with pytest.raises(ValueError):
         aapt_predict(sd, identity_channel(2))
 
