@@ -19,6 +19,7 @@ inspection.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -247,25 +248,100 @@ def measurement_stack(phis) -> np.ndarray:
     return out
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), which
+# numpy documents as stable across versions
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, *keys[r]]).generate_state(4, np.uint64)`` for every row r at once.
+
+    SeedSequence's hash run as uint32 array operations over an ``(n,)``
+    word per entropy position.  The entropy words are the seed's
+    little-endian 32-bit words, then one word per key element, so every
+    key must lie in [0, 2**32).  Returns an ``(n, 4)`` uint64 array.
+    """
+    n = len(keys)
+    seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.full(n, w, dtype=np.uint32) for w in seed_words] + list(keys.T.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool,
+    # read as little-endian pairs
+    hash_const = _INIT_B
+    state = np.empty((n, 8), dtype="<u4")
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
 def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     """Shot estimates ``n_h / shots`` of an ``(n, k)`` array of click probabilities.
 
     Row ``r`` draws its k binomial counts, in order, from its own
-    generator seeded with ``[seed, *keys[r]]``, so a row's counts depend
-    on the seed, its key and its own probabilities only.  The
-    probabilities are clipped to [0, 1] first, which absorbs the engine's
-    rounding.
+    generator ``default_rng([seed, *keys[r]])``, so a row's counts depend
+    on the seed, its key and its own probabilities only.  The n streams
+    are seeded in one vectorized pass (:func:`_stream_states`); keys must
+    lie in [0, 2**32) and ``shots`` in [1, 2**63).  The probabilities are
+    clipped to [0, 1] first, which absorbs the engine's rounding.
     """
+    # numpy.random stays out of the import path of the CLI
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _RowSeed(ISeedSequence):
+        """One row's precomputed SeedSequence state, which PCG64 seeds itself from."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > 2**63 - 1:  # numpy's binomial takes the count as a C long
+        raise ValueError(f"shots must be below 2**63, got {shots}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     p_h = np.clip(np.asarray(p_h, dtype=float), 0.0, 1.0)
-    if p_h.ndim != 2 or len(keys) != len(p_h):
-        raise ValueError(f"need an (n, k) array and n keys, got shape {p_h.shape} and {len(keys)} keys")
-    counts = []
-    for key, row in zip(np.asarray(keys, dtype=np.int64).tolist(), p_h.tolist()):
-        rng = np.random.default_rng([seed, *key])
+    keys = np.asarray(keys, dtype=np.int64)
+    if p_h.ndim != 2 or keys.ndim != 2 or len(keys) != len(p_h):
+        raise ValueError(f"need an (n, k) array and (n, m) keys, got shapes {p_h.shape} and {keys.shape}")
+    if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
+        raise ValueError("stream keys must lie in [0, 2**32)")
+    counts = np.empty(p_h.shape, dtype=np.int64)
+    for r, (state, row) in enumerate(zip(_stream_states(seed, keys), p_h.tolist())):
+        rng = np.random.Generator(np.random.PCG64(_RowSeed(state)))
         # scalar draws in row order are the draws of one array call on the row,
         # without its per-call validation pass over the array
-        counts.append([rng.binomial(shots, p) for p in row])
-    return np.array(counts, dtype=np.int64).reshape(p_h.shape) / shots
+        counts[r] = [rng.binomial(shots, p) for p in row]
+    return counts / shots

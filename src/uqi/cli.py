@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .channels import ObjectParams, chi_matrix, mode_mixer, normalize_angle, object_channel
+from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import partial_transpose
 from .tomography import ImageMaps, estimate_object, image_scan, operator_schmidt, visibility
@@ -71,31 +71,39 @@ def _round15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))  # shortest round-trip form, also for numpy scalars
-    return str(v)
+def _csv_column(values) -> list[str]:
+    """The CSV cells of one column of Python values, typed once per column.
+
+    None is an empty cell, booleans are ``true``/``false`` (a column with
+    booleans holds nothing else but None), and ``str`` writes the rest: for
+    a float, its shortest round-trip repr.
+    """
+    kinds = set(map(type, values))
+    if bool in kinds:
+        return ["" if v is None else "true" if v else "false" for v in values]
+    if type(None) in kinds:
+        return ["" if v is None else str(v) for v in values]
+    return list(map(str, values))
 
 
-def _write_output(columns, records, config, args) -> None:
+def _cells(values: np.ndarray) -> list:
+    """The Python values of a float array in row-major order, None where it holds NaN."""
+    return np.where(np.isnan(values), None, values).ravel().tolist()
+
+
+def _write_output(names, columns, config, args) -> None:
+    """Write the table whose column ``names[i]`` holds the values ``columns[i]``."""
     seed = getattr(args, "seed", None)
     if args.format == "json":
         doc = {
             "config": config,
-            "results": [dict(zip(columns, rec)) for rec in records],
+            "results": [dict(zip(names, row)) for row in zip(*columns)],
             "metadata": {"version": __version__, "seed": seed},
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        buf = []
-        buf.append(",".join(columns))
-        for rec in records:
-            buf.append(",".join(_csv_cell(v) for v in rec))
-        text = "\n".join(buf) + "\n"
+        cells = [_csv_column(col) for col in columns]
+        text = "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -103,17 +111,16 @@ def _write_output(columns, records, config, args) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_records(mat) -> list[tuple]:
-    recs = []
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            recs.append((i, j, _round15(mat[i, j].real), _round15(mat[i, j].imag)))
-    return recs
+def _matrix_columns(mat) -> list[list]:
+    """The ``row, col, re, im`` columns of a matrix, entries rounded to 15 digits."""
+    rows, cols = np.indices(mat.shape).reshape(2, -1).tolist()
+    flat = mat.ravel()
+    return [rows, cols, *([_round15(v) for v in part.tolist()] for part in (flat.real, flat.imag))]
 
 
 def cmd_probe(args) -> int:
     config = {"command": "probe", "format": args.format}
-    _write_output(("row", "col", "re", "im"), _matrix_records(prepare_probe().mat), config, args)
+    _write_output(("row", "col", "re", "im"), _matrix_columns(prepare_probe().mat), config, args)
     return 0
 
 
@@ -130,7 +137,7 @@ def cmd_chi(args) -> int:
         "gamma": params.gamma,
         "format": args.format,
     }
-    _write_output(("row", "col", "re", "im"), _matrix_records(chi.entries), config, args)
+    _write_output(("row", "col", "re", "im"), _matrix_columns(chi.entries), config, args)
     return 0
 
 
@@ -148,7 +155,7 @@ def cmd_schmidt(args) -> int:
                         (term, kind, i, j, _round15(op[i, j].real), _round15(op[i, j].imag), None)
                     )
     config = {"command": "schmidt", "bipartition": [["i1", "i2"], ["s1", "s2"]], "format": args.format}
-    _write_output(("term", "kind", "row", "col", "re", "im", "hermitian"), recs, config, args)
+    _write_output(("term", "kind", "row", "col", "re", "im", "hermitian"), list(zip(*recs)), config, args)
     return 0
 
 
@@ -187,10 +194,7 @@ def cmd_probabilities(args) -> int:
         prepare_probe(), [t for t, _ in settings], [g for _, g in settings], measurement_stack(phis)
     ).reshape(-1, 2)
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
-    recs = [
-        (t, g, p, float(ph), float(pg))
-        for ((t, g), p), ph, pg in zip(itertools.product(settings, phis), p_h, p_g)
-    ]
+    grid = list(zip(*itertools.product(ts, gammas, phis)))
     config = {
         "command": "probabilities",
         "t": ts,
@@ -200,7 +204,7 @@ def cmd_probabilities(args) -> int:
         "seed": args.seed,
         "format": args.format,
     }
-    _write_output(("t", "gamma", "phi", "p_h", "p_g"), recs, config, args)
+    _write_output(("t", "gamma", "phi", "p_h", "p_g"), [*grid, p_h.tolist(), p_g.tolist()], config, args)
     return 0
 
 
@@ -222,20 +226,18 @@ def cmd_sweep(args) -> int:
         method = "two-point" if len(phis) == 2 else "least-squares"
     probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
-    points = list(zip(phis, p_h))
-    recs = [
-        ("sample", p, float(ph), float(pg), None, None, None, None, None, None)
-        for p, ph, pg in zip(phis, p_h, p_g)
-    ]
-    est = estimate_object(points, method=method, shots=args.shots or None)
-    recs.append(
-        (
-            "estimate", None, None, None,
-            est.t_hat,
-            None if np.isnan(est.gamma_hat) else est.gamma_hat,
-            est.stderr_t, est.stderr_gamma, est.method, est.degenerate,
-        )
-    )
+    est = estimate_object(zip(phis, p_h), method=method, shots=args.shots or None)
+    samples = {"record": ["sample"] * len(phis), "phi": phis, "p_h": p_h.tolist(), "p_g": p_g.tolist()}
+    estimate = {
+        "record": "estimate",
+        "t_hat": est.t_hat,
+        "gamma_hat": None if np.isnan(est.gamma_hat) else est.gamma_hat,
+        "stderr_t": est.stderr_t,
+        "stderr_gamma": est.stderr_gamma,
+        "method": est.method,
+        "degenerate": est.degenerate,
+    }
+    columns = [samples.get(name, [None] * len(phis)) + [estimate.get(name)] for name in _SWEEP_COLUMNS]
     config = {
         "command": "sweep",
         "t": params.t,
@@ -246,7 +248,7 @@ def cmd_sweep(args) -> int:
         "method": method,
         "format": args.format,
     }
-    _write_output(_SWEEP_COLUMNS, recs, config, args)
+    _write_output(_SWEEP_COLUMNS, columns, config, args)
     return 0
 
 
@@ -293,7 +295,7 @@ def cmd_werner(args) -> int:
             "xi", "modulation_amplitude", "offset_raw", "offset_conditioned",
             "no_click", "visibility_raw", "visibility_conditioned", "ppt_min_eigenvalue",
         ),
-        recs,
+        list(zip(*recs)),
         config,
         args,
     )
@@ -323,27 +325,20 @@ def cmd_image(args) -> int:
     if args.shots < 0:
         raise ConfigError("shots must be nonnegative")
     scan = image_scan(maps, phis, shots=args.shots, seed=args.seed, method=args.method)
-    failed = {(r, c): msg for r, c, msg in scan.errors}
-    recs = []
-    for r in range(maps.height):
-        for c in range(maps.width):
-            if (r, c) in failed:
-                recs.append((r, c, None, None, None, None, None, None, None, failed[(r, c)]))
-                continue
-            t_hat = float(scan.t_hat[r, c])
-            g_hat = scan.gamma_hat[r, c]
-            deg = bool(scan.degenerate[r, c])
-            t_err = t_hat - float(maps.t_map[r, c])
-            g_err = None if np.isnan(g_hat) else normalize_angle(float(g_hat) - float(maps.gamma_map[r, c]))
-            recs.append(
-                (
-                    r, c, t_hat,
-                    None if np.isnan(g_hat) else float(g_hat),
-                    None if np.isnan(scan.stderr_t[r, c]) else float(scan.stderr_t[r, c]),
-                    None if np.isnan(scan.stderr_gamma[r, c]) else float(scan.stderr_gamma[r, c]),
-                    deg, t_err, g_err, "",
-                )
-            )
+    # one row per pixel in row-major order; a failed pixel, and only a failed
+    # one, has a NaN t_hat, so all its cells but row, col and status are empty
+    status = [""] * maps.t_map.size
+    for r, c, msg in scan.errors:
+        status[r * maps.width + c] = msg
+    rows, cols = np.indices(maps.t_map.shape).reshape(2, -1).tolist()
+    errors = (scan.t_hat - maps.t_map, fold_angles(scan.gamma_hat - maps.gamma_map))
+    columns = [
+        rows, cols,
+        *map(_cells, (scan.t_hat, scan.gamma_hat, scan.stderr_t, scan.stderr_gamma)),
+        np.where(np.isnan(scan.t_hat), None, scan.degenerate).ravel().tolist(),
+        *map(_cells, errors),
+        status,
+    ]
     config = {
         "command": "image",
         "t_map": args.t_map,
@@ -359,7 +354,7 @@ def cmd_image(args) -> int:
             "row", "col", "t_hat", "gamma_hat", "stderr_t", "stderr_gamma",
             "degenerate", "t_error", "gamma_error", "status",
         ),
-        recs,
+        columns,
         config,
         args,
     )

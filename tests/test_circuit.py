@@ -258,10 +258,39 @@ def test_sample_frequencies_rejects_bad_input():
     for shots in (0, -5):
         with pytest.raises(ValueError, match="shots must be at least 1"):
             sample_frequencies(p, shots, seed=0, keys=[(0,), (1,)])
+    # numpy's binomial takes the shot count as a C long
+    for shots in (2**63, 2**70):
+        with pytest.raises(ValueError, match="shots must be below 2"):
+            sample_frequencies(p, shots, seed=0, keys=[(0,), (1,)])
+    assert sample_frequencies(p, 2**63 - 1, seed=0, keys=[(0,), (1,)]).shape == (2, 3)
     with pytest.raises(ValueError):
         sample_frequencies(p, 100, seed=0, keys=[(0,)])
     with pytest.raises(ValueError):
         sample_frequencies(p[0], 100, seed=0, keys=[(0,)] * 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**65 + 12345])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_sample_frequencies_streams_are_default_rng_streams(seed, width):
+    # the vectorized stream seeding reproduces default_rng([seed, *key]) row by row,
+    # for seeds of one to three 32-bit words and keys at both ends of [0, 2**32)
+    rng = np.random.default_rng([seed % 1000, width])
+    keys = rng.integers(0, 2**32, size=(40, width))
+    keys[0], keys[1] = 0, 2**32 - 1
+    p = rng.uniform(0.0, 1.0, size=(40, 3))
+    out = sample_frequencies(p, 5000, seed=seed, keys=keys)
+    for r, key in enumerate(keys.tolist()):
+        ref = np.random.default_rng([seed, *key])
+        assert np.array_equal(out[r], [ref.binomial(5000, x) / 5000 for x in p[r]])
+
+
+def test_sample_frequencies_key_range_and_empty_input():
+    p = np.full((2, 3), 0.5)
+    for bad in (-1, 2**32, 2**40):
+        with pytest.raises(ValueError, match="keys must lie in"):
+            sample_frequencies(p, 100, seed=0, keys=[(0, 1), (bad, 2)])
+    # a scan in which every pixel failed samples no row at all
+    assert sample_frequencies(np.empty((0, 8)), 100, seed=3, keys=np.empty((0, 2), dtype=int)).shape == (0, 8)
 
 
 def test_werner_click_deficit_matches_no_click_weight():

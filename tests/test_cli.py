@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqi
 from uqi.cli import main
 
 
@@ -23,6 +28,14 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random costs 11-15 ms to import, which every command would pay at
+    # start-up; the shot sampler imports it on first use
+    env = {**os.environ, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
+    code = "import uqi.cli, sys; assert 'numpy.random' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_probabilities_reference_points(capsys):
@@ -326,6 +339,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("uqi: measurement phase must be finite")
+    # numpy's binomial cannot take 2**63 shots or more
+    for argv in (
+        ("sweep", "--T", "0.5", "--phi", "0,1,2"),
+        ("probabilities", "--T", "0.5", "--phi", "0"),
+        ("image", *maps),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--shots", str(2**63))
+        assert (code, out) == (2, "")
+        assert err == f"uqi: shots must be below 2**63, got {2**63}\n"
 
 
 def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys):
@@ -431,6 +453,11 @@ _numbers = st.one_of(
 _lists = st.lists(_numbers, min_size=1, max_size=3).map(",".join)
 
 
+def _shots(top):
+    """Shot counts up to ``top``, or at and beyond numpy's 2**63 binomial limit."""
+    return st.one_of(st.integers(-3, top), st.sampled_from([2**63, 2**70]))
+
+
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(["probabilities", "sweep"]))
@@ -441,7 +468,7 @@ def _argvs(draw):
     if draw(st.booleans()):
         argv.append(f"--phi-points={draw(st.integers(-2, 40))}")
     if draw(st.booleans()):
-        argv.append(f"--shots={draw(st.integers(-3, 3000))}")
+        argv.append(f"--shots={draw(_shots(3000))}")
     if draw(st.booleans()):
         argv.append(f"--seed={draw(st.integers(-2, 2**65))}")
     if draw(st.booleans()):
@@ -527,7 +554,7 @@ def _other_argvs(draw):
     if draw(st.booleans()):
         argv.append(f"--phi-points={draw(st.integers(-2, 12))}")
     if draw(st.booleans()):
-        argv.append(f"--shots={draw(st.integers(-3, 2000))}")
+        argv.append(f"--shots={draw(_shots(2000))}")
     if draw(st.booleans()):
         argv.append(f"--method={draw(st.sampled_from(['auto', 'two-point', 'least-squares']))}")
     if draw(st.booleans()):

@@ -2,12 +2,15 @@
 
 Each case runs ``uqi.cli.main`` and compares stdout byte for byte with
 ``tests/golden/<name>.out``, written by the same argument vectors on a
-known-good commit.  A change that alters any of them changes the
-determinism contract and must say so.
+known-good commit.  The runs at scale are pinned by the sha256 of their
+stdout instead of a multi-MB file.  A change that alters any of them
+changes the determinism contract and must say so.
 """
 
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uqi.cli import main
@@ -39,3 +42,42 @@ def test_cli_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
+
+SCALE_SIDE = 64
+
+
+def _write_scale_maps(tmp_path):
+    """Seeded 64x64 maps with a row of T = 0 (degenerate) and a row of T = 1 pixels."""
+    rng = np.random.default_rng(64)
+    t = rng.uniform(0.0, 1.0, size=(SCALE_SIDE, SCALE_SIDE))
+    t[0], t[1] = 0.0, 1.0
+    gamma = rng.uniform(-np.pi, np.pi, size=(SCALE_SIDE, SCALE_SIDE))
+    paths = []
+    for name, grid in (("t_map.csv", t), ("gamma_map.csv", gamma)):
+        path = tmp_path / name
+        path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in grid), encoding="utf-8")
+        paths.append(str(path))
+    return "--t-map", paths[0], "--gamma-map", paths[1]
+
+
+# sha256 of stdout, written by the argument vectors on a known-good commit
+SCALE_CASES = {
+    "image-shots-64x64": (
+        lambda tmp_path: ("image", *_write_scale_maps(tmp_path), "--shots", "10000", "--seed", "17"),
+        "083307e0a2c4d8ea06712faf0335c796eee6b4645c9158e938495b728bff6624",
+    ),
+    "sweep-4096-phases": (
+        lambda tmp_path: (
+            "sweep", "--T", "0.8", "--gamma", "0.5", "--phi-points", "4096",
+            "--shots", "100000", "--seed", "601",
+        ),
+        "8807a7cf82df6995d375393a11143976c91808e75f8efaa3f63b72f9f9c48c0c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_CASES))
+def test_cli_output_at_scale_matches_pinned_hash(tmp_path, capsys, name):
+    argv, digest = SCALE_CASES[name]
+    assert main(list(argv(tmp_path))) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
