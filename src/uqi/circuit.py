@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .qcore import (
     ATOL,
     DEFAULT_REGISTER,
     DensityMatrix,
+    Register,
     basis_ket,
     embed,
     partial_trace_stack,
@@ -135,7 +136,18 @@ def _stage_stacks(probe: DensityMatrix, m: np.ndarray | None, t: np.ndarray, gam
 
 
 def _embedded_mixer(probe: DensityMatrix, mm: ModeMixer | None) -> np.ndarray | None:
-    return None if mm is None else embed(mm.op, ["i1", "i2"], probe.register)
+    return None if mm is None else _embed_on_idlers(mm.op.tobytes(), probe.register)
+
+
+@lru_cache(maxsize=8)
+def _embed_on_idlers(op: bytes, reg: Register) -> np.ndarray:
+    """The 4x4 complex operator with raw bytes ``op`` embedded on ``(i1, i2)``.
+
+    Cached, so a mixer that several engine calls share is embedded once.
+    """
+    m = embed(np.frombuffer(op, dtype=complex).reshape(4, 4), ["i1", "i2"], reg)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)

@@ -159,13 +159,21 @@ def cmd_schmidt(args) -> int:
     return 0
 
 
-def _readouts(probe, ts, gammas, readout) -> np.ndarray:
+def _readouts(probe, mm, ts, gammas, readout) -> np.ndarray:
     """Engine readouts over the settings ``(ts[i], gammas[i])``; a failed setting is a config error."""
-    batch = run_batch(probe, mode_mixer(), ts, gammas, readout)
+    batch = run_batch(probe, mm, ts, gammas, readout)
     for err in batch.errors:
         if err is not None:
             raise ConfigError(err)
     return batch.values
+
+
+def _check_shots(shots: int) -> None:
+    """Reject a shot count before any work: 0 is analytic, and the sampler takes below 2**63."""
+    if shots < 0:
+        raise ConfigError("shots must be nonnegative")
+    if shots > 2**63 - 1:
+        raise ConfigError(f"shots must be below 2**63, got {shots}")
 
 
 def _shot_mode(p_h, p_g, args):
@@ -187,12 +195,9 @@ def cmd_probabilities(args) -> int:
     if args.degrees:
         gammas = [g * _DEG for g in gammas]
     phis = _resolve_phis(args)
-    if args.shots < 0:
-        raise ConfigError("shots must be nonnegative")
-    settings = list(itertools.product(ts, gammas))
-    probs = _readouts(
-        prepare_probe(), [t for t, _ in settings], [g for _, g in settings], measurement_stack(phis)
-    ).reshape(-1, 2)
+    _check_shots(args.shots)
+    setting_t, setting_gamma = zip(*itertools.product(ts, gammas))
+    probs = _readouts(prepare_probe(), mode_mixer(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
     grid = list(zip(*itertools.product(ts, gammas, phis)))
     config = {
@@ -219,12 +224,11 @@ def cmd_sweep(args) -> int:
     phis = _resolve_phis(args)
     if len(phis) < 2:
         raise ConfigError("a sweep needs at least two phase points")
-    if args.shots < 0:
-        raise ConfigError("shots must be nonnegative")
+    _check_shots(args.shots)
     method = args.method
     if method == "auto":
         method = "two-point" if len(phis) == 2 else "least-squares"
-    probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
+    probs = _readouts(prepare_probe(), mode_mixer(), [params.t], [params.gamma], measurement_stack(phis))[0]
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
     est = estimate_object(zip(phis, p_h), method=method, shots=args.shots or None)
     samples = {"record": ["sample"] * len(phis), "phi": phis, "p_h": p_h.tolist(), "p_g": p_g.tolist()}
@@ -266,10 +270,11 @@ def cmd_werner(args) -> int:
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
+    mm = mode_mixer()  # one mixer for every xi; run_batch reuses its embedding
     recs = []
     for xi in xis:
         probe = prepare_werner(xi)
-        ph, pg = _readouts(probe, np.full(gammas.size, t), gammas, pair0).T
+        ph, pg = _readouts(probe, mm, np.full(gammas.size, t), gammas, pair0).T
         coef, *_ = np.linalg.lstsq(design, ph, rcond=None)
         offset_raw, half_amp = float(coef[0]), float(coef[1])
         amplitude = 2.0 * abs(half_amp)
@@ -322,8 +327,7 @@ def cmd_image(args) -> int:
     phis = _resolve_phis(args)
     if len(phis) < 2:
         raise ConfigError("image reconstruction needs at least two phase points")
-    if args.shots < 0:
-        raise ConfigError("shots must be nonnegative")
+    _check_shots(args.shots)
     scan = image_scan(maps, phis, shots=args.shots, seed=args.seed, method=args.method)
     # one row per pixel in row-major order; a failed pixel, and only a failed
     # one, has a NaN t_hat, so all its cells but row, col and status are empty

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uqi
@@ -36,6 +36,26 @@ def test_cli_import_does_not_load_numpy_random():
     env = {**os.environ, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
     code = "import uqi.cli, sys; assert 'numpy.random' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_runs_do_not_load_numpy_ma(tmp_path):
+    # numpy.ma costs about 15 ms to import; np.unique, for one, pulls it in
+    np.savetxt(tmp_path / "t.csv", np.full((2, 2), 0.5), delimiter=",")
+    np.savetxt(tmp_path / "g.csv", np.zeros((2, 2)), delimiter=",")
+    env = {**os.environ, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
+    code = (
+        "import contextlib, io, sys\n"
+        "from uqi.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    for argv in (
+        ["image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv")],
+        ["sweep", "--T", "0.8", "--gamma", "0.5"],
+        ["sweep", "--T", "0.8", "--gamma", "0.5", "--shots", "1000"],
+    ):
+        subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True)
 
 
 def test_probabilities_reference_points(capsys):
@@ -309,7 +329,7 @@ def test_out_file_and_unwritable_path(tmp_path, capsys):
     assert code == 3
 
 
-def test_config_errors_exit_2(tmp_path, capsys):
+def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "probabilities", "--T", "1.4", "--phi", "0")
     assert code == 2
     code, _, err = run_cli(capsys, "probabilities", "--T", "0.5", "--shots", "-5")
@@ -339,15 +359,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("uqi: measurement phase must be finite")
-    # numpy's binomial cannot take 2**63 shots or more
-    for argv in (
-        ("sweep", "--T", "0.5", "--phi", "0,1,2"),
-        ("probabilities", "--T", "0.5", "--phi", "0"),
-        ("image", *maps),
-    ):
-        code, out, err = run_cli(capsys, *argv, "--shots", str(2**63))
-        assert (code, out) == (2, "")
-        assert err == f"uqi: shots must be below 2**63, got {2**63}\n"
+    # numpy's binomial cannot take 2**63 shots or more; the bound is checked
+    # before the engine runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("the engine ran before the shot count was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("uqi.cli.image_scan", no_work)
+        patch.setattr("uqi.cli.run_batch", no_work)
+        for argv in (
+            ("sweep", "--T", "0.5", "--phi", "0,1,2"),
+            ("probabilities", "--T", "0.5", "--phi", "0"),
+            ("image", *maps),
+        ):
+            for shots in (2**63, 2**70):
+                code, out, err = run_cli(capsys, *argv, "--shots", str(shots))
+                assert (code, out, err) == (2, "", f"uqi: shots must be below 2**63, got {shots}\n")
+    # phases equal after rounding to 12 digits are one setting
+    code, out, err = run_cli(capsys, "sweep", "--T", "0.5", "--phi", "0,1e-13,0")
+    assert (code, out, err) == (2, "", "uqi: duplicate phase values: cannot invert a single setting\n")
 
 
 def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys):
@@ -576,9 +606,13 @@ def _csv_cell_is_clean(cell: str) -> bool:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_other_argvs())
+# valid maps with a shot count numpy's binomial cannot take
+@example(["image", ("--t-map", "0.5,0.25\n"), ("--gamma-map", "0.1,2.0\n"), f"--shots={2**63}"])
+@example(["image", ("--t-map", "0.5,0.25\n"), ("--gamma-map", "0.1,2.0\n"), "--phi=0,1,2", f"--shots={2**70}"])
 def test_fuzzed_werner_chi_image_exit_cleanly(map_dir, argv):
     # each map option names a file written here, or a missing path, a directory
     # or a non-UTF-8 file
+    argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, tuple):
             option, content = arg

@@ -227,6 +227,10 @@ def test_estimate_rejects_single_phase():
         estimate_object([(0.0, 0.4), (0.0, 0.4)], method="two-point")
     with pytest.raises(ValueError):
         estimate_object([(0.0, 0.4), (0.0, 0.41), (0.0, 0.39)], method="least-squares")
+    # equal after rounding to 12 digits, or all NaN, is still a single setting
+    for phis in ([0.0, 1e-13, 0.0], [0.5, 0.5 + 4e-13, 0.5 - 4e-13], [np.nan] * 3):
+        with pytest.raises(ValueError, match="duplicate phase values"):
+            estimate_object([(p, 0.4) for p in phis], method="least-squares")
     with pytest.raises(ValueError):
         estimate_object([(0.0, 0.4), (np.pi / 2, 0.3)], method="least-squares")
     with pytest.raises(ValueError):
