@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -98,19 +98,44 @@ def _record(errors: np.ndarray, new) -> None:
     errors[pending] = np.asarray(new, dtype=object)[pending]
 
 
-def _settings(t, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """Flat float arrays of the n object settings ``(t[i], gamma[i])``."""
+def _engine_inputs(probe, t, gamma):
+    """One engine call's validated inputs: ``(probe, register, t, gamma)``.
+
+    ``probe`` stays the one :class:`DensityMatrix` every setting shares,
+    or becomes a tuple of one per setting, all on one register; ``t`` and
+    ``gamma`` become flat float arrays of the n settings.
+    """
     t = np.asarray(t, dtype=float).reshape(-1)
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     if t.shape != gamma.shape:
         raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
-    return t, gamma
+    if isinstance(probe, DensityMatrix):
+        return probe, probe.register, t, gamma
+    probe = tuple(probe)
+    if len(probe) != t.size or not probe:
+        raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
+    registers = {p.register for p in probe}
+    if len(registers) > 1:
+        raise ValueError(f"probes must share one register, got {len(registers)}")
+    return probe, probe[0].register, t, gamma
 
 
-def _stage_stacks(probe: DensityMatrix, m: np.ndarray | None, t: np.ndarray, gamma: np.ndarray):
+def _start_stack(probe, part: slice, n: int) -> np.ndarray:
+    """The ``(n, D, D)`` probe stack of the n settings in ``part``.
+
+    A shared probe is broadcast without a copy; per-setting probes stack
+    only the matrices of ``part``.
+    """
+    if isinstance(probe, DensityMatrix):
+        return np.broadcast_to(probe.mat, (n,) + probe.mat.shape)
+    return np.stack([p.mat for p in probe[part]])
+
+
+def _stage_stacks(start: np.ndarray, reg: Register, m: np.ndarray | None, t: np.ndarray, gamma: np.ndarray):
     """One engine pass over the n object settings of the float arrays ``t``, ``gamma``.
 
-    ``m`` is the mixer embedded on ``(i1, i2)``, or None to skip mixing.
+    ``start`` holds each setting's probe on ``reg``, and ``m`` is the mixer
+    embedded on ``(i1, i2)``, or None to skip mixing.
     Returns the post-object stack, the post-mixer stack (or None), the
     signal stack and each setting's first failed check (None if it passed).
     Every stage gets the checks of :class:`DensityMatrix`; a setting that
@@ -120,8 +145,6 @@ def _stage_stacks(probe: DensityMatrix, m: np.ndarray | None, t: np.ndarray, gam
     bad = ~np.equal(errors, None)
     kraus = object_kraus(np.where(bad, 1.0, t), fold_angles(np.where(bad, 0.0, gamma)))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
-    reg = probe.register
-    start = np.broadcast_to(probe.mat, (len(t),) + probe.mat.shape)
     post_object = apply_kraus_stack(start, kraus, ["i1"], reg)
     _record(errors, state_errors(post_object))
     rho, post_mixer = post_object, None
@@ -135,19 +158,8 @@ def _stage_stacks(probe: DensityMatrix, m: np.ndarray | None, t: np.ndarray, gam
     return post_object, post_mixer, signal, errors
 
 
-def _embedded_mixer(probe: DensityMatrix, mm: ModeMixer | None) -> np.ndarray | None:
-    return None if mm is None else _embed_on_idlers(mm.op.tobytes(), probe.register)
-
-
-@lru_cache(maxsize=8)
-def _embed_on_idlers(op: bytes, reg: Register) -> np.ndarray:
-    """The 4x4 complex operator with raw bytes ``op`` embedded on ``(i1, i2)``.
-
-    Cached, so a mixer that several engine calls share is embedded once.
-    """
-    m = embed(np.frombuffer(op, dtype=complex).reshape(4, 4), ["i1", "i2"], reg)
-    m.setflags(write=False)
-    return m
+def _embedded_mixer(reg: Register, mm: ModeMixer | None) -> np.ndarray | None:
+    return None if mm is None else embed(mm.op, ["i1", "i2"], reg)
 
 
 @dataclass(frozen=True)
@@ -167,14 +179,16 @@ class PipelineStages:
     errors: tuple[str | None, ...]
 
 
-def pipeline_stages(probe: DensityMatrix, mm: ModeMixer | None, t, gamma) -> PipelineStages:
+def pipeline_stages(probe, mm: ModeMixer | None, t, gamma) -> PipelineStages:
     """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
 
-    One engine pass over all n settings with the mixer embedded once: the
-    same stacks, checks and per-setting messages as in :func:`run_batch`.
+    ``probe`` is as in :func:`run_batch`.  One engine pass over all n
+    settings with the mixer embedded once: the same stacks, checks and
+    per-setting messages as in :func:`run_batch`.
     """
-    t, gamma = _settings(t, gamma)
-    post_object, post_mixer, signal, errors = _stage_stacks(probe, _embedded_mixer(probe, mm), t, gamma)
+    probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
+    start = _start_stack(probe, slice(None), t.size)
+    post_object, post_mixer, signal, errors = _stage_stacks(start, reg, _embedded_mixer(reg, mm), t, gamma)
     return PipelineStages(post_object, post_mixer, signal, tuple(errors))
 
 
@@ -191,28 +205,32 @@ class BatchReadout:
     errors: tuple[str | None, ...]
 
 
-def run_batch(probe: DensityMatrix, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
+def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
     """Object on i1, mixer on (i1, i2), discard the idlers, read out the signals.
 
-    ``t`` and ``gamma`` give the n object settings; ``readout`` is a
-    ``(..., 4, 4)`` stack of signal observables (e.g. from
-    :func:`measurement_stack`), and ``values`` has shape ``(n, ...)``.
+    ``t`` and ``gamma`` give the n object settings.  ``probe`` is one
+    :class:`DensityMatrix` for every setting, or a sequence of n on one
+    register, ``probe[i]`` for setting i; a pass stacks only its own
+    probes.  ``readout`` is a ``(..., 4, 4)`` stack of signal observables
+    (e.g. from :func:`measurement_stack`), and ``values`` has shape
+    ``(n, ...)``.
     Passing ``mm=None`` skips the mixing step, which destroys the
     interference: without indistinguishability the detectors see 1/2 each.
     The settings run in passes of :data:`BATCH_CHUNK`; each setting's
     result does not depend on the others or on the pass size.
     """
-    t, gamma = _settings(t, gamma)
+    probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     readout = np.asarray(readout)
     if readout.shape[-2:] != (4, 4):
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     flat = readout.reshape(-1, 16)
-    m = _embedded_mixer(probe, mm)
+    m = _embedded_mixer(reg, mm)
     values = np.empty((t.size,) + readout.shape[:-2])
     errors = np.full(t.size, None, dtype=object)
     for lo in range(0, t.size, BATCH_CHUNK):
         part = slice(lo, lo + BATCH_CHUNK)
-        _, _, signal, chunk_errors = _stage_stacks(probe, m, t[part], gamma[part])
+        start = _start_stack(probe, part, t[part].size)
+        _, _, signal, chunk_errors = _stage_stacks(start, reg, m, t[part], gamma[part])
         errors[part] = chunk_errors
         # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
         # setting's value does not depend on how many share its pass

@@ -270,18 +270,21 @@ def cmd_werner(args) -> int:
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
-    mm = mode_mixer()  # one mixer for every xi; run_batch reuses its embedding
+    probes = [prepare_werner(xi) for xi in xis]
+    # every xi x gamma setting in one engine call, xi outer
+    values = _readouts(
+        [p for p in probes for _ in gammas], mode_mixer(), np.full(len(probes) * gammas.size, t),
+        np.tile(gammas, len(probes)), pair0,
+    ).reshape(len(probes), gammas.size, 2)
+    ppt_mins = np.linalg.eigvalsh(np.stack([partial_transpose(p, ["s1", "i1"]) for p in probes]))[:, 0]
     recs = []
-    for xi in xis:
-        probe = prepare_werner(xi)
-        ph, pg = _readouts(probe, mm, np.full(gammas.size, t), gammas, pair0).T
+    for xi, ph, pg, ppt_min in zip(xis, values[..., 0], values[..., 1], ppt_mins.tolist()):
         coef, *_ = np.linalg.lstsq(design, ph, rcond=None)
         offset_raw, half_amp = float(coef[0]), float(coef[1])
         amplitude = 2.0 * abs(half_amp)
         clicks = ph + pg
         cond = ph / clicks
         coef_c, *_ = np.linalg.lstsq(design, cond, rcond=None)
-        ppt_min = float(np.linalg.eigvalsh(partial_transpose(probe, ["s1", "i1"]))[0])
         recs.append(
             (
                 xi,

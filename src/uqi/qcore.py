@@ -104,8 +104,8 @@ def state_errors(stack) -> np.ndarray:
     the block gives each state's verdict.
     """
     errors = np.full(len(stack), None, dtype=object)
-    nonzero = stack != 0
-    occupied = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
+    nonzero = (stack != 0).any(axis=0)  # entries non-zero in some state
+    occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block = stack[:, occupied[:, None], occupied]
     herm = np.zeros(len(stack))
     low = np.zeros(len(stack), dtype=bool)

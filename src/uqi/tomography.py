@@ -190,6 +190,12 @@ def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[:, :, None] * m * v[:, None, :]).sum(axis=(1, 2))
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])}")
+
+
 def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> dict:
     """Estimates for every row of ``ps`` (n sweeps over the shared phases ``phis``).
 
@@ -198,12 +204,13 @@ def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> di
     alone, so G is computed once.  With shots the covariance of ``(c, s)``
     is ``G diag(var y) G^T``.  Returns arrays ``t_hat``, ``gamma_hat``
     (NaN when degenerate), ``stderr_t``, ``stderr_gamma`` (NaN when not
-    defined) and ``degenerate``.  Raises ValueError for a phase set that
-    cannot be inverted.
+    defined) and ``degenerate``.  Raises ValueError for a non-finite phase
+    or a phase set that cannot be inverted.
     """
     if method == "two-point":
         if len(phis) < 2:
             raise ValueError("two-point inversion needs at least two phase points")
+        _check_finite(phis, "measurement phase")
         p1, p2 = phis[:2]
         if abs(normalize_angle(p1 - p2)) < 1e-12:
             raise ValueError("duplicate phase values: cannot invert a single setting")
@@ -220,6 +227,7 @@ def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> di
         rounded = np.round(phis, 12)
         if np.all(rounded == rounded[0]) or np.all(np.isnan(rounded)):
             raise ValueError("duplicate phase values: cannot invert a single setting")
+        _check_finite(phis, "measurement phase")
         # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
         design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
         if np.linalg.matrix_rank(design) < 3:
@@ -278,6 +286,7 @@ def estimate_object(probabilities, method: str = "least-squares", shots: int | N
     pts = [(float(p), float(v)) for p, v in probabilities]
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
+    _check_finite(ps, "detection probability")
     fit = _fit(phis, ps, method, shots)
     stderr_t, stderr_gamma = fit["stderr_t"][0], fit["stderr_gamma"][0]
     return ObjectEstimate(

@@ -16,7 +16,7 @@ from uqi.circuit import (
     prepare_werner,
     run_batch,
 )
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, basis_ket, embed
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed
 
 TOL = 1e-12
 
@@ -128,3 +128,57 @@ def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk)
         assert np.array_equal(batch.values[i], alone.values[0])
         ref = loop_reference_signal(probe, ts[i], gammas[i], mm)
         assert batch.values[i, 1] == pytest.approx(loop_readout(ref, 1.0), abs=TOL)
+
+
+def interleaved_probes():
+    """Werner probes and the singlet-idler probe, interleaved, with each setting's ``(T, gamma)``.
+
+    The singlet-idler probe at ``T = 1, gamma = 0`` loses the mixer's
+    normalization mid-pass, and one Werner setting carries a bad
+    transmission.
+    """
+    werner = [prepare_werner(xi) for xi in (0.0, 0.3, 2.0 / 3.0, 1.0)]
+    singlet = singlet_idler_probe()
+    probes = [werner[0], singlet, werner[1], werner[2], singlet, werner[3], werner[1], singlet, werner[0]]
+    ts = [0.4, 0.5, 0.9, 1.0, 1.0, 0.2, 1.5, 0.8, 0.0]
+    gammas = [0.3, -1.0, 2.0, 0.0, 0.0, -2.5, 0.1, 3.0, 1.0]
+    return probes, ts, gammas
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 64])
+def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
+    monkeypatch.setattr(circuit, "BATCH_CHUNK", chunk)
+    probes, ts, gammas = interleaved_probes()
+    mm, stack = mode_mixer(), measurement_stack([0.0, 1.0, -2.0])
+    batch = run_batch(probes, mm, ts, gammas, stack)
+    stages = pipeline_stages(probes, mm, ts, gammas)
+    assert batch.errors[4] == stages.errors[4] == MIXER_VANISHED
+    assert batch.errors[6] == "transmission must lie in [0, 1], got 1.5"
+    assert sum(e is not None for e in batch.errors) == 2
+    assert stages.errors == batch.errors
+    for probe in {id(p): p for p in probes}.values():
+        rows = [i for i, p in enumerate(probes) if p is probe]
+        sub_t, sub_gamma = [ts[i] for i in rows], [gammas[i] for i in rows]
+        alone = run_batch(probe, mm, sub_t, sub_gamma, stack)
+        assert np.array_equal(batch.values[rows], alone.values, equal_nan=True)
+        assert tuple(batch.errors[i] for i in rows) == alone.errors
+        alone_stages = pipeline_stages(probe, mm, sub_t, sub_gamma)
+        for name in ("post_object", "post_mixer", "signal"):
+            assert np.array_equal(getattr(stages, name)[rows], getattr(alone_stages, name))
+        assert tuple(stages.errors[i] for i in rows) == alone_stages.errors
+
+
+def test_per_setting_probes_are_validated():
+    probes, ts, gammas = interleaved_probes()
+    mm, stack = mode_mixer(), measurement_stack([0.0])
+    other = DensityMatrix(prepare_probe().mat, Register(("s1", "i2", "i1", "s2")))
+    for call in (
+        lambda probes, ts, gammas: run_batch(probes, mm, ts, gammas, stack),
+        lambda probes, ts, gammas: pipeline_stages(probes, mm, ts, gammas),
+    ):
+        with pytest.raises(ValueError, match="one probe per setting"):
+            call(probes[:-1], ts, gammas)
+        with pytest.raises(ValueError, match="one probe per setting"):
+            call([], [], [])
+        with pytest.raises(ValueError, match="one register"):
+            call(probes[:-1] + [other], ts, gammas)

@@ -60,6 +60,13 @@ def _write_scale_maps(tmp_path):
     return "--t-map", paths[0], "--gamma-map", paths[1]
 
 
+def _scale_xis() -> str:
+    """61 seeded xi in [0, 1], unsorted, with 0, the separability bound 2/3 and 1 among them."""
+    inner = np.random.default_rng(61).uniform(0.0, 1.0, size=58).tolist()
+    xis = inner[:20] + [0.0] + inner[20:40] + [2.0 / 3.0] + inner[40:] + [1.0]
+    return ",".join(map(repr, xis))
+
+
 # sha256 of stdout, written by the argument vectors on a known-good commit
 SCALE_CASES = {
     "image-shots-64x64": (
@@ -72,6 +79,11 @@ SCALE_CASES = {
             "--shots", "100000", "--seed", "601",
         ),
         "8807a7cf82df6995d375393a11143976c91808e75f8efaa3f63b72f9f9c48c0c",
+    ),
+    # 61 xi x 24 gamma settings: engine passes straddle the xi boundaries
+    "werner-61-xi": (
+        lambda tmp_path: ("werner", "--xi", _scale_xis(), "--T", "0.83"),
+        "e0a1ec8de7e8c22a388feea7d221f766c23ab9ec5eeb75201dee1816609707c2",
     ),
 }
 

@@ -243,6 +243,17 @@ def test_estimate_rejects_single_phase():
         estimate_object(sweep_points(0.5, 0.5, [0.0, np.pi / 2]), method="bogus")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["two-point", "least-squares"])
+def test_estimate_rejects_non_finite_input(method, bad):
+    with pytest.raises(ValueError, match=f"measurement phase must be finite, got {bad}"):
+        estimate_object([(0.0, 0.5), (bad, 0.5), (bad, 0.5)], method=method)
+    with pytest.raises(ValueError, match=f"measurement phase must be finite, got {bad}"):
+        estimate_object([(bad, 0.5), (0.0, 0.5), (1.0, 0.5)], method=method, shots=100)
+    with pytest.raises(ValueError, match=f"detection probability must be finite, got {bad}"):
+        estimate_object([(0.0, 0.5), (1.0, bad), (2.0, 0.5)], method=method)
+
+
 def test_estimate_two_point_generic_phase_pair():
     t, g = 0.62, -2.3
     est = estimate_object(sweep_points(t, g, [0.3, 1.1]), method="two-point")
@@ -446,6 +457,17 @@ def test_image_scan_records_pixel_errors_without_aborting():
     assert not scan.ok
     assert len(scan.errors) == 4
     assert np.all(np.isnan(scan.t_hat))
+
+
+@pytest.mark.parametrize("method", ["auto", "least-squares"])
+def test_image_scan_rejects_non_finite_phase_for_every_pixel(method):
+    maps = ImageMaps(np.full((2, 3), 0.5), np.zeros((2, 3)))
+    phis = [0.0, np.nan] if method == "auto" else [0.0, 1.0, np.nan]
+    scan = image_scan(maps, phis, method=method)
+    assert not scan.ok
+    assert [e for *_, e in scan.errors] == ["measurement phase must be finite, got nan"] * 6
+    for grid in (scan.t_hat, scan.gamma_hat, scan.stderr_t, scan.stderr_gamma):
+        assert grid.shape == (2, 3) and np.all(np.isnan(grid))
 
 
 def test_image_scan_degenerate_pixels_flagged():
