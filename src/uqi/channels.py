@@ -19,7 +19,6 @@ to a fixed state ``|Xi>``, the rest of the two-wire space is untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .qcore import (
     PAULI,
     PSD_SLACK,
     Register,
+    _value_class,
     as_complex_matrix,
 )
 
@@ -67,7 +67,7 @@ def object_param_errors(t, gamma) -> np.ndarray:
     return errors
 
 
-@dataclass(frozen=True)
+@_value_class
 class ObjectParams:
     """Transmission amplitude ``t`` in [0, 1] and a finite phase ``gamma`` in radians."""
 
@@ -92,7 +92,7 @@ def tp_deviation(kraus) -> np.ndarray:
     return np.abs(total - np.eye(kraus.shape[-1])).max(axis=(1, 2))
 
 
-@dataclass(frozen=True)
+@_value_class
 class KrausChannel:
     """Completely positive trace-preserving map as a list of Kraus operators.
 
@@ -180,7 +180,7 @@ def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
     return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
 
 
-@dataclass(frozen=True)
+@_value_class
 class ChiMatrix:
     """Process matrix in the normalized Pauli basis ``sigma_alpha / sqrt(2)``.
 
@@ -268,15 +268,15 @@ def default_xi() -> np.ndarray:
     return np.kron(minus, plus)
 
 
-@dataclass(frozen=True)
+@_value_class
 class ModeMixer:
     """Two-wire operator sending both ``|01>`` and ``|10>`` to ``|Xi>``.
 
-    ``|00>`` and ``|11>`` are left untouched.
+    ``|00>`` and ``|11>`` are left untouched.  ``op`` is that 4x4
+    operator, derived from ``xi`` at construction.
     """
 
     xi: np.ndarray
-    op: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.xi, dtype=complex).reshape(-1)

@@ -20,7 +20,6 @@ inspection.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -42,6 +41,7 @@ from .qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,
     Register,
+    _value_class,
     basis_ket,
     embed,
     partial_trace_stack,
@@ -162,7 +162,7 @@ def _embedded_mixer(reg: Register, mm: ModeMixer | None) -> np.ndarray | None:
     return None if mm is None else embed(mm.op, ["i1", "i2"], reg)
 
 
-@dataclass(frozen=True)
+@_value_class
 class PipelineStages:
     """The stage stacks of n object settings, from :func:`pipeline_stages`.
 
@@ -192,7 +192,7 @@ def pipeline_stages(probe, mm: ModeMixer | None, t, gamma) -> PipelineStages:
     return PipelineStages(post_object, post_mixer, signal, tuple(errors))
 
 
-@dataclass(frozen=True)
+@_value_class
 class BatchReadout:
     """Readouts of n object settings from :func:`run_batch`.
 

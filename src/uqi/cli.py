@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 import warnings
@@ -95,6 +94,8 @@ def _write_output(names, columns, config, args) -> None:
     """Write the table whose column ``names[i]`` holds the values ``columns[i]``."""
     seed = getattr(args, "seed", None)
     if args.format == "json":
+        import json  # loaded only for JSON output
+
         doc = {
             "config": config,
             "results": [dict(zip(names, row)) for row in zip(*columns)],

@@ -7,14 +7,12 @@ acts inside :func:`uqi.circuit.measurement_stack`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .qcore import ATOL, DensityMatrix, as_complex_matrix, embed
+from .qcore import ATOL, DensityMatrix, _value_class, as_complex_matrix, embed
 
 
-@dataclass(frozen=True)
+@_value_class
 class Gate:
     name: str
     matrix: np.ndarray

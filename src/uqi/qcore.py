@@ -18,7 +18,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,59 @@ def as_complex_matrix(m) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _value_class(cls):
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    The fields are the names annotated in the class body, in order; a class
+    attribute of the same name is that field's default.  ``__init__`` takes
+    the fields positionally or by keyword, stores them and then calls
+    ``__post_init__``, if the class has one, which may check them and
+    replace their values through ``object.__setattr__``.  Equality, hash
+    and repr are those of the tuple of field values.  Assigning or deleting
+    any attribute raises ``AttributeError``.  Unlike a frozen dataclass,
+    this compiles no code when the class is defined.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        values = {**defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+            raise TypeError(
+                f"{cls.__name__}() takes the fields {names}, got {len(args)} positional "
+                f"argument(s) and the keyword(s) {sorted(kwargs)}"
+            )
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        return fields(self) == fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, fields(self)))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {cls.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {cls.__name__} is immutable")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@_value_class
 class Register:
     """Ordered collection of uniquely labeled wires."""
 
@@ -157,7 +208,7 @@ def embed(op, targets, reg: Register) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(reg.dim, reg.dim))
 
 
-@dataclass(frozen=True)
+@_value_class
 class DensityMatrix:
     """Positive, unit-trace operator on a labeled register.
 

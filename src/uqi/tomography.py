@@ -14,13 +14,11 @@ inverts the two object parameters from the sinusoid
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import KrausChannel, ModeMixer, fold_angles, mode_mixer, normalize_angle
 from .circuit import measurement_stack, prepare_probe, run_batch, sample_frequencies
-from .qcore import DensityMatrix
+from .qcore import DensityMatrix, _value_class
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
@@ -28,7 +26,7 @@ _GROUP_RTOL = 1e-10
 _RANK_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@_value_class
 class SchmidtData:
     """Operator-Schmidt triple ``{r_l, A_l, B_l}`` of a bipartite state.
 
@@ -167,7 +165,7 @@ def aapt_predict(sd: SchmidtData, ch: KrausChannel, post: ModeMixer | None = Non
     return out
 
 
-@dataclass(frozen=True)
+@_value_class
 class ObjectEstimate:
     """Recovered object parameters with optional shot-noise uncertainty.
 
@@ -312,7 +310,7 @@ def visibility(p_series) -> float:
     return (hi - lo) / (hi + lo)
 
 
-@dataclass(frozen=True)
+@_value_class
 class ImageMaps:
     """Ground-truth transmission and phase grids of the scanned object."""
 
@@ -348,7 +346,7 @@ class ImageMaps:
         return self.t_map.shape[1]
 
 
-@dataclass(frozen=True)
+@_value_class
 class ScanResult:
     """Per-pixel estimates; failed pixels carry NaN and an error message."""
 

@@ -31,10 +31,15 @@ def parse_csv(text):
 
 
 def test_cli_import_does_not_load_numpy_random():
-    # numpy.random costs 11-15 ms to import, which every command would pay at
-    # start-up; the shot sampler imports it on first use
+    # every command would pay these at start-up: numpy.random costs 11-15 ms
+    # (the shot sampler imports it on first use), dataclasses about 1 ms per
+    # frozen class it builds, and json is needed only for --format json
     env = {**os.environ, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
-    code = "import uqi.cli, sys; assert 'numpy.random' not in sys.modules"
+    code = (
+        "import uqi.cli, sys\n"
+        "loaded = {'numpy.random', 'dataclasses', 'json'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
@@ -46,12 +51,20 @@ def test_cli_runs_do_not_load_numpy_ma(tmp_path):
     code = (
         "import contextlib, io, sys\n"
         "from uqi.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
         "    assert main(sys.argv[1:]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
+        "if '--format' in sys.argv:\n"
+        "    import json\n"
+        "    assert json.loads(out.getvalue())['results']\n"
+        "else:\n"
+        "    assert 'json' not in sys.modules\n"
     )
+    image = ["image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv")]
     for argv in (
-        ["image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv")],
+        image,
+        [*image, "--format", "json"],
         ["sweep", "--T", "0.8", "--gamma", "0.5"],
         ["sweep", "--T", "0.8", "--gamma", "0.5", "--shots", "1000"],
     ):

@@ -9,8 +9,8 @@ from uqi.channels import (
     object_channel,
 )
 from uqi import circuit
-from uqi.circuit import pipeline_stages, prepare_probe, sample_frequencies
-from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed
+from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner, sample_frequencies
+from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed, partial_trace_stack
 from uqi.tomography import (
     ImageMaps,
     SchmidtData,
@@ -184,6 +184,61 @@ def test_aapt_predict_quadratures_with_explicit_basis():
     for i, b in enumerate(sd.b_ops):
         direct = np.trace(b.conj().T @ sig)
         assert got[i] == pytest.approx(direct, abs=ATOL)
+
+
+def pauli_process_signals(probe):
+    """``out[a, b]``: the unnormalized signal of the process ``X -> sigma_a X sigma_b`` on i1.
+
+    The process acts on the probe's i1, the mixer follows as ``M rho M^†``
+    without renormalizing (so the map stays linear), and the idlers are
+    traced out.  Shape ``(4, 4, 4, 4)``, Paulis in ``IXYZ`` order.
+    """
+    reg = probe.register
+    sigma = [embed(PAULI[k], ["i1"], reg) for k in "IXYZ"]
+    m = embed(mode_mixer().op, ["i1", "i2"], reg)
+    stack = np.stack([m @ sa @ probe.mat @ sb @ m.conj().T for sa in sigma for sb in sigma])
+    return partial_trace_stack(stack, reg, ["s1", "s2"]).reshape(4, 4, 4, 4)
+
+
+def tp_hp_process_directions():
+    """A basis of the 12 real directions of trace-preserving, Hermiticity-preserving qubit processes.
+
+    A process ``X -> sum_ab c_ab sigma_a X sigma_b`` preserves Hermiticity
+    when ``c`` is Hermitian (16 real parameters) and trace when
+    ``sum_ab c_ab sigma_b sigma_a = I``; the directions along which it
+    stays trace preserving are the null space of that 4-real condition.
+    """
+    units = []
+    for a in range(4):
+        for b in range(a, 4):
+            e = np.zeros((4, 4), dtype=complex)
+            e[a, b] = 1.0
+            units += [e] if a == b else [e + e.T, 1j * (e - e.T)]
+    paulis = [PAULI[k] for k in "IXYZ"]
+    trace_part = []
+    for c in units:
+        t = sum(c[a, b] * paulis[b] @ paulis[a] for a in range(4) for b in range(4))
+        trace_part.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
+    _, sv, vh = np.linalg.svd(np.array(trace_part).T)
+    null = vh[np.count_nonzero(sv > 1e-12):]
+    return np.einsum("kj,jab->kab", null, np.array(units))
+
+
+@pytest.mark.parametrize("probe, real_rank, complex_rank", [
+    (prepare_probe(), 4, 4),
+    (prepare_werner(0.3), 4, 6),
+], ids=["bell", "werner-0.3"])
+def test_partial_aapt_rank(probe, real_rank, complex_rank):
+    # imaging with undetected photons is a partial ancilla-assisted process
+    # tomography: of the 12 real parameters of a general qubit process on
+    # i1, the signals after the mixer see only real_rank combinations
+    sig = pauli_process_signals(probe)
+    directions = tp_hp_process_directions()
+    assert directions.shape == (12, 4, 4)
+    signals = np.einsum("kab,abij->kij", directions, sig)
+    real_map = np.concatenate([signals.real, signals.imag], axis=1).reshape(12, -1)
+    assert np.linalg.matrix_rank(real_map) == real_rank
+    assert np.linalg.matrix_rank(sig.reshape(16, 16)) == complex_rank
 
 
 def test_aapt_predict_dimension_check():
