@@ -261,41 +261,24 @@ def choi_psd_check(channel, dim: int | None = None) -> tuple[bool, float]:
     return min_eig >= -PSD_SLACK, min_eig
 
 
-def default_xi() -> np.ndarray:
-    """The mixer target state ``|Xi> = |-> (x) |+>`` on the two idler wires."""
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    return np.kron(minus, plus)
-
-
 @_value_class
 class ModeMixer:
-    """Two-wire operator sending both ``|01>`` and ``|10>`` to ``|Xi>``.
+    """Two-wire operator sending both ``|01>`` and ``|10>`` to ``|Xi> = |-> (x) |+>``.
 
-    ``|00>`` and ``|11>`` are left untouched.  ``op`` is that 4x4
-    operator, derived from ``xi`` at construction.
+    ``|00>`` and ``|11>`` are left untouched.  ``xi`` and its 4x4 operator
+    ``op`` are fixed, read-only and shared by every instance: the signal
+    state, hence every readout, is the same for any unit ``|Xi>``.
     """
 
-    xi: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.xi, dtype=complex).reshape(-1)
-        if v.shape != (4,):
-            raise ValueError("xi must be a 4-component vector on the two idler wires")
-        if abs(np.linalg.norm(v) - 1.0) > ATOL:
-            raise ValueError("xi must be a unit vector")
-        v = v.copy()
-        v.setflags(write=False)
-        e = np.eye(4, dtype=complex)
-        m = np.outer(v, e[1] + e[2]) + np.outer(e[0], e[0]) + np.outer(e[3], e[3])
-        m.setflags(write=False)
-        object.__setattr__(self, "xi", v)
-        object.__setattr__(self, "op", m)
+    xi = np.kron(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2), np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
+    op = np.outer(xi, [0, 1, 1, 0]) + np.diag([1, 0, 0, 1])
+    xi.setflags(write=False)
+    op.setflags(write=False)
 
 
-def mode_mixer(xi=None) -> ModeMixer:
-    """Build a mode mixer; defaults to the ``|Xi> = |-+>`` target state."""
-    return ModeMixer(default_xi() if xi is None else xi)
+def mode_mixer() -> ModeMixer:
+    """The mode mixer, with its ``|Xi> = |-+>`` target state."""
+    return ModeMixer()
 
 
 MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"

@@ -262,16 +262,13 @@ _WERNER_GAMMA_POINTS = 24
 
 def cmd_werner(args) -> int:
     xis = _float_list(args.xi, "xi")
-    for xi in xis:
-        if not 0.0 <= xi <= 1.0:
-            raise ConfigError(f"xi must lie in [0, 1], got {xi}")
+    probes = [prepare_werner(xi) for xi in xis]  # rejects any xi outside [0, 1]
     t = args.T
     if not 0.0 <= t <= 1.0:
         raise ConfigError(f"T must lie in [0, 1], got {t}")
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
-    probes = [prepare_werner(xi) for xi in xis]
     # every xi x gamma setting in one engine call, xi outer
     values = _readouts(
         [p for p in probes for _ in gammas], mode_mixer(), np.full(len(probes) * gammas.size, t),

@@ -48,6 +48,19 @@ def as_complex_matrix(m) -> np.ndarray:
     return out
 
 
+def _same_value(a, b) -> bool:
+    """Field equality of value classes: arrays, also inside tuples, by value.
+
+    NaN equals NaN in float arrays, where it marks a missing value (an
+    analytic scan's standard errors).
+    """
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=a.dtype.kind in "fc" and b.dtype.kind in "fc")
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b
+
+
 def _value_class(cls):
     """Make ``cls`` an immutable value class over its annotated fields.
 
@@ -55,10 +68,11 @@ def _value_class(cls):
     attribute of the same name is that field's default.  ``__init__`` takes
     the fields positionally or by keyword, stores them and then calls
     ``__post_init__``, if the class has one, which may check them and
-    replace their values through ``object.__setattr__``.  Equality, hash
-    and repr are those of the tuple of field values.  Assigning or deleting
-    any attribute raises ``AttributeError``.  Unlike a frozen dataclass,
-    this compiles no code when the class is defined.
+    replace their values through ``object.__setattr__``.  Hash and repr
+    are those of the tuple of field values, so a record holding an array
+    is unhashable; equality compares the fields by :func:`_same_value`.
+    Assigning or deleting any attribute raises ``AttributeError``.  Unlike
+    a frozen dataclass, this compiles no code when the class is defined.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -81,7 +95,7 @@ def _value_class(cls):
         return tuple(getattr(self, name) for name in names)
 
     def __eq__(self, other):
-        return fields(self) == fields(other) if other.__class__ is self.__class__ else NotImplemented
+        return _same_value(fields(self), fields(other)) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
         return hash(fields(self))

@@ -10,7 +10,6 @@ from uqi.channels import (
     chi_matrix,
     choi_matrix,
     choi_psd_check,
-    default_xi,
     identity_channel,
     mix_stack,
     mode_mixer,
@@ -18,8 +17,8 @@ from uqi.channels import (
     object_channel,
     object_kraus,
 )
-from uqi.circuit import pipeline_stages, prepare_probe
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed
+from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed, partial_trace_stack
 
 ATOL = 1e-12
 
@@ -254,12 +253,26 @@ def test_mode_mixer_mapping():
 
 def test_mode_mixer_default_target_state():
     want = np.kron([1, -1], [1, 1]).astype(complex) / 2  # |-> (x) |+>
-    assert np.allclose(default_xi(), want, atol=ATOL)
+    assert np.allclose(mode_mixer().xi, want, atol=ATOL)
 
 
-def test_mode_mixer_rejects_non_unit_xi():
-    with pytest.raises(ValueError):
-        mode_mixer(np.array([1.0, 1.0, 0.0, 0.0]))
+@pytest.mark.parametrize("werner_xi", [None, 0.3, 2 / 3], ids=["bell", "werner-0.3", "werner-2/3"])
+def test_signal_does_not_depend_on_mixer_target_state(werner_xi):
+    # every readout comes from the signal, and Tr_idlers[M rho M^†] only
+    # sees |Xi> through <Xi|Xi> = 1, so any unit target gives one signal
+    probe = prepare_probe() if werner_xi is None else prepare_werner(werner_xi)
+    rng = np.random.default_rng(20)
+    t, gamma = rng.uniform(0.0, 1.0, 50), rng.uniform(-np.pi, np.pi, 50)
+    stages = pipeline_stages(probe, mode_mixer(), t, gamma)
+    reg, e = probe.register, np.eye(4)
+    for _ in range(20):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        m = np.outer(v, e[1] + e[2]) + np.outer(e[0], e[0]) + np.outer(e[3], e[3])
+        mixed, vanished = mix_stack(stages.post_object, embed(m, ["i1", "i2"], reg))
+        assert not vanished.any()
+        signal = partial_trace_stack(mixed, reg, ["s1", "s2"])
+        assert np.max(np.abs(signal - stages.signal)) <= 1e-15
 
 
 def test_apply_mode_mixer_on_post_object_state():

@@ -215,9 +215,10 @@ def test_werner_default_transmission_is_unity(capsys):
 
 
 def test_werner_rejects_bad_xi(capsys):
-    code, _, err = run_cli(capsys, "werner", "--xi", "0,1.5")
+    code, out, err = run_cli(capsys, "werner", "--xi", "0,1.5")
     assert code == 2
-    assert err != ""
+    assert out == ""
+    assert err == "uqi: xi must lie in [0, 1], got 1.5\n"
 
 
 def test_chi_identity_single_entry(capsys):

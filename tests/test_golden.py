@@ -27,9 +27,12 @@ CASES = {
         "sweep", "--T", "0.7", "--gamma", "1.2", "--phi-points", "8", "--shots", "2000",
         "--seed", "5", "--format", "json",
     ),
+    "probabilities-analytic": ("probabilities", "--T", "0.3,0.8", "--gamma", "0.5", "--phi-points", "3"),
+    "sweep-two-point": ("sweep", "--T", "0.7", "--gamma", "1.2", "--phi", "0,1.5707963267948966"),
     "image-analytic": ("image", *MAPS),
     "image-shots": ("image", *MAPS, "--shots", "1000", "--seed", "3"),
     "werner": ("werner",),
+    "werner-json": ("werner", "--T", "0.8", "--xi", "0,0.3,0.6666666666666666,1", "--format", "json"),
     "probe": ("probe",),
     "chi": ("chi", "--T", "0.6", "--gamma", "0.3"),
     "schmidt": ("schmidt", "--format", "json"),

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, chi_matrix, mode_mixer, object_channel
-from uqi.circuit import BatchReadout, PipelineStages, measurement_stack, pipeline_stages, prepare_probe, run_batch
+from uqi.circuit import (
+    BatchReadout,
+    PipelineStages,
+    measurement_stack,
+    pipeline_stages,
+    prepare_probe,
+    prepare_werner,
+    run_batch,
+)
 from uqi.gates import Gate, hadamard
 from uqi.qcore import DEFAULT_WIRES, DensityMatrix, Register
 from uqi.tomography import (
@@ -29,7 +37,7 @@ VALUE_CLASSES = [
     (ObjectParams, lambda: ObjectParams(0.5, 0.3), ("t", "gamma")),
     (KrausChannel, lambda: object_channel(ObjectParams(0.5, 0.3)), ("kraus_ops",)),
     (ChiMatrix, lambda: chi_matrix(object_channel(ObjectParams(0.5, 0.3))), ("entries",)),
-    (ModeMixer, mode_mixer, ("xi",)),
+    (ModeMixer, mode_mixer, ()),
     (
         PipelineStages,
         lambda: pipeline_stages(prepare_probe(), mode_mixer(), [0.5], [0.3]),
@@ -65,6 +73,7 @@ VALUE_CLASSES = [
 def test_value_class_is_immutable_and_repr_names_its_fields(cls, make, fields):
     obj = make()
     assert type(obj) is cls
+    assert (obj == make()) is True
     text = repr(obj)
     assert text.startswith(f"{cls.__name__}(")
     at = [text.index(f"{name}=") for name in fields]
@@ -110,12 +119,50 @@ def test_register_equality_and_hash_follow_wires():
     assert Register(("s1", "i1")) != ("s1", "i1")
 
 
-def test_mode_mixer_op_is_derived_not_an_argument():
+def test_mode_mixer_is_fixed_and_shared():
     mm = mode_mixer()
+    assert mm == ModeMixer() and hash(mm) == hash(ModeMixer())
+    assert repr(mm) == "ModeMixer()"
     with pytest.raises(TypeError):
-        ModeMixer(mm.xi, op=mm.op)
+        ModeMixer(mm.xi)
+    with pytest.raises(TypeError):
+        ModeMixer(op=mm.op)
     with pytest.raises(AttributeError):
         mm.op = np.eye(4)
+    with pytest.raises(AttributeError):
+        mm.xi = np.zeros(4)
+    assert mm.xi is ModeMixer().xi and mm.op is ModeMixer().op
+    # the 1/sqrt(2) kets' product, not an exact 1/2: the golden output depends on it
+    assert np.array_equal(mm.xi, 0.4999999999999999 * np.array([1, 1, -1, -1]))
     e = np.eye(4)
     assert np.array_equal(mm.op, np.outer(mm.xi, e[1] + e[2]) + np.outer(e[0], e[0]) + np.outer(e[3], e[3]))
-    assert not mm.op.flags.writeable
+    assert not mm.xi.flags.writeable and not mm.op.flags.writeable
+
+
+def _batch(t):
+    return run_batch(prepare_probe(), mode_mixer(), [t], [0.3], measurement_stack([0.0]))
+
+
+# equal and unequal instances of the classes that hold arrays, or tuples of arrays
+ARRAY_RECORDS = [
+    (lambda: prepare_werner(0.1), lambda: prepare_werner(0.2)),
+    (lambda: object_channel(ObjectParams(0.5, 0.3)), lambda: object_channel(ObjectParams(0.5, 0.4))),
+    (
+        lambda: chi_matrix(object_channel(ObjectParams(0.5, 0.3))),
+        lambda: chi_matrix(object_channel(ObjectParams(0.6, 0.3))),
+    ),
+    (lambda: _batch(0.5), lambda: _batch(0.6)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, make_other", ARRAY_RECORDS, ids=["DensityMatrix", "KrausChannel", "ChiMatrix", "BatchReadout"]
+)
+def test_records_holding_arrays_compare_by_value(make, make_other):
+    a, b, c = make(), make(), make_other()
+    assert a is not b
+    assert (a == b) is True and (a != b) is False
+    assert (a == c) is False and (a != c) is True
+    assert a != object()
+    with pytest.raises(TypeError):
+        hash(a)
