@@ -131,14 +131,6 @@ class KrausChannel:
             out += k @ mat @ k.conj().T
         return out
 
-    def tensor(self, other: "KrausChannel") -> "KrausChannel":
-        """Parallel composition ``E (x) F`` (Kraus products)."""
-        return KrausChannel(tuple(np.kron(a, b) for a in self.kraus_ops for b in other.kraus_ops))
-
-
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
-
 
 def object_kraus(t, gamma) -> np.ndarray:
     """``(n, 2, 2, 2)`` stack of the Kraus pairs ``(K0, K1)`` of n object settings.
@@ -266,8 +258,12 @@ class ModeMixer:
     """Two-wire operator sending both ``|01>`` and ``|10>`` to ``|Xi> = |-> (x) |+>``.
 
     ``|00>`` and ``|11>`` are left untouched.  ``xi`` and its 4x4 operator
-    ``op`` are fixed, read-only and shared by every instance: the signal
-    state, hence every readout, is the same for any unit ``|Xi>``.
+    ``op`` are fixed, read-only and shared by every instance.  The signal
+    state sees ``|Xi>`` only through ``M^†M``, where ``<00|Xi>`` and
+    ``<11|Xi>`` couple the idler sectors ``{01, 10}`` and ``{00, 11}``.  So
+    when the post-object state has no coherence between those sectors, as
+    for the Bell and Werner probes, every readout is the same for any unit
+    ``|Xi>``; for other probes it need not be.
     """
 
     xi = np.kron(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2), np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))

@@ -114,9 +114,10 @@ def _engine_inputs(probe, t, gamma):
     probe = tuple(probe)
     if len(probe) != t.size or not probe:
         raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
-    registers = {p.register for p in probe}
-    if len(registers) > 1:
-        raise ValueError(f"probes must share one register, got {len(registers)}")
+    first = probe[0].register
+    # identity first: the probes of one call usually share one Register object
+    if any(p.register is not first and p.register != first for p in probe):
+        raise ValueError(f"probes must share one register, got {len({p.register for p in probe})}")
     return probe, probe[0].register, t, gamma
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 import warnings
 
@@ -108,6 +109,8 @@ def _write_output(names, columns, config, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    elif sys.stdout is None:  # the process was started with stdout closed
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -457,7 +460,31 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """Run ``main`` on the command line, flush stdout and stderr, and end the process.
+
+    ``os._exit`` skips the interpreter's teardown (atexit handlers, the final
+    garbage collections, unloading numpy), which costs a short ``uqi`` run
+    about a tenth of its wall time.  The exit code is ``main``'s, or
+    argparse's for ``--version``, ``-h`` and usage errors; output that cannot
+    be flushed to stdout is an I/O error, exit code 3, as in ``main``.  An
+    exception other than ``SystemExit`` propagates with a normal exit.
+    """
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        if sys.stdout is not None:  # a closed stdout has nothing buffered
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"uqi: {exc}", file=sys.stderr)
+        code = 3
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ PUBLIC = [
     "embed",
     "estimate_object",
     "hadamard",
-    "identity_channel",
     "image_scan",
     "measurement_stack",
     "mode_mixer",
@@ -62,6 +61,7 @@ REMOVED = [
     "cz",
     "detection_probabilities",
     "hermitian_eigenvalues",
+    "identity_channel",
     "kron",
     "measurement_pair",
     "partial_trace",

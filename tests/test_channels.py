@@ -10,14 +10,13 @@ from uqi.channels import (
     chi_matrix,
     choi_matrix,
     choi_psd_check,
-    identity_channel,
     mix_stack,
     mode_mixer,
     normalize_angle,
     object_channel,
     object_kraus,
 )
-from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner
+from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, prepare_werner
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed, partial_trace_stack
 
 ATOL = 1e-12
@@ -109,7 +108,7 @@ def test_kraus_channel_rejects_non_trace_preserving():
 def test_apply_channel_identity():
     rng = np.random.default_rng(4)
     rho = random_density_matrix(rng, DEFAULT_REGISTER)
-    kraus = np.stack(identity_channel().kraus_ops)[None]
+    kraus = np.eye(2, dtype=complex)[None, None]
     out = apply_kraus_stack(rho.mat[None], kraus, ["i1"], DEFAULT_REGISTER)
     assert np.allclose(out[0], rho.mat, atol=ATOL)
 
@@ -120,9 +119,9 @@ def test_apply_channel_dimension_mismatch():
     with pytest.raises(ValueError, match="channel dimension 2 does not match 2 target wire"):
         apply_kraus_stack(rho.mat[None], object_kraus([0.3], [1.0]), ["i1", "i2"], DEFAULT_REGISTER)
     with pytest.raises(ValueError):
-        identity_channel(2).apply(rho.mat)
+        KrausChannel((np.eye(2, dtype=complex),)).apply(rho.mat)
     with pytest.raises(ValueError):
-        identity_channel(4).apply(np.eye(2))
+        KrausChannel((np.eye(4, dtype=complex),)).apply(np.eye(2))
 
 
 def test_object_on_probe_reproduces_intermediate_state():
@@ -151,7 +150,7 @@ def test_trace_preserved_through_apply_channel():
 
 
 def test_chi_identity_channel():
-    chi = chi_matrix(identity_channel())
+    chi = chi_matrix(KrausChannel((np.eye(2, dtype=complex),)))
     want = np.zeros((4, 4))
     want[0, 0] = 2.0
     assert np.allclose(chi.entries, want, atol=ATOL)
@@ -196,7 +195,7 @@ def test_chi_roundtrip_reproduces_channel_on_basis():
 
 def test_chi_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        chi_matrix(identity_channel(4))
+        chi_matrix(KrausChannel((np.eye(4, dtype=complex),)))
 
 
 def test_chi_matrix_validation():
@@ -205,10 +204,11 @@ def test_chi_matrix_validation():
 
 
 def test_choi_identity_is_rank_one():
-    ok, min_eig = choi_psd_check(identity_channel())
+    identity = KrausChannel((np.eye(2, dtype=complex),))
+    ok, min_eig = choi_psd_check(identity)
     assert ok
     assert abs(min_eig) < 1e-10
-    c = choi_matrix(identity_channel())
+    c = choi_matrix(identity)
     eigs = np.linalg.eigvalsh(c)
     assert abs(eigs[-1] - 2.0) < ATOL  # single eigenvalue d = 2
 
@@ -258,21 +258,62 @@ def test_mode_mixer_default_target_state():
 
 @pytest.mark.parametrize("werner_xi", [None, 0.3, 2 / 3], ids=["bell", "werner-0.3", "werner-2/3"])
 def test_signal_does_not_depend_on_mixer_target_state(werner_xi):
-    # every readout comes from the signal, and Tr_idlers[M rho M^†] only
-    # sees |Xi> through <Xi|Xi> = 1, so any unit target gives one signal
+    # every readout comes from the signal, Tr_idlers[M rho M^†], which sees
+    # |Xi> only through M^†M: beyond <Xi|Xi> = 1, its <00|Xi> and <11|Xi>
+    # terms couple the idler sectors {01, 10} and {00, 11}.  These probes
+    # have no coherence between the sectors, so any unit target gives one
+    # signal (see the next test for a probe that has)
     probe = prepare_probe() if werner_xi is None else prepare_werner(werner_xi)
     rng = np.random.default_rng(20)
     t, gamma = rng.uniform(0.0, 1.0, 50), rng.uniform(-np.pi, np.pi, 50)
     stages = pipeline_stages(probe, mode_mixer(), t, gamma)
-    reg, e = probe.register, np.eye(4)
+    reg = probe.register
+    assert np.max(np.abs(_idler_sector_coherence(stages.post_object))) == 0.0
     for _ in range(20):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
-        m = np.outer(v, e[1] + e[2]) + np.outer(e[0], e[0]) + np.outer(e[3], e[3])
-        mixed, vanished = mix_stack(stages.post_object, embed(m, ["i1", "i2"], reg))
-        assert not vanished.any()
-        signal = partial_trace_stack(mixed, reg, ["s1", "s2"])
+        signal = _signal_with_mixer_target(stages.post_object, reg, v)
         assert np.max(np.abs(signal - stages.signal)) <= 1e-15
+
+
+def _idler_sector_coherence(stack):
+    """The entries of a ``(n, 16, 16)`` stack between idler sectors ``{01, 10}`` and ``{00, 11}``."""
+    idlers = (np.arange(16) >> 1) & 3  # (i1, i2) of each basis index, wires (s1, i1, i2, s2)
+    one = np.isin(idlers, (1, 2))
+    return stack[:, one][:, :, ~one]
+
+
+def _signal_with_mixer_target(post_object, reg, target):
+    """The signal stack after a mixer sending ``|01>`` and ``|10>`` to the unit ``target``."""
+    e = np.eye(4)
+    m = np.outer(target, e[1] + e[2]) + np.outer(e[0], e[0]) + np.outer(e[3], e[3])
+    mixed, vanished = mix_stack(post_object, embed(m, ["i1", "i2"], reg))
+    assert not vanished.any()
+    return partial_trace_stack(mixed, reg, ["s1", "s2"])
+
+
+def test_signal_depends_on_mixer_target_state_for_sector_coherent_probe():
+    # a fully separable probe: the equal mixture over theta = 2 pi k/8 of
+    # (|0> + e^{i theta}|1>)/sqrt(2) on s1 and i2 with |+> on i1 and s2.
+    # Its post-object state is coherent between the idler sectors, so the
+    # readouts move with |Xi>
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    mat = np.zeros((16, 16), dtype=complex)
+    for k in range(8):
+        a = np.array([1.0, np.exp(2j * np.pi * k / 8)]) / np.sqrt(2)
+        ket = np.kron(np.kron(np.kron(a, plus), a), plus)
+        mat += np.outer(ket, ket.conj()) / 8
+    probe = DensityMatrix(mat, DEFAULT_REGISTER)
+    gamma = 2 * np.pi * np.arange(24) / 24
+    stages = pipeline_stages(probe, mode_mixer(), np.full(24, 0.8), gamma)
+    assert stages.errors == (None,) * 24
+    assert np.max(np.abs(_idler_sector_coherence(stages.post_object))) > 0.05
+    e = np.eye(4)
+    signal = _signal_with_mixer_target(stages.post_object, DEFAULT_REGISTER, (e[1] + e[2]) / np.sqrt(2))
+    m_h = measurement_stack([0.0])[0, 0]
+    p_h = np.einsum("ij,nji->n", m_h, stages.signal).real
+    p_h_other = np.einsum("ij,nji->n", m_h, signal).real
+    assert np.max(np.abs(p_h - p_h_other)) == pytest.approx(0.0225, abs=1e-12)
 
 
 def test_apply_mode_mixer_on_post_object_state():
@@ -333,7 +374,8 @@ def test_apply_mode_mixer_vanishing_support():
 def test_channel_tensor_product():
     rng = np.random.default_rng(9)
     t, g = 0.4, 0.7
-    lifted = object_channel(ObjectParams(t, g)).tensor(identity_channel(2))
+    # the object on i1 beside the identity on i2: Kraus operators K (x) I
+    lifted = KrausChannel(tuple(np.kron(k, np.eye(2)) for k in object_channel(ObjectParams(t, g)).kraus_ops))
     rho = random_density_matrix(rng, Register(("i1", "i2")))
     via_stack = apply_kraus_stack(rho.mat[None], object_kraus([t], [g]), ["i1"], rho.register)
     assert np.allclose(lifted.apply(rho.mat), via_stack[0], atol=ATOL)

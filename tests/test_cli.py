@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -650,3 +651,90 @@ def test_fuzzed_werner_chi_image_exit_cleanly(map_dir, argv):
         return
     for row in rows:
         assert all(_csv_cell_is_clean(cell) for cell in row.values()), (argv, row)
+
+
+# The process boundary.  `python -m uqi.cli` and the `uqi` script run
+# `cli.entry`, which ends the process with os._exit, so these tests start a
+# fresh process for each run and never call `entry` themselves.
+# argparse wraps its help to COLUMNS, or to the terminal's width when unset
+PROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(uqi.__file__).parents[1]), "COLUMNS": "80"}
+
+
+def run_process(*argv, **kwargs):
+    """``(exit code, stdout, stderr)`` of ``python -m uqi.cli argv`` in a fresh process."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    proc = subprocess.run([sys.executable, "-m", "uqi.cli", *argv], stderr=subprocess.PIPE, env=PROCESS_ENV, **kwargs)
+    out = None if proc.stdout is None else proc.stdout.decode("utf-8")
+    return proc.returncode, out, proc.stderr.decode("utf-8")
+
+
+def test_process_output_at_scale_matches_pinned_hash(tmp_path):
+    # about 1 MB of stdout must all be flushed before the process ends
+    from test_golden import SCALE_CASES
+
+    argv, digest = SCALE_CASES["image-shots-64x64"]
+    code, out, err = run_process(*argv(tmp_path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _failing_image_argv(tmp_path):
+    np.savetxt(tmp_path / "t.csv", np.full((2, 2), 0.5), delimiter=",")
+    np.savetxt(tmp_path / "g.csv", np.zeros((2, 2)), delimiter=",")
+    return ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"),
+            "--phi", "0,0", "--method", "two-point")
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (("--version",), 0),
+    (("-h",), 0),
+    (("bogus",), 2),
+    (("sweep", "--T", "0.5", "--seed", "-1"), 2),
+    (_failing_image_argv, 1),
+], ids=["version", "help", "unknown-command", "negative-seed", "failed-pixel"])
+def test_process_exit_code_and_streams_match_main(tmp_path, capsys, monkeypatch, argv, want_code):
+    # the process writes what main writes in process and exits with its
+    # code, or with argparse's for --version, -h and usage errors
+    monkeypatch.setenv("COLUMNS", PROCESS_ENV["COLUMNS"])
+    if callable(argv):
+        argv = argv(tmp_path)
+    try:
+        in_process = main(list(argv))
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert run_process(*argv) == (want_code, captured.out, captured.err)
+    assert in_process == want_code
+
+
+def test_process_skips_atexit_handlers():
+    code = (
+        "import atexit, sys\n"
+        "from uqi.cli import entry\n"
+        "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+        "sys.argv = ['uqi', 'chi', '--T', '1']\n"
+        "entry()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=PROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"row,col,re,im\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_full_stdout_is_io_error():
+    with open("/dev/full", "w") as full:
+        code, _, err = run_process("probe", stdout=full)
+    assert code == 3
+    assert err == "uqi: [Errno 28] No space left on device\n"
+
+
+def test_process_closed_stdout_is_io_error(tmp_path):
+    def closed_stdout(*argv):
+        script = 'exec "$0" -m uqi.cli "$@" >&-'
+        proc = subprocess.run(["sh", "-c", script, sys.executable, *argv], capture_output=True, env=PROCESS_ENV)
+        return proc.returncode, proc.stderr.decode("utf-8")
+
+    assert closed_stdout("probe") == (3, "uqi: standard output is closed\n")
+    # a run that writes its table to --out needs no stdout
+    assert closed_stdout("probe", "--out", str(tmp_path / "probe.csv")) == (0, "")
+    assert (tmp_path / "probe.csv").read_text().startswith("row,col,re,im\n")

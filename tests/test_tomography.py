@@ -3,8 +3,8 @@ import pytest
 from conftest import angle_diff, random_density_matrix, readout, sweep_points
 
 from uqi.channels import (
+    KrausChannel,
     ObjectParams,
-    identity_channel,
     mode_mixer,
     object_channel,
 )
@@ -134,9 +134,14 @@ def brute_force_ancilla_expectations(sd, obj, with_mixer):
     return np.array(vals)
 
 
+def object_on_i1(obj):
+    """The object channel on i1 beside the identity on i2: Kraus operators ``K (x) I``."""
+    return KrausChannel(tuple(np.kron(k, np.eye(2)) for k in object_channel(obj).kraus_ops))
+
+
 def test_aapt_predict_identity_channel():
     sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
-    got = aapt_predict(sd, identity_channel(4))
+    got = aapt_predict(sd, KrausChannel((np.eye(4, dtype=complex),)))
     want = np.array([r * np.trace(a) for r, a in zip(sd.r, sd.a_ops)])
     assert np.allclose(got, want, atol=ATOL)
 
@@ -144,7 +149,7 @@ def test_aapt_predict_identity_channel():
 def test_aapt_predict_matches_brute_force_linear_post():
     obj = ObjectParams(0.7, -0.9)
     sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
-    lifted = object_channel(obj).tensor(identity_channel(2))
+    lifted = object_on_i1(obj)
     got = aapt_predict(sd, lifted)
     want = brute_force_ancilla_expectations(sd, obj, with_mixer=False)
     assert np.allclose(got, want, atol=ATOL)
@@ -153,7 +158,7 @@ def test_aapt_predict_matches_brute_force_linear_post():
 def test_aapt_predict_matches_brute_force_with_mixer():
     obj = ObjectParams(0.55, 2.1)
     sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
-    lifted = object_channel(obj).tensor(identity_channel(2))
+    lifted = object_on_i1(obj)
     got = aapt_predict(sd, lifted, post=mode_mixer())
     want = brute_force_ancilla_expectations(sd, obj, with_mixer=True)
     assert np.allclose(got, want, atol=ATOL)
@@ -174,7 +179,7 @@ def test_aapt_predict_quadratures_with_explicit_basis():
         dim_b=4,
         hermitian=(True,) * 4,
     )
-    lifted = object_channel(obj).tensor(identity_channel(2))
+    lifted = object_on_i1(obj)
     got = aapt_predict(sd, lifted, post=mode_mixer())
     scale = np.sqrt(2) / 2
     assert got[2] == pytest.approx(scale * t * np.cos(g), abs=ATOL)
@@ -244,7 +249,7 @@ def test_partial_aapt_rank(probe, real_rank, complex_rank):
 def test_aapt_predict_dimension_check():
     sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     with pytest.raises(ValueError):
-        aapt_predict(sd, identity_channel(2))
+        aapt_predict(sd, KrausChannel((np.eye(2, dtype=complex),)))
 
 
 def test_estimate_two_point_exact():
