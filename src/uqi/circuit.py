@@ -52,6 +52,9 @@ from .qcore import (
 # (chunk, 16, 16) complex stacks, 0.26 MB each at 64, so peak memory
 # stays flat however many settings a call brings.
 BATCH_CHUNK = 64
+# Rows per step of the readout product (setting, operator) and of the shot
+# sampler: 0.26 MB of complex products, however many operators a call reads.
+_BLOCK_ROWS = 1024
 
 # the encoded two-qubit subspace: |0bar> = |00>, |1bar> = |11> on each
 # (signal, idler) pair, written in the (s1, i1, i2, s2) wire order
@@ -226,7 +229,7 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     flat = readout.reshape(-1, 16)
     m = _embedded_mixer(reg, mm)
-    values = np.empty((t.size,) + readout.shape[:-2])
+    values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
     for lo in range(0, t.size, BATCH_CHUNK):
         part = slice(lo, lo + BATCH_CHUNK)
@@ -234,10 +237,14 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
         _, _, signal, chunk_errors = _stage_stacks(start, reg, m, t[part], gamma[part])
         errors[part] = chunk_errors
         # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
-        # setting's value does not depend on how many share its pass
-        prod = flat[None] * signal.swapaxes(1, 2).reshape(len(signal), 1, 16)
-        values[part] = prod.sum(axis=-1).real.reshape(values[part].shape)
+        # setting's value depends neither on how many share its pass nor on
+        # how many operators share its step
+        rho_t = signal.swapaxes(1, 2).reshape(len(signal), 1, 16)
+        step = max(1, _BLOCK_ROWS // len(signal))
+        for r in range(0, len(flat), step):
+            values[part, r:r + step] = (flat[None, r:r + step] * rho_t).sum(axis=-1).real
     values[~np.equal(errors, None)] = np.nan
+    values = values.reshape((t.size,) + readout.shape[:-2])
     return BatchReadout(values, tuple(errors))
 
 
@@ -274,7 +281,8 @@ def measurement_stack(phis) -> np.ndarray:
     u = np.ones((phis.size, 4), dtype=complex)
     u[:, 1] = u[:, 3] = np.exp(1j * phis)
     proj = np.array([np.outer(k, k.conj()) for k in (bell_ket("psi-"), bell_ket("psi+"))])
-    out = u[:, None, :, None] * proj[None] * u.conj()[:, None, None, :]
+    out = u[:, None, :, None] * proj[None]
+    out *= u.conj()[:, None, None, :]
     out.setflags(write=False)
     return out
 
@@ -347,10 +355,7 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     from numpy.random.bit_generator import ISeedSequence
 
     class _RowSeed(ISeedSequence):
-        """One row's precomputed SeedSequence state, which PCG64 seeds itself from."""
-
-        def __init__(self, state):
-            self.state = state
+        """The current row's precomputed SeedSequence ``state``, which PCG64 seeds itself from."""
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.state
@@ -370,9 +375,15 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("stream keys must lie in [0, 2**32)")
     counts = np.empty(p_h.shape, dtype=np.int64)
-    for r, (state, row) in enumerate(zip(_stream_states(seed, keys), p_h.tolist())):
-        rng = np.random.Generator(np.random.PCG64(_RowSeed(state)))
-        # scalar draws in row order are the draws of one array call on the row,
-        # without its per-call validation pass over the array
-        counts[r] = [rng.binomial(shots, p) for p in row]
+    states = _stream_states(seed, keys)
+    row_seed = _RowSeed()
+    for lo in range(0, len(p_h), _BLOCK_ROWS):
+        block = []
+        for state, row in zip(states[lo:lo + _BLOCK_ROWS], p_h[lo:lo + _BLOCK_ROWS].tolist()):
+            row_seed.state = state
+            binomial = np.random.Generator(np.random.PCG64(row_seed)).binomial
+            # scalar draws in row order are the draws of one array call on the
+            # row, without its per-call validation pass over the array
+            block.append([binomial(shots, p) for p in row])
+        counts[lo:lo + _BLOCK_ROWS] = block
     return counts / shots

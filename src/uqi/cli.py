@@ -72,7 +72,7 @@ def _round15(x: float) -> float:
 
 
 def _csv_column(values) -> list[str]:
-    """The CSV cells of one column of Python values, typed once per column.
+    """The CSV cells of one column of Python values, or of one block of its rows, typed once for all.
 
     None is an empty cell, booleans are ``true``/``false`` (a column with
     booleans holds nothing else but None), and ``str`` writes the rest: for
@@ -86,33 +86,71 @@ def _csv_column(values) -> list[str]:
     return list(map(str, values))
 
 
+def _json_column(values, json) -> list[str]:
+    """The JSON texts of one column of Python values, each as ``json.dumps`` writes it."""
+    texts = []
+    for v in values:
+        kind = type(v)
+        if kind is float and math.isfinite(v) or kind is int:
+            texts.append(repr(v))
+        elif kind is str:
+            texts.append(json.encoder.encode_basestring_ascii(v))
+        elif v is None or kind is bool:
+            texts.append("null" if v is None else "true" if v else "false")
+        else:
+            texts.append(json.dumps(v))
+    return texts
+
+
 def _cells(values: np.ndarray) -> list:
     """The Python values of a float array in row-major order, None where it holds NaN."""
     return np.where(np.isnan(values), None, values).ravel().tolist()
 
 
-def _write_output(names, columns, config, args) -> None:
-    """Write the table whose column ``names[i]`` holds the values ``columns[i]``."""
-    seed = getattr(args, "seed", None)
+# Rows formatted and written per block: the text in memory stays a few
+# hundred kB however long the table is.
+_OUTPUT_ROWS = 1024
+
+
+def _write_table(fh, names, columns, config, args) -> None:
+    """Write the table to ``fh``: the header, blocks of :data:`_OUTPUT_ROWS` rows, the tail.
+
+    The bytes are those of the whole table joined at once: for JSON,
+    ``json.dumps(doc, indent=2) + "\\n"`` of the document with a
+    ``{name: value}`` record per row.
+    """
+    n = len(columns[0]) if columns else 0
     if args.format == "json":
         import json  # loaded only for JSON output
 
-        doc = {
-            "config": config,
-            "results": [dict(zip(names, row)) for row in zip(*columns)],
-            "metadata": {"version": __version__, "seed": seed},
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        meta = {"version": __version__, "seed": getattr(args, "seed", None)}
+        frame = json.dumps({"config": config, "results": [], "metadata": meta}, indent=2) + "\n"
+        head, tail = frame.split('"results": []')
+        # one record's text with a %s per value, keys and layout as json.dumps writes them
+        record = "\n    {%s\n    }" % ",".join(
+            "\n      %s: %%s" % json.encoder.encode_basestring_ascii(name).replace("%", "%%") for name in names
+        )
+        fh.write(head + '"results": [')
+        for lo in range(0, n, _OUTPUT_ROWS):
+            texts = [_json_column(col[lo:lo + _OUTPUT_ROWS], json) for col in columns]
+            fh.write(("," if lo else "") + ",".join([record % row for row in zip(*texts)]))
+        fh.write(("\n  ]" if n else "]") + tail)
     else:
-        cells = [_csv_column(col) for col in columns]
-        text = "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, n, _OUTPUT_ROWS):
+            cells = [_csv_column(col[lo:lo + _OUTPUT_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_output(names, columns, config, args) -> None:
+    """Write the table whose column ``names[i]`` holds the values ``columns[i]``."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_table(fh, names, columns, config, args)
     elif sys.stdout is None:  # the process was started with stdout closed
         raise OSError("standard output is closed")
     else:
-        sys.stdout.write(text)
+        _write_table(sys.stdout, names, columns, config, args)
 
 
 def _matrix_columns(mat) -> list[list]:
@@ -378,8 +416,23 @@ def _add_angle_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help or version text that cannot be written to stdout raises.
+
+    argparse ignores an ``OSError`` from that write, so ``--version`` and
+    ``-h`` on a full stdout would report success; usage errors on stderr
+    keep argparse's behaviour.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqi",
         description="Density-matrix simulator for imaging with undetected photons.",
     )
@@ -445,18 +498,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _fail(exc: Exception, code: int) -> int:
+    """Report ``exc`` as a ``uqi:`` line on stderr and return the exit ``code``."""
     try:
+        print(f"uqi: {exc}", file=sys.stderr)
+    except OSError:
+        pass  # stderr is unwritable too: the exit code alone reports the error
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except ValueError as exc:
-        print(f"uqi: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except OSError as exc:
-        print(f"uqi: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
 
 
 def entry() -> None:
@@ -477,8 +537,7 @@ def entry() -> None:
         if sys.stdout is not None:  # a closed stdout has nothing buffered
             sys.stdout.flush()
     except OSError as exc:
-        print(f"uqi: {exc}", file=sys.stderr)
-        code = 3
+        code = _fail(exc, 3)
     try:
         if sys.stderr is not None:
             sys.stderr.flush()

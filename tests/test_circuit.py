@@ -4,6 +4,7 @@ from conftest import readout
 
 from uqi.channels import mode_mixer
 from uqi.circuit import (
+    _BLOCK_ROWS,
     bell_ket,
     measurement_stack,
     pipeline_stages,
@@ -282,6 +283,17 @@ def test_sample_frequencies_streams_are_default_rng_streams(seed, width):
     for r, key in enumerate(keys.tolist()):
         ref = np.random.default_rng([seed, *key])
         assert np.array_equal(out[r], [ref.binomial(5000, x) / 5000 for x in p[r]])
+
+
+def test_sample_frequencies_rows_across_blocks_are_default_rng_streams():
+    # the sampler converts and stores its rows a block at a time
+    n = 2 * _BLOCK_ROWS + 3
+    rng = np.random.default_rng(77)
+    keys = rng.integers(0, 2**32, size=(n, 2))
+    p = rng.uniform(0.0, 1.0, size=(n, 2))
+    out = sample_frequencies(p, 100000, seed=13, keys=keys)
+    for r, key in enumerate(keys.tolist()):
+        assert np.array_equal(out[r], np.random.default_rng([13, *key]).binomial(100000, p[r]) / 100000)
 
 
 def test_sample_frequencies_key_range_and_empty_input():

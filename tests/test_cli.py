@@ -663,7 +663,8 @@ PROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(uqi.__file__).parents[1]), "
 def run_process(*argv, **kwargs):
     """``(exit code, stdout, stderr)`` of ``python -m uqi.cli argv`` in a fresh process."""
     kwargs.setdefault("stdout", subprocess.PIPE)
-    proc = subprocess.run([sys.executable, "-m", "uqi.cli", *argv], stderr=subprocess.PIPE, env=PROCESS_ENV, **kwargs)
+    kwargs.setdefault("env", PROCESS_ENV)
+    proc = subprocess.run([sys.executable, "-m", "uqi.cli", *argv], stderr=subprocess.PIPE, **kwargs)
     out = None if proc.stdout is None else proc.stdout.decode("utf-8")
     return proc.returncode, out, proc.stderr.decode("utf-8")
 
@@ -726,6 +727,46 @@ def test_process_full_stdout_is_io_error():
         code, _, err = run_process("probe", stdout=full)
     assert code == 3
     assert err == "uqi: [Errno 28] No space left on device\n"
+
+
+def _buffering_env(unbuffered: bool) -> dict:
+    env = {k: v for k, v in PROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--version",), ("-h",), ("probe", "-h")], ids=["version", "help", "probe-help"])
+def test_process_help_and_version_on_full_stdout_are_io_errors(argv, unbuffered):
+    # argparse ignores a failed write of its help and version text
+    with open("/dev/full", "w") as full:
+        code, _, err = run_process(*argv, stdout=full, env=_buffering_env(unbuffered))
+    assert (code, err) == (3, "uqi: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("probe",), ("--version",)], ids=["probe", "version"])
+def test_process_full_stdout_and_stderr_is_io_error(argv, unbuffered):
+    # the error message cannot be written either: the exit code alone reports it
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "uqi.cli", *argv], stdout=full, stderr=full,
+                              env=_buffering_env(unbuffered))
+    assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_process_out_file_equals_stdout(tmp_path, fmt):
+    # 1600 rows, written in two blocks
+    rng = np.random.default_rng(40)
+    np.savetxt(tmp_path / "t.csv", rng.uniform(0.0, 1.0, (40, 40)), delimiter=",")
+    np.savetxt(tmp_path / "g.csv", rng.uniform(-3.0, 3.0, (40, 40)), delimiter=",")
+    argv = ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"),
+            "--shots", "100", "--format", fmt)
+    proc = subprocess.run([sys.executable, "-m", "uqi.cli", *argv], capture_output=True, env=PROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run_process(*argv, "--out", str(tmp_path / "table")) == (0, "", "")
+    assert (tmp_path / "table").read_bytes() == proc.stdout
 
 
 def test_process_closed_stdout_is_io_error(tmp_path):
