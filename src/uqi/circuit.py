@@ -341,6 +341,14 @@ def _stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
+def _check_sampler(shots: int, seed: int) -> None:
+    """The sampler's bounds: a seed of at least 0, and below 2**63 shots, which numpy's binomial takes as a C long."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if shots > 2**63 - 1:
+        raise ValueError(f"shots must be below 2**63, got {shots}")
+
+
 def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     """Shot estimates ``n_h / shots`` of an ``(n, k)`` array of click probabilities.
 
@@ -363,11 +371,8 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if shots > 2**63 - 1:  # numpy's binomial takes the count as a C long
-        raise ValueError(f"shots must be below 2**63, got {shots}")
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_sampler(shots, seed)
     p_h = np.clip(np.asarray(p_h, dtype=float), 0.0, 1.0)
     keys = np.asarray(keys, dtype=np.int64)
     if p_h.ndim != 2 or keys.ndim != 2 or len(keys) != len(p_h):

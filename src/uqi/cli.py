@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
-from .circuit import measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
+from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import partial_transpose
-from .tomography import ImageMaps, estimate_object, image_scan, operator_schmidt, visibility
+from .tomography import ImageMaps, _phase_design, estimate_object, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
@@ -210,14 +210,6 @@ def _readouts(probe, mm, ts, gammas, readout) -> np.ndarray:
     return batch.values
 
 
-def _check_shots(shots: int) -> None:
-    """Reject a shot count before any work: 0 is analytic, and the sampler takes below 2**63."""
-    if shots < 0:
-        raise ConfigError("shots must be nonnegative")
-    if shots > 2**63 - 1:
-        raise ConfigError(f"shots must be below 2**63, got {shots}")
-
-
 def _shot_mode(p_h, p_g, args):
     """``(p_h, p_g)`` per record, or with ``--shots`` the sampled click frequencies.
 
@@ -237,7 +229,6 @@ def cmd_probabilities(args) -> int:
     if args.degrees:
         gammas = [g * _DEG for g in gammas]
     phis = _resolve_phis(args)
-    _check_shots(args.shots)
     setting_t, setting_gamma = zip(*itertools.product(ts, gammas))
     probs = _readouts(prepare_probe(), mode_mixer(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
@@ -264,12 +255,7 @@ _SWEEP_COLUMNS = (
 def cmd_sweep(args) -> int:
     params = _object_params(args)
     phis = _resolve_phis(args)
-    if len(phis) < 2:
-        raise ConfigError("a sweep needs at least two phase points")
-    _check_shots(args.shots)
-    method = args.method
-    if method == "auto":
-        method = "two-point" if len(phis) == 2 else "least-squares"
+    method, _ = _phase_design(np.array(phis), args.method)
     probs = _readouts(prepare_probe(), mode_mixer(), [params.t], [params.gamma], measurement_stack(phis))[0]
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
     est = estimate_object(zip(phis, p_h), method=method, shots=args.shots or None)
@@ -304,9 +290,7 @@ _WERNER_GAMMA_POINTS = 24
 def cmd_werner(args) -> int:
     xis = _float_list(args.xi, "xi")
     probes = [prepare_werner(xi) for xi in xis]  # rejects any xi outside [0, 1]
-    t = args.T
-    if not 0.0 <= t <= 1.0:
-        raise ConfigError(f"T must lie in [0, 1], got {t}")
+    t = ObjectParams(args.T).t
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
@@ -367,9 +351,6 @@ def cmd_image(args) -> int:
         gamma_map = gamma_map * _DEG
     maps = ImageMaps(t_map, gamma_map)
     phis = _resolve_phis(args)
-    if len(phis) < 2:
-        raise ConfigError("image reconstruction needs at least two phase points")
-    _check_shots(args.shots)
     scan = image_scan(maps, phis, shots=args.shots, seed=args.seed, method=args.method)
     # one row per pixel in row-major order; a failed pixel, and only a failed
     # one, has a NaN t_hat, so all its cells but row, col and status are empty
@@ -425,7 +406,9 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def _print_message(self, message, file=None):
-        if message and file is not None and file is sys.stdout:
+        if message and file is sys.stdout:
+            if file is None:  # the process was started with stdout closed
+                raise OSError("standard output is closed")
             file.write(message)
         else:
             super()._print_message(message, file)
@@ -510,8 +493,10 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+        if hasattr(args, "seed"):  # the commands that sample; 0 shots is analytic
+            _check_sampler(args.shots, args.seed)
+            if args.shots < 0:
+                raise ConfigError("shots must be nonnegative")
         return args.func(args)
     except ValueError as exc:
         return _fail(exc, 2)

@@ -24,6 +24,8 @@ from .qcore import DensityMatrix, _value_class
 # degenerate group when fixing the Hermitian gauge
 _GROUP_RTOL = 1e-10
 _RANK_RTOL = 1e-12
+# Sweeps per step of the estimator: about 1 MB of temporaries at 8 phases, however many pixels.
+_FIT_ROWS = 4096
 
 
 @_value_class
@@ -194,17 +196,17 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {float(bad[0])}")
 
 
-def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> dict:
-    """Estimates for every row of ``ps`` (n sweeps over the shared phases ``phis``).
+def _phase_design(phis: np.ndarray, method: str) -> tuple[str, np.ndarray]:
+    """The method and the ``2 x m`` matrix ``G`` that invert a sweep over ``phis``.
 
     Both methods are linear, ``(c, s) = G y`` with ``c = T cos(gamma)``,
-    ``s = T sin(gamma)`` and one ``2 x m`` matrix ``G`` fixed by the phases
-    alone, so G is computed once.  With shots the covariance of ``(c, s)``
-    is ``G diag(var y) G^T``.  Returns arrays ``t_hat``, ``gamma_hat``
-    (NaN when degenerate), ``stderr_t``, ``stderr_gamma`` (NaN when not
-    defined) and ``degenerate``.  Raises ValueError for a non-finite phase
-    or a phase set that cannot be inverted.
+    ``s = T sin(gamma)``; ``G`` depends on the phases alone, so whether a
+    phase set can be inverted is known before any readout.  ``auto`` is
+    two-point for exactly two phases and least squares otherwise.  Raises
+    ValueError for a non-finite phase or a phase set that cannot be inverted.
     """
+    if method == "auto":
+        method = "two-point" if len(phis) == 2 else "least-squares"
     if method == "two-point":
         if len(phis) < 2:
             raise ValueError("two-point inversion needs at least two phase points")
@@ -215,10 +217,8 @@ def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> di
         if abs(np.sin(p1 - p2)) < 1e-12:
             raise ValueError("phase points pi apart are degenerate for the two-point inversion")
         # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i)
-        g = np.linalg.inv(np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]]))
-        y = 1 - 2 * ps[:, :2]
-        var = 4.0 * np.maximum(ps[:, :2] * (1 - ps[:, :2]), 1e-12) / shots if shots else None
-    elif method == "least-squares":
+        return method, np.linalg.inv(np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]]))
+    if method == "least-squares":
         if len(phis) < 3:
             raise ValueError("least-squares inversion needs at least three phase points")
         # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
@@ -232,12 +232,25 @@ def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> di
             # (1, cos, sin) has rank 3 exactly when three phases differ modulo 2 pi;
             # with two, one quadrature is unidentifiable and pinv would return it as 0
             raise ValueError("least-squares inversion needs three distinct phases modulo 2 pi")
-        g = np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
-        y = ps
-        var = np.clip(ps * (1.0 - ps), 1e-12, None) / shots if shots else None
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'two-point' or 'least-squares'")
+        return method, np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
+    raise ValueError(f"unknown method {method!r}; use 'two-point' or 'least-squares'")
 
+
+def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
+    """Estimates for every row of ``ps`` (n sweeps over the phases of ``_phase_design``'s ``G``).
+
+    With shots the covariance of ``(c, s)`` is ``G diag(var y) G^T``.
+    Returns arrays ``t_hat``, ``gamma_hat`` (NaN when degenerate),
+    ``stderr_t``, ``stderr_gamma`` (NaN when not defined) and ``degenerate``.
+    """
+    if len(ps) > _FIT_ROWS:  # in blocks of rows, which the sums below keep apart
+        parts = [_fit(method, g, ps[lo:lo + _FIT_ROWS], shots) for lo in range(0, len(ps), _FIT_ROWS)]
+        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    if method == "two-point":
+        ps = ps[:, :2]
+        y, scale = 1 - 2 * ps, 4.0
+    else:
+        y, scale = ps, 1.0
     # every sum runs along one row, so a row's result does not depend on the others
     cs = (y[:, None, :] * g).sum(axis=-1)
     c, s = cs[:, 0], cs[:, 1]
@@ -245,6 +258,7 @@ def _fit(phis: np.ndarray, ps: np.ndarray, method: str, shots: int | None) -> di
     stderr_t = np.full(len(ps), np.nan)
     stderr_gamma = np.full(len(ps), np.nan)
     if shots:
+        var = scale * np.maximum(ps * (1.0 - ps), 1e-12) / shots
         cov = (g[:, None, :] * g[None, :, :] * var[:, None, None, :]).sum(axis=-1)
         nonzero = t_hat > 1e-15
         jt = np.where(nonzero[:, None], cs / np.where(nonzero, t_hat, 1.0)[:, None], [1.0, 0.0])
@@ -285,7 +299,8 @@ def estimate_object(probabilities, method: str = "least-squares", shots: int | N
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
     _check_finite(ps, "detection probability")
-    fit = _fit(phis, ps, method, shots)
+    method, g = _phase_design(phis, method)
+    fit = _fit(method, g, ps, shots)
     stderr_t, stderr_gamma = fit["stderr_t"][0], fit["stderr_gamma"][0]
     return ObjectEstimate(
         t_hat=float(fit["t_hat"][0]),
@@ -375,35 +390,29 @@ def image_scan(
     shared-design estimator.  Analytic mode (``shots=0``) inverts exact
     probabilities; shot mode draws each pixel's counts with
     :func:`sample_frequencies` from its own stream ``[seed, row, col]``,
-    so a pixel's result does not depend on the others.  Pixel failures
-    are recorded without aborting the scan.  Output grids match the input
-    shape.
+    so a pixel's result does not depend on the others.  A phase set that
+    ``method`` cannot invert raises ValueError before the engine runs; a
+    pixel that fails an engine check is recorded without aborting the
+    scan.  Output grids match the input shape.
     """
     phis = np.array([float(p) for p in phi_sweep])
-    if not phis.size:
-        raise ValueError("phase sweep must be nonempty")
+    method, g = _phase_design(phis, method)
     shots = int(shots) if shots else 0
-    if method == "auto":
-        method = "two-point" if phis.size == 2 else "least-squares"
     h, w = maps.height, maps.width
     batch = run_batch(
         prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, measurement_stack(phis)[:, 0]
     )
     p_h = batch.values
-    errors = list(batch.errors)
-    live = np.array([e is None for e in errors], dtype=bool)
+    live = np.array([e is None for e in batch.errors], dtype=bool)
     if shots:
         pixels = np.column_stack(divmod(np.flatnonzero(live), w))
         p_h[live] = sample_frequencies(p_h[live], shots, seed, pixels)
 
     fit = {key: np.full(h * w, np.nan) for key in ("t_hat", "gamma_hat", "stderr_t", "stderr_gamma")}
     fit["degenerate"] = np.zeros(h * w, dtype=bool)
-    try:
-        for key, value in _fit(phis, p_h[live], method, shots).items():
-            fit[key][live] = value
-    except ValueError as exc:  # the phase set fails for every pixel alike
-        errors = [e or str(exc) for e in errors]
+    for key, value in _fit(method, g, p_h[live], shots).items():
+        fit[key][live] = value
     return ScanResult(
         **{key: value.reshape(h, w) for key, value in fit.items()},
-        errors=tuple((*divmod(i, w), e) for i, e in enumerate(errors) if e is not None),
+        errors=tuple((*divmod(i, w), e) for i, e in enumerate(batch.errors) if e is not None),
     )

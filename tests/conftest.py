@@ -1,7 +1,7 @@
 import numpy as np
 
 from uqi.channels import mode_mixer
-from uqi.circuit import measurement_stack, prepare_probe, run_batch
+from uqi.circuit import BatchReadout, measurement_stack, prepare_probe, run_batch
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register
 
 
@@ -37,6 +37,16 @@ def readout(probe, mm, ts, gammas, phis) -> np.ndarray:
     batch = run_batch(probe, mm, ts, gammas, measurement_stack(phis))
     assert batch.errors == (None,) * len(batch.errors)
     return batch.values
+
+
+def fail_second_setting(run_batch):
+    """``run_batch`` with its second setting failed, as a failed engine check leaves it."""
+    def wrapped(*args):
+        batch = run_batch(*args)
+        batch.values[1] = np.nan
+        return BatchReadout(batch.values, (batch.errors[0], "engine check failed", *batch.errors[2:]))
+
+    return wrapped
 
 
 def sweep_points(t, g, phis, shots=None, seed=None):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uqi
+from conftest import fail_second_setting
 from uqi.cli import main
 
 
@@ -395,22 +396,42 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", "uqi: duplicate phase values: cannot invert a single setting\n")
 
 
-def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys):
-    # a duplicate-phase sweep fails in every pixel; the scan completes,
-    # each row carries the failure message, and the exit code is 1
-    t_file = tmp_path / "t.csv"
-    g_file = tmp_path / "g.csv"
-    np.savetxt(t_file, np.full((2, 2), 0.5), delimiter=",")
-    np.savetxt(g_file, np.zeros((2, 2)), delimiter=",")
-    code, out, _ = run_cli(
-        capsys, "image", "--t-map", str(t_file), "--gamma-map", str(g_file),
-        "--phi", "0,0", "--method", "two-point",
-    )
-    assert code == 1
+def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
+    # a pixel that fails an engine check is reported in its row beside the
+    # pixels that pass; the scan completes and the exit code is 1
+    argv = _failing_image_argv(tmp_path, monkeypatch)[0]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
     _, rows = parse_csv(out)
-    assert len(rows) == 4
-    assert all(r["status"] != "" for r in rows)
-    assert all(r["t_hat"] == "" for r in rows)
+    assert [r["status"] for r in rows] == ["", "engine check failed", "", ""]
+    failed = rows.pop(1)
+    assert [failed[k] for k in ("row", "col")] == ["0", "1"]
+    assert all(v == "" for k, v in failed.items() if k not in ("row", "col", "status"))
+    assert all(r["t_hat"] != "" and r["degenerate"] == "false" for r in rows)
+
+
+@pytest.mark.parametrize("command", ["sweep", "image"])
+@pytest.mark.parametrize("phis, method, message", [
+    ("0,0", "two-point", "duplicate phase values: cannot invert a single setting"),
+    ("0,3.141592653589793", "two-point", "phase points pi apart are degenerate for the two-point inversion"),
+    ("0,0,1e-13", "auto", "duplicate phase values: cannot invert a single setting"),
+], ids=["duplicate", "pi-apart", "rounded-duplicate"])
+def test_phase_set_that_cannot_be_inverted_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, phis, method, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the phase set was checked")
+
+    for name in ("uqi.cli.run_batch", "uqi.tomography.run_batch", "uqi.tomography.sample_frequencies"):
+        monkeypatch.setattr(name, no_work)
+    if command == "sweep":
+        argv = ("sweep", "--T", "0.5")
+    else:
+        np.savetxt(tmp_path / "t.csv", np.full((2, 2), 0.5), delimiter=",")
+        np.savetxt(tmp_path / "g.csv", np.zeros((2, 2)), delimiter=",")
+        argv = ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"))
+    code, out, err = run_cli(capsys, *argv, "--phi", phis, "--method", method, "--shots", "100")
+    assert (code, out, err) == (2, "", f"uqi: {message}\n")
 
 
 def test_csv_uses_lf_line_endings(capsys):
@@ -679,11 +700,24 @@ def test_process_output_at_scale_matches_pinned_hash(tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _failing_image_argv(tmp_path):
+def _failing_image_argv(tmp_path, monkeypatch):
+    """``(argv, env)`` of a 2x2 image run whose pixel (0, 1) fails an engine check.
+
+    The failure is injected here and, through a ``sitecustomize`` module on
+    the returned env's path, in a process started with that env.
+    """
     np.savetxt(tmp_path / "t.csv", np.full((2, 2), 0.5), delimiter=",")
     np.savetxt(tmp_path / "g.csv", np.zeros((2, 2)), delimiter=",")
-    return ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"),
-            "--phi", "0,0", "--method", "two-point")
+    monkeypatch.setattr("uqi.tomography.run_batch", fail_second_setting(uqi.tomography.run_batch))
+    (tmp_path / "sitecustomize.py").write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import conftest, uqi.tomography\n"
+        "uqi.tomography.run_batch = conftest.fail_second_setting(uqi.tomography.run_batch)\n"
+    )
+    env = {**PROCESS_ENV, "PYTHONPATH": os.pathsep.join([str(tmp_path), PROCESS_ENV["PYTHONPATH"]])}
+    argv = ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"))
+    return argv, env
 
 
 @pytest.mark.parametrize("argv, want_code", [
@@ -697,14 +731,15 @@ def test_process_exit_code_and_streams_match_main(tmp_path, capsys, monkeypatch,
     # the process writes what main writes in process and exits with its
     # code, or with argparse's for --version, -h and usage errors
     monkeypatch.setenv("COLUMNS", PROCESS_ENV["COLUMNS"])
+    env = PROCESS_ENV
     if callable(argv):
-        argv = argv(tmp_path)
+        argv, env = argv(tmp_path, monkeypatch)
     try:
         in_process = main(list(argv))
     except SystemExit as exc:
         in_process = exc.code
     captured = capsys.readouterr()
-    assert run_process(*argv) == (want_code, captured.out, captured.err)
+    assert run_process(*argv, env=env) == (want_code, captured.out, captured.err)
     assert in_process == want_code
 
 
@@ -776,6 +811,9 @@ def test_process_closed_stdout_is_io_error(tmp_path):
         return proc.returncode, proc.stderr.decode("utf-8")
 
     assert closed_stdout("probe") == (3, "uqi: standard output is closed\n")
+    # argparse would write help and version text to stderr instead
+    for argv in (("--version",), ("-h",)):
+        assert closed_stdout(*argv) == (3, "uqi: standard output is closed\n")
     # a run that writes its table to --out needs no stdout
     assert closed_stdout("probe", "--out", str(tmp_path / "probe.csv")) == (0, "")
     assert (tmp_path / "probe.csv").read_text().startswith("row,col,re,im\n")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import angle_diff, random_density_matrix, readout, sweep_points
+from conftest import angle_diff, fail_second_setting, random_density_matrix, readout, sweep_points
 
 from uqi.channels import (
     KrausChannel,
@@ -8,13 +8,30 @@ from uqi.channels import (
     mode_mixer,
     object_channel,
 )
-from uqi import circuit
-from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner, sample_frequencies
-from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, embed, partial_trace_stack
+from uqi import circuit, tomography
+from uqi.circuit import (
+    measurement_stack,
+    pipeline_stages,
+    prepare_probe,
+    prepare_werner,
+    run_batch,
+    sample_frequencies,
+)
+from uqi.qcore import (
+    DEFAULT_REGISTER,
+    PAULI,
+    DensityMatrix,
+    Register,
+    basis_ket,
+    embed,
+    partial_trace_stack,
+    partial_transpose,
+)
 from uqi.tomography import (
     ImageMaps,
     SchmidtData,
     _fit,
+    _phase_design,
     aapt_predict,
     estimate_object,
     image_scan,
@@ -346,7 +363,7 @@ def test_estimate_standard_errors_are_calibrated(t, g, method, phis):
     shots, repeats = 10**4, 400
     p_h = np.array([v for _, v in sweep_points(t, g, phis)])
     freq = sample_frequencies(np.tile(p_h, (repeats, 1)), shots, seed=7, keys=np.arange(repeats)[:, None])
-    fit = _fit(np.array(phis), freq, method, shots)
+    fit = _fit(*_phase_design(np.array(phis), method), freq, shots)
     assert not fit["degenerate"].any()
     z_t = (fit["t_hat"] - t) / fit["stderr_t"]
     z_g = angle_diff(fit["gamma_hat"], g) / fit["stderr_gamma"]
@@ -509,25 +526,33 @@ def test_image_scan_shot_streams_are_per_pixel_in_phase_order():
             assert scan.stderr_t[row, col] == pytest.approx(est.stderr_t, rel=1e-12)
 
 
-def test_image_scan_records_pixel_errors_without_aborting():
-    # a duplicate-phase sweep cannot be inverted; every pixel reports the
-    # failure and the scan still returns a full grid
+def _no_engine(*args, **kwargs):
+    raise AssertionError("the engine ran before the phase set was checked")
+
+
+def test_image_scan_records_pixel_errors_without_aborting(monkeypatch):
+    # a duplicate-phase sweep fails for every pixel alike: it is rejected
+    # before the engine runs
     maps = ImageMaps(np.full((2, 2), 0.5), np.zeros((2, 2)))
-    scan = image_scan(maps, [0.0, 0.0], method="two-point")
-    assert not scan.ok
-    assert len(scan.errors) == 4
-    assert np.all(np.isnan(scan.t_hat))
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "run_batch", _no_engine)
+        with pytest.raises(ValueError, match="^duplicate phase values: cannot invert a single setting$"):
+            image_scan(maps, [0.0, 0.0], method="two-point")
+    # a setting that fails an engine check is recorded, and the scan goes on
+    monkeypatch.setattr(tomography, "run_batch", fail_second_setting(run_batch))
+    scan = image_scan(maps, [0.0, np.pi / 2], shots=100, seed=1)
+    assert scan.errors == ((0, 1, "engine check failed"),)
+    assert np.isnan(scan.t_hat[0, 1]) and not scan.degenerate[0, 1]
+    assert np.count_nonzero(np.isnan(scan.t_hat)) == 1
 
 
 @pytest.mark.parametrize("method", ["auto", "least-squares"])
-def test_image_scan_rejects_non_finite_phase_for_every_pixel(method):
+def test_image_scan_rejects_non_finite_phase_for_every_pixel(monkeypatch, method):
     maps = ImageMaps(np.full((2, 3), 0.5), np.zeros((2, 3)))
     phis = [0.0, np.nan] if method == "auto" else [0.0, 1.0, np.nan]
-    scan = image_scan(maps, phis, method=method)
-    assert not scan.ok
-    assert [e for *_, e in scan.errors] == ["measurement phase must be finite, got nan"] * 6
-    for grid in (scan.t_hat, scan.gamma_hat, scan.stderr_t, scan.stderr_gamma):
-        assert grid.shape == (2, 3) and np.all(np.isnan(grid))
+    monkeypatch.setattr(tomography, "run_batch", _no_engine)
+    with pytest.raises(ValueError, match="^measurement phase must be finite, got nan$"):
+        image_scan(maps, phis, method=method)
 
 
 def test_image_scan_degenerate_pixels_flagged():
@@ -542,3 +567,68 @@ def test_image_scan_empty_sweep_rejected():
     maps = ImageMaps(np.array([[0.5]]), np.array([[0.0]]))
     with pytest.raises(ValueError):
         image_scan(maps, [])
+
+
+def test_fit_runs_row_by_row_in_bounded_memory():
+    # 65,536 pixels x 8 phases with shots: the (n, 2, 2, m) covariance
+    # product of all rows at once would be 16.8 MB alone
+    import tracemalloc
+
+    phis = np.array([2 * np.pi * k / 8 for k in range(8)])
+    ps = np.random.default_rng(2).uniform(0.0, 1.0, (65536, 8))
+    design = _phase_design(phis, "least-squares")
+    tracemalloc.start()
+    try:
+        fit = _fit(*design, ps, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    # a row's estimate is the one it gets alone, on either side of a block edge
+    for i in (0, 4095, 4096, 65535):
+        alone = _fit(*design, ps[i:i + 1], 10**4)
+        for key, value in alone.items():
+            assert np.array_equal(fit[key][i:i + 1], value, equal_nan=True), (i, key)
+
+
+# Which correlations carry the image: the modulation of P_h over the object
+# phase, at T = 0.8 over 24 phases, against the partial transpose of the probe
+# across signals|idlers.
+_T = 0.8
+_GAMMAS = np.array([2 * np.pi * k / 24 for k in range(24)])
+
+
+def _modulation(probe: DensityMatrix) -> float:
+    """Fitted ``cos(gamma)`` amplitude of ``P_h`` at phase 0, over :data:`_GAMMAS`."""
+    batch = run_batch(
+        [probe] * _GAMMAS.size, mode_mixer(), np.full(_GAMMAS.size, _T), _GAMMAS, measurement_stack([0.0])[0]
+    )
+    assert batch.errors == (None,) * _GAMMAS.size
+    design = np.column_stack([np.ones_like(_GAMMAS), np.cos(_GAMMAS), np.sin(_GAMMAS)])
+    coef, *_ = np.linalg.lstsq(design, batch.values[:, 0], rcond=None)
+    return 2.0 * float(np.hypot(coef[1], coef[2]))
+
+
+def _lowest_signals_idlers_eigenvalue(probe: DensityMatrix) -> float:
+    return float(np.linalg.eigvalsh(partial_transpose(probe, ["s1", "s2"]))[0])
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 2 / 3, 0.9, 1.0])
+def test_werner_modulation_is_signals_idlers_negativity(xi):
+    # the (s1, i1)|(i2, s2) cut turns PPT at xi = 2/3, but signals|idlers stays NPT
+    # for every xi < 1, and its lowest eigenvalue -(1 - xi)/2 sets the modulation
+    probe = prepare_werner(xi)
+    assert _modulation(probe) == pytest.approx(2 * _T * abs(_lowest_signals_idlers_eigenvalue(probe)), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_ppt_probe_across_signals_idlers_keeps_modulation(q):
+    cross = sum(np.outer(k, k) for k in (basis_ket("1010"), basis_ket("0101")))
+    probe = DensityMatrix((1 - q) * prepare_probe().mat + q / 2 * cross, DEFAULT_REGISTER)
+    assert _lowest_signals_idlers_eigenvalue(probe) >= -1e-12
+    assert _modulation(probe) == pytest.approx((1 - q) * _T, abs=1e-12)
+
+
+def test_dephased_probe_has_no_modulation():
+    probe = DensityMatrix(np.diag(np.diag(prepare_probe().mat)), DEFAULT_REGISTER)
+    assert _modulation(probe) < 1e-15
