@@ -63,8 +63,15 @@ def object_param_errors(t, gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     errors = np.full(t.shape, None, dtype=object)
     for i in np.flatnonzero(~((t >= 0.0) & (t <= 1.0) & np.isfinite(gamma))):
-        errors[i] = _param_error(float(t[i]), float(gamma[i]))
+        errors.flat[i] = _param_error(float(t.flat[i]), float(gamma.flat[i]))
     return errors
+
+
+def _check_object_params(t, gamma) -> None:
+    """Raise ValueError with the first failed check of :func:`object_param_errors`, in row-major order."""
+    for err in object_param_errors(t, gamma).flat:
+        if err is not None:
+            raise ValueError(err)
 
 
 @_value_class
@@ -76,9 +83,7 @@ class ObjectParams:
 
     def __post_init__(self):
         t, gamma = float(self.t), float(self.gamma)
-        err = _param_error(t, gamma)
-        if err is not None:
-            raise ValueError(err)
+        _check_object_params(t, gamma)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", normalize_angle(gamma))
 

@@ -342,9 +342,11 @@ def _stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _check_sampler(shots: int, seed: int) -> None:
-    """The sampler's bounds: a seed of at least 0, and below 2**63 shots, which numpy's binomial takes as a C long."""
+    """The sampler's rule: a seed of at least 0, and shots in [0, 2**63) (0 is analytic; binomial takes a C long)."""
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
     if shots > 2**63 - 1:
         raise ValueError(f"shots must be below 2**63, got {shots}")
 

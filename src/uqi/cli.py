@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
+from .channels import ObjectParams, _check_object_params, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import partial_transpose
 from .tomography import ImageMaps, _phase_design, estimate_object, image_scan, operator_schmidt, visibility
@@ -51,9 +51,9 @@ def _float_list(text: str, name: str) -> list[float]:
 
 
 def _resolve_phis(args) -> list[float]:
-    if getattr(args, "phi", None) is not None and getattr(args, "phi_points", None) is not None:
+    if args.phi is not None and args.phi_points is not None:
         raise ConfigError("give either --phi or --phi-points, not both")
-    if getattr(args, "phi", None) is not None:
+    if args.phi is not None:
         phis = _float_list(args.phi, "phi")
         if args.degrees:
             phis = [p * _DEG for p in phis]
@@ -61,7 +61,7 @@ def _resolve_phis(args) -> list[float]:
             if not math.isfinite(p):
                 raise ConfigError(f"measurement phase must be finite, got {p}")
         return phis
-    n = args.phi_points if getattr(args, "phi_points", None) is not None else args.default_phi_points
+    n = args.phi_points if args.phi_points is not None else args.default_phi_points
     if n < 1:
         raise ConfigError("phi point count must be at least 1")
     return [2.0 * np.pi * k / n for k in range(n)]
@@ -185,25 +185,19 @@ def cmd_chi(args) -> int:
 
 def cmd_schmidt(args) -> int:
     sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
-    recs: list[tuple] = []
-    for ell, (r, herm) in enumerate(zip(sd.r, sd.hermitian)):
-        recs.append((ell, "coeff", None, None, _round15(float(r)), 0.0, herm))
-    for ell, ops in ((0, sd.a_ops), (1, sd.b_ops)):
-        kind = "a_op" if ell == 0 else "b_op"
+    coeffs = zip(sd.r.tolist(), sd.hermitian)
+    recs = [(ell, "coeff", None, None, _round15(r), 0.0, herm) for ell, (r, herm) in enumerate(coeffs)]
+    for kind, ops in (("a_op", sd.a_ops), ("b_op", sd.b_ops)):
         for term, op in enumerate(ops):
-            for i in range(op.shape[0]):
-                for j in range(op.shape[1]):
-                    recs.append(
-                        (term, kind, i, j, _round15(op[i, j].real), _round15(op[i, j].imag), None)
-                    )
+            recs += [(term, kind, *entry, None) for entry in zip(*_matrix_columns(op))]
     config = {"command": "schmidt", "bipartition": [["i1", "i2"], ["s1", "s2"]], "format": args.format}
     _write_output(("term", "kind", "row", "col", "re", "im", "hermitian"), list(zip(*recs)), config, args)
     return 0
 
 
-def _readouts(probe, mm, ts, gammas, readout) -> np.ndarray:
-    """Engine readouts over the settings ``(ts[i], gammas[i])``; a failed setting is a config error."""
-    batch = run_batch(probe, mm, ts, gammas, readout)
+def _readouts(probe, ts, gammas, readout) -> np.ndarray:
+    """Engine readouts, with the mode mixer, of the settings ``(ts[i], gammas[i])``; a failed one is a config error."""
+    batch = run_batch(probe, mode_mixer(), ts, gammas, readout)
     for err in batch.errors:
         if err is not None:
             raise ConfigError(err)
@@ -230,7 +224,8 @@ def cmd_probabilities(args) -> int:
         gammas = [g * _DEG for g in gammas]
     phis = _resolve_phis(args)
     setting_t, setting_gamma = zip(*itertools.product(ts, gammas))
-    probs = _readouts(prepare_probe(), mode_mixer(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
+    _check_object_params(setting_t, setting_gamma)
+    probs = _readouts(prepare_probe(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
     grid = list(zip(*itertools.product(ts, gammas, phis)))
     config = {
@@ -256,7 +251,7 @@ def cmd_sweep(args) -> int:
     params = _object_params(args)
     phis = _resolve_phis(args)
     method, _ = _phase_design(np.array(phis), args.method)
-    probs = _readouts(prepare_probe(), mode_mixer(), [params.t], [params.gamma], measurement_stack(phis))[0]
+    probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
     est = estimate_object(zip(phis, p_h), method=method, shots=args.shots or None)
     samples = {"record": ["sample"] * len(phis), "phi": phis, "p_h": p_h.tolist(), "p_g": p_g.tolist()}
@@ -296,8 +291,8 @@ def cmd_werner(args) -> int:
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     # every xi x gamma setting in one engine call, xi outer
     values = _readouts(
-        [p for p in probes for _ in gammas], mode_mixer(), np.full(len(probes) * gammas.size, t),
-        np.tile(gammas, len(probes)), pair0,
+        [p for p in probes for _ in gammas], np.full(len(probes) * gammas.size, t), np.tile(gammas, len(probes)),
+        pair0,
     ).reshape(len(probes), gammas.size, 2)
     ppt_mins = np.linalg.eigvalsh(np.stack([partial_transpose(p, ["s1", "i1"]) for p in probes]))[:, 0]
     recs = []
@@ -397,6 +392,19 @@ def _add_angle_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
 
 
+def _add_readout_options(p: argparse.ArgumentParser, phi_points: int) -> None:
+    """The options of the commands that read out a phase sweep: phases, sampler, angles and output."""
+    p.add_argument("--phi", default=None, help="comma list of measurement phases")
+    p.add_argument(
+        "--phi-points", type=int, default=None, help=f"number of uniform phases in [0, 2pi) (default {phi_points})"
+    )
+    p.add_argument("--shots", type=int, default=0, help="shots per readout (0 = analytic)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root random seed")
+    _add_angle_option(p)
+    _add_output_options(p)
+    p.set_defaults(default_phi_points=phi_points)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that help or version text that cannot be written to stdout raises.
 
@@ -440,25 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probabilities", help="detector probabilities over a parameter grid")
     p.add_argument("--T", required=True, help="comma list of transmission amplitudes")
     p.add_argument("--gamma", default="0", help="comma list of transmission phases")
-    p.add_argument("--phi", default=None, help="comma list of measurement phases")
-    p.add_argument("--phi-points", type=int, default=None, help="number of uniform phases in [0, 2pi)")
-    p.add_argument("--shots", type=int, default=0, help="shots per grid point (0 = analytic)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root random seed")
-    _add_angle_option(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_probabilities, default_phi_points=1)
+    _add_readout_options(p, phi_points=1)
+    p.set_defaults(func=cmd_probabilities)
 
     p = sub.add_parser("sweep", help="phase sweep and object-parameter recovery")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--phi", default=None, help="comma list of measurement phases")
-    p.add_argument("--phi-points", type=int, default=None, help="number of uniform phases in [0, 2pi)")
-    p.add_argument("--shots", type=int, default=0, help="shots per phase point (0 = analytic)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--method", choices=("auto", "two-point", "least-squares"), default="auto")
-    _add_angle_option(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_sweep, default_phi_points=12)
+    _add_readout_options(p, phi_points=12)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("werner", help="Werner-probe modulation, visibility and PPT scan")
     p.add_argument("--xi", default="0,0.25,0.5,0.6666666666666666,0.75,0.9,1", help="comma list of mixing weights")
@@ -469,14 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("image", help="per-pixel reconstruction of (T, gamma) maps")
     p.add_argument("--t-map", required=True, help="headerless CSV grid of transmissions in [0, 1]")
     p.add_argument("--gamma-map", required=True, help="headerless CSV grid of phases (radians)")
-    p.add_argument("--phi", default=None, help="comma list of measurement phases")
-    p.add_argument("--phi-points", type=int, default=None, help="number of uniform phases in [0, 2pi)")
-    p.add_argument("--shots", type=int, default=0, help="shots per phase point (0 = analytic)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--method", choices=("auto", "two-point", "least-squares"), default="auto")
-    _add_angle_option(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_image, default_phi_points=8)
+    _add_readout_options(p, phi_points=8)
+    p.set_defaults(func=cmd_image)
 
     return parser
 
@@ -493,10 +486,8 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(args, "seed"):  # the commands that sample; 0 shots is analytic
+        if hasattr(args, "seed"):  # the commands with readout options
             _check_sampler(args.shots, args.seed)
-            if args.shots < 0:
-                raise ConfigError("shots must be nonnegative")
         return args.func(args)
     except ValueError as exc:
         return _fail(exc, 2)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, ModeMixer, fold_angles, mode_mixer, normalize_angle
-from .circuit import measurement_stack, prepare_probe, run_batch, sample_frequencies
+from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles, mode_mixer, normalize_angle
+from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
 from .qcore import DensityMatrix, _value_class
 
 # singular values closer than this (relative) are treated as one
@@ -327,7 +327,7 @@ def visibility(p_series) -> float:
 
 @_value_class
 class ImageMaps:
-    """Ground-truth transmission and phase grids of the scanned object."""
+    """Ground-truth transmission and phase grids of the scanned object; every pixel obeys :class:`ObjectParams`' rule."""
 
     t_map: np.ndarray
     gamma_map: np.ndarray
@@ -341,10 +341,7 @@ class ImageMaps:
             raise ValueError(f"map shapes differ: {t.shape} vs {g.shape}")
         if t.size == 0:
             raise ValueError("maps must not be empty")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
-            raise ValueError("maps contain non-finite values")
-        if np.any(t < 0) or np.any(t > 1):
-            raise ValueError("transmission map values must lie in [0, 1]")
+        _check_object_params(t, g)
         t = t.copy()
         g = g.copy()
         t.setflags(write=False)
@@ -391,13 +388,15 @@ def image_scan(
     probabilities; shot mode draws each pixel's counts with
     :func:`sample_frequencies` from its own stream ``[seed, row, col]``,
     so a pixel's result does not depend on the others.  A phase set that
-    ``method`` cannot invert raises ValueError before the engine runs; a
-    pixel that fails an engine check is recorded without aborting the
-    scan.  Output grids match the input shape.
+    ``method`` cannot invert, and shots or a seed outside the sampler's
+    bounds, raise ValueError before the engine runs; a pixel that fails an
+    engine check is recorded without aborting the scan.  Output grids match
+    the input shape.
     """
     phis = np.array([float(p) for p in phi_sweep])
     method, g = _phase_design(phis, method)
-    shots = int(shots) if shots else 0
+    shots = int(shots)
+    _check_sampler(shots, seed)
     h, w = maps.height, maps.width
     batch = run_batch(
         prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, measurement_stack(phis)[:, 0]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import uqi
 from conftest import fail_second_setting
 from uqi.cli import main
+from uqi.tomography import ImageMaps, image_scan
 
 
 def run_cli(capsys, *argv):
@@ -396,6 +397,46 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", "uqi: duplicate phase values: cannot invert a single setting\n")
 
 
+def _no_engine(*args, **kwargs):
+    raise AssertionError("the engine ran before the input was checked")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("probabilities", "--T", "0.5,2", "--phi", "0"), "transmission must lie in [0, 1], got 2.0"),
+    (("probabilities", "--T", "0.5", "--gamma", "0,nan", "--phi", "0"), "phase must be finite, got nan"),
+    (("image", "--t-map", "t.csv", "--gamma-map", "g.csv"), "transmission must lie in [0, 1], got 1.5"),
+    (("image", "--t-map", "g.csv", "--gamma-map", "t.csv"), "phase must be finite, got nan"),
+], ids=["probabilities-T", "probabilities-gamma", "image-T", "image-gamma"])
+def test_bad_object_setting_exits_2_before_the_engine(tmp_path, capsys, monkeypatch, argv, message):
+    # the engine's own rule (channels.object_param_errors), checked on the whole
+    # grid or map first, in row-major order
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("0.5,0.5\n1.5,nan\n")
+    (tmp_path / "g.csv").write_text("0.0,0.0\n0.5,1.0\n")
+    monkeypatch.setattr("uqi.cli.run_batch", _no_engine)
+    monkeypatch.setattr("uqi.tomography.run_batch", _no_engine)
+    assert run_cli(capsys, *argv) == (2, "", f"uqi: {message}\n")
+
+
+@pytest.mark.parametrize("shots, seed, message", [
+    (-5, 0, "shots must be nonnegative"),
+    (2**63, 0, f"shots must be below 2**63, got {2**63}"),
+    (10, -1, "seed must be nonnegative, got -1"),
+], ids=["negative-shots", "too-many-shots", "negative-seed"])
+def test_image_scan_checks_the_sampler_rule_before_the_engine_as_the_cli_does(
+    tmp_path, capsys, monkeypatch, shots, seed, message
+):
+    monkeypatch.setattr("uqi.tomography.run_batch", _no_engine)
+    maps = ImageMaps(np.full((2, 2), 0.5), np.zeros((2, 2)))
+    with pytest.raises(ValueError) as info:
+        image_scan(maps, [0, 1, 2], shots=shots, seed=seed)
+    assert str(info.value) == message
+    np.savetxt(tmp_path / "t.csv", maps.t_map, delimiter=",")
+    np.savetxt(tmp_path / "g.csv", maps.gamma_map, delimiter=",")
+    argv = ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"), "--phi", "0,1,2")
+    assert run_cli(capsys, *argv, "--shots", str(shots), "--seed", str(seed)) == (2, "", f"uqi: {message}\n")
+
+
 def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
     # a pixel that fails an engine check is reported in its row beside the
     # pixels that pass; the scan completes and the exit code is 1
@@ -661,15 +702,14 @@ def test_fuzzed_werner_chi_image_exit_cleanly(map_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    # no input reaches exit 1: ImageMaps rejects every map value an engine check
+    # would fail (test_image_per_pixel_failures_exit_nonzero injects a failure)
+    assert code in (0, 2, 3), (argv, err.getvalue())
     if code in (2, 3):
         assert out.getvalue() == "" and err.getvalue().startswith("uqi: "), argv
         return
     header, rows = parse_csv(out.getvalue())
     assert rows
-    if code == 1:  # image only: every pixel reported, the failed ones with a status
-        assert argv[0] == "image" and any(row["status"] for row in rows)
-        return
     for row in rows:
         assert all(_csv_cell_is_clean(cell) for cell in row.values()), (argv, row)
 

@@ -445,9 +445,12 @@ def test_image_maps_validation():
     with pytest.raises(ValueError):
         ImageMaps(np.array([[0.5]]), np.array([[0.0, 0.1]]))
     with pytest.raises(ValueError):
-        ImageMaps(np.array([[1.5]]), np.array([[0.0]]))
-    with pytest.raises(ValueError):
         ImageMaps(np.array([0.5]), np.array([0.0]))
+    # map values get the engine's own rule and message, first failing pixel in row-major order
+    with pytest.raises(ValueError, match=r"^transmission must lie in \[0, 1\], got 1.5$"):
+        ImageMaps(np.array([[1.5]]), np.array([[0.0]]))
+    with pytest.raises(ValueError, match="^phase must be finite, got nan$"):
+        ImageMaps(np.array([[0.5, np.nan]]), np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="must not be empty"):
         ImageMaps(np.zeros((0, 1)), np.zeros((0, 1)))
 
@@ -632,3 +635,70 @@ def test_ppt_probe_across_signals_idlers_keeps_modulation(q):
 def test_dephased_probe_has_no_modulation():
     probe = DensityMatrix(np.diag(np.diag(prepare_probe().mat)), DEFAULT_REGISTER)
     assert _modulation(probe) < 1e-15
+
+
+def test_probe_ppt_on_both_two_pair_cuts_keeps_modulation():
+    # Bell weight 0.25, the encoded maximally mixed state 0.5 and the cross term
+    # 0.25: PPT across (s1, i1)|(i2, s2) and signals|idlers, NPT on
+    # (s1, i2)|(i1, s2) and on every single wire, and still a fringe of 0.2
+    cross = sum(np.outer(k, k) for k in (basis_ket("1010"), basis_ket("0101")))
+    mat = 0.25 * prepare_probe().mat + 0.5 * prepare_werner(1.0).mat + 0.25 * cross / 2
+    probe = DensityMatrix(mat, DEFAULT_REGISTER)
+    for cut in (["s1", "i1"], ["s1", "s2"]):
+        assert np.linalg.eigvalsh(partial_transpose(probe, cut))[0] >= -1e-12
+    for cut in (["s1", "i2"], ["s1"], ["i1"], ["i2"], ["s2"]):
+        assert np.linalg.eigvalsh(partial_transpose(probe, cut))[0] == pytest.approx(-0.125, abs=1e-12)
+    assert _modulation(probe) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_fully_separable_probe_biases_the_estimate():
+    # the equal mixture over theta = 2 pi k/8 of (|0> + e^{i theta}|1>)/sqrt(2)
+    # on s1 and i2, with |+> on i1 and s2: at T = 1 the least-squares sweep
+    # finds gamma with a raw amplitude of 1/8, below it the phase is off
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    mat = np.zeros((16, 16), dtype=complex)
+    for k in range(8):
+        a = np.array([1.0, np.exp(2j * np.pi * k / 8)]) / np.sqrt(2)
+        ket = np.kron(np.kron(np.kron(a, plus), a), plus)
+        mat += np.outer(ket, ket.conj()) / 8
+    probe = DensityMatrix(mat, DEFAULT_REGISTER)
+    phis = 2 * np.pi * np.arange(24) / 24
+
+    def estimate(t, gamma):
+        batch = run_batch(probe, mode_mixer(), [t], [gamma], measurement_stack(phis))
+        assert batch.errors == (None,)
+        return estimate_object(zip(phis, batch.values[0, :, 0]), method="least-squares")
+
+    for gamma in (2.0, 0.7, -2.5):
+        est = estimate(1.0, gamma)
+        assert est.t_hat == pytest.approx(1 / 8, abs=1e-12)
+        assert abs(angle_diff(est.gamma_hat, gamma)) < 1e-12
+    assert abs(angle_diff(estimate(0.8, 2.0).gamma_hat, 2.0)) > 0.4
+
+
+def _shot_z_scores(t, shots):
+    """z-scores of ``t_hat`` and, on the pixels not flagged degenerate, of ``gamma_hat``.
+
+    A 64x64 map of one transmission ``t`` and random phases, 8 phases, seed 7.
+    """
+    gamma = np.random.default_rng(7).uniform(-np.pi, np.pi, (64, 64))
+    scan = image_scan(ImageMaps(np.full((64, 64), t), gamma), 2 * np.pi * np.arange(8) / 8, shots=shots, seed=7)
+    assert scan.ok
+    live = ~scan.degenerate
+    z_gamma = angle_diff(scan.gamma_hat[live], gamma[live]) / scan.stderr_gamma[live]
+    return ((scan.t_hat - t) / scan.stderr_t).ravel(), z_gamma
+
+
+@pytest.mark.parametrize("t, shots", [(0.5, 10**4), (0.99, 10**4), (1.0, 100)])
+def test_shot_mode_errors_are_calibrated_at_high_signal_to_noise(t, shots):
+    # T / stderr_t is about 40 or more in each case
+    z_t, z_gamma = _shot_z_scores(t, shots)
+    assert 0.85 <= z_t.var() <= 1.15 and 0.85 <= z_gamma.var() <= 1.15
+    assert abs(z_t.mean()) < 0.15
+
+
+def test_shot_mode_t_hat_is_biased_up_at_low_signal_to_noise():
+    # T = 0.02 at 100 shots, T / stderr_t about 0.4: the amplitude of a noisy
+    # sinusoid is biased upwards, by about 0.9 standard errors (documented)
+    z_t, _ = _shot_z_scores(0.02, 100)
+    assert z_t.mean() > 0.5

@@ -1,0 +1,54 @@
+"""Each input check names what is wrong: one row per check that no other test reaches."""
+
+import numpy as np
+import pytest
+
+from uqi.channels import ChiMatrix, KrausChannel, ObjectParams, choi_matrix, mode_mixer, object_channel
+from uqi.circuit import measurement_stack, prepare_probe, run_batch
+from uqi.cli import main
+from uqi.gates import Gate
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, as_complex_matrix
+from uqi.tomography import aapt_predict, operator_schmidt
+
+
+def _mixer_on_one_wire_block():
+    sd = operator_schmidt(prepare_probe(), (("i1",), ("s1", "i2", "s2")))
+    return aapt_predict(sd, object_channel(ObjectParams(0.5)), mode_mixer())
+
+
+# a call that must raise ValueError, or a `uqi` command line that must exit 2;
+# and the message
+CHECKS = [
+    (lambda: KrausChannel(()), "channel needs at least one Kraus operator"),
+    (lambda: KrausChannel((np.eye(2), np.eye(4))), "all Kraus operators must share one square shape"),
+    (lambda: ChiMatrix(np.eye(2)), "chi matrix must be 4x4, got (2, 2)"),
+    (lambda: ChiMatrix(np.triu(np.ones((4, 4)))), "chi matrix is not Hermitian"),
+    (lambda: choi_matrix(lambda m: m), "dim is required when passing a bare callable"),
+    (
+        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5, 0.6], [0.0], measurement_stack([0.0])),
+        "got 2 transmissions but 1 phases",
+    ),
+    (
+        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.0], np.eye(2)),
+        "readout operators must be 4x4 on (s1, s2), got shape (2, 2)",
+    ),
+    (lambda: Gate("h", np.eye(2), 2), "gate 'h': shape (2, 2) does not match arity 2"),
+    (lambda: as_complex_matrix(np.zeros((0, 2))), "expected a non-empty 2-D matrix, got shape (0, 2)"),
+    (lambda: as_complex_matrix([[np.nan]]), "matrix contains non-finite entries"),
+    (lambda: DensityMatrix(np.eye(2) / 2, DEFAULT_REGISTER), "state shape (2, 2) does not match register dimension 16"),
+    (lambda: DensityMatrix.from_ket(np.zeros(16), DEFAULT_REGISTER), "cannot normalize a zero ket"),
+    (lambda: prepare_probe().reordered(["s1", "i1"]), "wire permutation must mention every wire exactly once"),
+    (_mixer_on_one_wire_block, "the mode mixer post-operation needs a two-wire system block"),
+    (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
+]
+
+
+@pytest.mark.parametrize("check, message", CHECKS, ids=[message for _, message in CHECKS])
+def test_input_check_message(capsys, check, message):
+    if isinstance(check, tuple):
+        assert main(list(check)) == 2
+        assert capsys.readouterr() == ("", f"uqi: {message}\n")
+    else:
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == message
