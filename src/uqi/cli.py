@@ -30,40 +30,36 @@ from . import __version__
 from .channels import ObjectParams, _check_object_params, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import partial_transpose
-from .tomography import ImageMaps, _phase_design, estimate_object, image_scan, operator_schmidt, visibility
+from .tomography import ImageMaps, _fit, _phase_design, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the process exits with status 2, as for any ValueError."""
 
 
 def _float_list(text: str, name: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ConfigError(f"could not parse {name} list {text!r}") from None
+        raise ValueError(f"could not parse {name} list {text!r}") from None
     if not values:
-        raise ConfigError(f"{name} list is empty")
+        raise ValueError(f"{name} list is empty")
     return values
 
 
 def _resolve_phis(args) -> list[float]:
     if args.phi is not None and args.phi_points is not None:
-        raise ConfigError("give either --phi or --phi-points, not both")
+        raise ValueError("give either --phi or --phi-points, not both")
     if args.phi is not None:
         phis = _float_list(args.phi, "phi")
         if args.degrees:
             phis = [p * _DEG for p in phis]
         for p in phis:
             if not math.isfinite(p):
-                raise ConfigError(f"measurement phase must be finite, got {p}")
+                raise ValueError(f"measurement phase must be finite, got {p}")
         return phis
     n = args.phi_points if args.phi_points is not None else args.default_phi_points
     if n < 1:
-        raise ConfigError("phi point count must be at least 1")
+        raise ValueError("phi point count must be at least 1")
     return [2.0 * np.pi * k / n for k in range(n)]
 
 
@@ -200,7 +196,7 @@ def _readouts(probe, ts, gammas, readout) -> np.ndarray:
     batch = run_batch(probe, mode_mixer(), ts, gammas, readout)
     for err in batch.errors:
         if err is not None:
-            raise ConfigError(err)
+            raise ValueError(err)
     return batch.values
 
 
@@ -250,20 +246,13 @@ _SWEEP_COLUMNS = (
 def cmd_sweep(args) -> int:
     params = _object_params(args)
     phis = _resolve_phis(args)
-    method, _ = _phase_design(np.array(phis), args.method)
+    method, g = _phase_design(np.array(phis), args.method)
     probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
-    est = estimate_object(zip(phis, p_h), method=method, shots=args.shots or None)
     samples = {"record": ["sample"] * len(phis), "phi": phis, "p_h": p_h.tolist(), "p_g": p_g.tolist()}
-    estimate = {
-        "record": "estimate",
-        "t_hat": est.t_hat,
-        "gamma_hat": None if np.isnan(est.gamma_hat) else est.gamma_hat,
-        "stderr_t": est.stderr_t,
-        "stderr_gamma": est.stderr_gamma,
-        "method": est.method,
-        "degenerate": est.degenerate,
-    }
+    # the fit's one row; NaN, where a value is not defined, is an empty cell
+    estimate = {key: _cells(value)[0] for key, value in _fit(method, g, p_h[None], args.shots).items()}
+    estimate.update(record="estimate", method=method)
     columns = [samples.get(name, [None] * len(phis)) + [estimate.get(name)] for name in _SWEEP_COLUMNS]
     config = {
         "command": "sweep",
@@ -335,7 +324,7 @@ def _load_map(path: str, name: str) -> np.ndarray:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             grid = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise ConfigError(f"could not parse {name} map {path!r}: {exc}") from None
+        raise ValueError(f"could not parse {name} map {path!r}: {exc}") from None
     return grid
 
 
@@ -405,12 +394,16 @@ def _add_readout_options(p: argparse.ArgumentParser, phi_points: int) -> None:
     p.set_defaults(default_phi_points=phi_points)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that help or version text that cannot be written to stdout raises.
+class _ParserExit(Exception):
+    """argparse ends parsing with the status ``args[0]``: 0 for ``-h`` and ``--version``, 2 for a usage error."""
 
-    argparse ignores an ``OSError`` from that write, so ``--version`` and
-    ``-h`` on a full stdout would report success; usage errors on stderr
-    keep argparse's behaviour.
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, and its subparsers', except that it raises :class:`_ParserExit` in place of exiting.
+
+    argparse ignores an ``OSError`` from writing help or version text to
+    stdout, so ``--version`` and ``-h`` on a full stdout would report
+    success; here that write raises.
     """
 
     def _print_message(self, message, file=None):
@@ -420,6 +413,11 @@ class _Parser(argparse.ArgumentParser):
             file.write(message)
         else:
             super()._print_message(message, file)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,11 +482,14 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return its exit code; it never exits."""
     try:
         args = build_parser().parse_args(argv)
         if hasattr(args, "seed"):  # the commands with readout options
             _check_sampler(args.shots, args.seed)
         return args.func(args)
+    except _ParserExit as exc:
+        return exc.args[0]
     except ValueError as exc:
         return _fail(exc, 2)
     except OSError as exc:
@@ -500,15 +501,11 @@ def entry() -> None:
 
     ``os._exit`` skips the interpreter's teardown (atexit handlers, the final
     garbage collections, unloading numpy), which costs a short ``uqi`` run
-    about a tenth of its wall time.  The exit code is ``main``'s, or
-    argparse's for ``--version``, ``-h`` and usage errors; output that cannot
-    be flushed to stdout is an I/O error, exit code 3, as in ``main``.  An
-    exception other than ``SystemExit`` propagates with a normal exit.
+    about a tenth of its wall time.  The exit code is ``main``'s; output that
+    cannot be flushed to stdout is an I/O error, exit code 3, as in ``main``.
+    An exception propagates with a normal exit.
     """
-    try:
-        code = main(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
+    code = main(sys.argv[1:])
     try:
         if sys.stdout is not None:  # a closed stdout has nothing buffered
             sys.stdout.flush()

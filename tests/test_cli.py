@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -397,6 +398,39 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", "uqi: duplicate phase values: cannot invert a single setting\n")
 
 
+@pytest.mark.parametrize("argv, want_code, error", [
+    (("sweep", "--T", "abc"), 2, "uqi sweep: error: argument --T: invalid float value: 'abc'"),
+    (("chi", "--T", "1", "--gamma", "x"), 2, "uqi chi: error: argument --gamma: invalid float value: 'x'"),
+    (("nosuch",), 2, "uqi: error: argument command: invalid choice: 'nosuch'"),
+    (("image",), 2, "uqi image: error: the following arguments are required: --t-map, --gamma-map"),
+    (("probabilities",), 2, "uqi probabilities: error: the following arguments are required: --T"),
+    (("sweep", "--T", "0.5", "--phi-points", "x"), 2, "uqi sweep: error: argument --phi-points: invalid int value"),
+    (("--bogus",), 2, "uqi: error: the following arguments are required: command"),
+    (("-h",), 0, None),
+    (("sweep", "-h"), 0, None),
+    (("--version",), 0, None),
+], ids=["sweep-T", "chi-gamma", "unknown-command", "image-no-maps", "probabilities-no-T", "phi-points", "bogus",
+        "help", "sweep-help", "version"])
+def test_main_returns_argparse_exit_status_and_writes_its_text(capsys, monkeypatch, argv, want_code, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run_cli(capsys, *argv)
+    # what argparse itself writes, and its exit status, when its exit is not overridden
+    with monkeypatch.context() as patch:
+        patch.setattr("uqi.cli._Parser.exit", argparse.ArgumentParser.exit)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    want = capsys.readouterr()
+    assert got == (want_code, want.out, want.err)
+    assert exc.value.code == want_code
+    _, out, err = got
+    if error:
+        assert out == "" and err.startswith("usage: uqi")
+        assert err.splitlines()[-1].startswith(error)
+    else:
+        assert err == ""
+        assert out.startswith("uqi " if argv == ("--version",) else "usage: uqi ")
+
+
 def _no_engine(*args, **kwargs):
     raise AssertionError("the engine ran before the input was checked")
 
@@ -634,19 +668,25 @@ def map_dir(tmp_path_factory):
     return base
 
 
+def _or_unparseable(values, text):
+    """``values``, or ``text``, which the option's type cannot parse: argparse's usage error."""
+    return st.one_of(values, st.just(text))
+
+
 @st.composite
 def _other_argvs(draw):
     command = draw(st.sampled_from(["werner", "chi", "image"]))
+    transmissions = _or_unparseable(st.one_of(_numbers, _unit), "abc")
     if command == "werner":
         argv = ["werner"]
         xis = st.one_of(st.sampled_from(["", ",", "nan,0.5"]), _lists, st.lists(_unit, min_size=1, max_size=3).map(",".join))
         if draw(st.booleans()):
             argv.append(f"--xi={draw(xis)}")
         if draw(st.booleans()):
-            argv.append(f"--T={draw(st.one_of(_numbers, _unit))}")
+            argv.append(f"--T={draw(transmissions)}")
         return argv
     if command == "chi":
-        argv = ["chi", f"--T={draw(st.one_of(_numbers, _unit))}"]
+        argv = ["chi", f"--T={draw(transmissions)}"]
         if draw(st.booleans()):
             argv.append(f"--gamma={draw(_numbers)}")
         if draw(st.booleans()):
@@ -659,13 +699,13 @@ def _other_argvs(draw):
     if draw(st.booleans()):
         argv.append(f"--phi={draw(_lists)}")
     if draw(st.booleans()):
-        argv.append(f"--phi-points={draw(st.integers(-2, 12))}")
+        argv.append(f"--phi-points={draw(_or_unparseable(st.integers(-2, 12), '1.5'))}")
     if draw(st.booleans()):
-        argv.append(f"--shots={draw(_shots(2000))}")
+        argv.append(f"--shots={draw(_or_unparseable(_shots(2000), 'x'))}")
     if draw(st.booleans()):
         argv.append(f"--method={draw(st.sampled_from(['auto', 'two-point', 'least-squares']))}")
     if draw(st.booleans()):
-        argv.append(f"--seed={draw(st.integers(-2, 2**65))}")
+        argv.append(f"--seed={draw(_or_unparseable(st.integers(-2, 2**65), 'abc'))}")
     if draw(st.booleans()):
         argv.append("--degrees")
     return argv
@@ -706,7 +746,9 @@ def test_fuzzed_werner_chi_image_exit_cleanly(map_dir, argv):
     # would fail (test_image_per_pixel_failures_exit_nonzero injects a failure)
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code in (2, 3):
-        assert out.getvalue() == "" and err.getvalue().startswith("uqi: "), argv
+        # a value that a typed option cannot parse gets argparse's usage text
+        prefixes = ("uqi: ", "usage: uqi ") if code == 2 else ("uqi: ",)
+        assert out.getvalue() == "" and err.getvalue().startswith(prefixes), argv
         return
     header, rows = parse_csv(out.getvalue())
     assert rows
@@ -768,16 +810,13 @@ def _failing_image_argv(tmp_path, monkeypatch):
     (_failing_image_argv, 1),
 ], ids=["version", "help", "unknown-command", "negative-seed", "failed-pixel"])
 def test_process_exit_code_and_streams_match_main(tmp_path, capsys, monkeypatch, argv, want_code):
-    # the process writes what main writes in process and exits with its
-    # code, or with argparse's for --version, -h and usage errors
+    # the process writes what main writes in process and exits with the
+    # code main returns, for --version, -h and usage errors too
     monkeypatch.setenv("COLUMNS", PROCESS_ENV["COLUMNS"])
     env = PROCESS_ENV
     if callable(argv):
         argv, env = argv(tmp_path, monkeypatch)
-    try:
-        in_process = main(list(argv))
-    except SystemExit as exc:
-        in_process = exc.code
+    in_process = main(list(argv))
     captured = capsys.readouterr()
     assert run_process(*argv, env=env) == (want_code, captured.out, captured.err)
     assert in_process == want_code
