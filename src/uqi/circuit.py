@@ -41,20 +41,13 @@ from .qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,
     Register,
+    _block_rows,
     _value_class,
     basis_ket,
     embed,
     partial_trace_stack,
     state_errors,
 )
-
-# Object settings per pass of the batched engine: a few (chunk, 16, 16) complex stacks,
-# 0.26 MB each at 64.  Passes of 128 or 256 ran `werner` and a 576-pixel scan no faster
-# beyond noise, and raised the peak RSS of those processes from 32 to 36-37 MB.
-BATCH_CHUNK = 64
-# Rows per step of the readout product (setting, operator) and of the shot
-# sampler: 0.26 MB of complex products, however many operators a call reads.
-_BLOCK_ROWS = 1024
 
 # the encoded two-qubit subspace: |0bar> = |00>, |1bar> = |11> on each
 # (signal, idler) pair, written in the (s1, i1, i2, s2) wire order
@@ -220,7 +213,7 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
     ``(n, ...)``.
     Passing ``mm=None`` skips the mixing step, which destroys the
     interference: without indistinguishability the detectors see 1/2 each.
-    The settings run in passes of :data:`BATCH_CHUNK`; each setting's
+    The settings run in passes of ``qcore._block_rows(D**2)``; each setting's
     result does not depend on the others or on the pass size.
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
@@ -231,8 +224,9 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
     m = _embedded_mixer(reg, mm)
     values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
-    for lo in range(0, t.size, BATCH_CHUNK):
-        part = slice(lo, lo + BATCH_CHUNK)
+    rows = _block_rows(reg.dim**2)
+    for lo in range(0, t.size, rows):
+        part = slice(lo, lo + rows)
         start = _start_stack(probe, part, t[part].size)
         _, _, signal, chunk_errors = _stage_stacks(start, reg, m, t[part], gamma[part])
         errors[part] = chunk_errors
@@ -240,7 +234,7 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
         # setting's value depends neither on how many share its pass nor on
         # how many operators share its step
         rho_t = signal.swapaxes(1, 2).reshape(len(signal), 1, 16)
-        step = max(1, _BLOCK_ROWS // len(signal))
+        step = _block_rows(16 * len(signal))
         for r in range(0, len(flat), step):
             values[part, r:r + step] = (flat[None, r:r + step] * rho_t).sum(axis=-1).real
     values[~np.equal(errors, None)] = np.nan
@@ -375,22 +369,23 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
         raise ValueError("shots must be at least 1")
     seed = operator.index(seed)
     _check_sampler(shots, seed)
-    p_h = np.clip(np.asarray(p_h, dtype=float), 0.0, 1.0)
+    p_h = np.asarray(p_h, dtype=float)
     keys = np.asarray(keys, dtype=np.int64)
     if p_h.ndim != 2 or keys.ndim != 2 or len(keys) != len(p_h):
         raise ValueError(f"need an (n, k) array and (n, m) keys, got shapes {p_h.shape} and {keys.shape}")
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("stream keys must lie in [0, 2**32)")
-    counts = np.empty(p_h.shape, dtype=np.int64)
+    freqs = np.empty(p_h.shape)
     states = _stream_states(seed, keys)
     row_seed = _RowSeed()
-    for lo in range(0, len(p_h), _BLOCK_ROWS):
+    rows = _block_rows(p_h.shape[1])
+    for lo in range(0, len(p_h), rows):
         block = []
-        for state, row in zip(states[lo:lo + _BLOCK_ROWS], p_h[lo:lo + _BLOCK_ROWS].tolist()):
+        for state, row in zip(states[lo:lo + rows], np.clip(p_h[lo:lo + rows], 0.0, 1.0).tolist()):
             row_seed.state = state
             binomial = np.random.Generator(np.random.PCG64(row_seed)).binomial
             # scalar draws in row order are the draws of one array call on the
             # row, without its per-call validation pass over the array
             block.append([binomial(shots, p) for p in row])
-        counts[lo:lo + _BLOCK_ROWS] = block
-    return counts / shots
+        freqs[lo:lo + rows] = np.array(block, dtype=np.int64) / shots
+    return freqs

@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .channels import ObjectParams, _check_object_params, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
-from .qcore import partial_transpose
-from .tomography import ImageMaps, _fit, _phase_design, image_scan, operator_schmidt, visibility
+from .qcore import _block_rows, partial_transpose
+from .tomography import ImageMaps, _check_finite, _fit, _phase_design, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
@@ -53,9 +53,7 @@ def _resolve_phis(args) -> list[float]:
         phis = _float_list(args.phi, "phi")
         if args.degrees:
             phis = [p * _DEG for p in phis]
-        for p in phis:
-            if not math.isfinite(p):
-                raise ValueError(f"measurement phase must be finite, got {p}")
+        _check_finite(np.array(phis), "measurement phase")
         return phis
     n = args.phi_points if args.phi_points is not None else args.default_phi_points
     if n < 1:
@@ -103,19 +101,15 @@ def _cells(values: np.ndarray) -> list:
     return np.where(np.isnan(values), None, values).ravel().tolist()
 
 
-# Rows formatted and written per block: the text in memory stays a few
-# hundred kB however long the table is.
-_OUTPUT_ROWS = 1024
-
-
 def _write_table(fh, names, columns, config, args) -> None:
-    """Write the table to ``fh``: the header, blocks of :data:`_OUTPUT_ROWS` rows, the tail.
+    """Write the table to ``fh``: the header, blocks of rows sized by the column count, the tail.
 
     The bytes are those of the whole table joined at once: for JSON,
     ``json.dumps(doc, indent=2) + "\\n"`` of the document with a
     ``{name: value}`` record per row.
     """
     n = len(columns[0]) if columns else 0
+    rows = _block_rows(len(columns))
     if args.format == "json":
         import json  # loaded only for JSON output
 
@@ -127,14 +121,14 @@ def _write_table(fh, names, columns, config, args) -> None:
             "\n      %s: %%s" % json.encoder.encode_basestring_ascii(name).replace("%", "%%") for name in names
         )
         fh.write(head + '"results": [')
-        for lo in range(0, n, _OUTPUT_ROWS):
-            texts = [_json_column(col[lo:lo + _OUTPUT_ROWS], json) for col in columns]
+        for lo in range(0, n, rows):
+            texts = [_json_column(col[lo:lo + rows], json) for col in columns]
             fh.write(("," if lo else "") + ",".join([record % row for row in zip(*texts)]))
         fh.write(("\n  ]" if n else "]") + tail)
     else:
         fh.write(",".join(names) + "\n")
-        for lo in range(0, n, _OUTPUT_ROWS):
-            cells = [_csv_column(col[lo:lo + _OUTPUT_ROWS]) for col in columns]
+        for lo in range(0, n, rows):
+            cells = [_csv_column(col[lo:lo + rows]) for col in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -403,20 +397,21 @@ class _Parser(argparse.ArgumentParser):
 
     argparse ignores an ``OSError`` from writing help or version text to
     stdout, so ``--version`` and ``-h`` on a full stdout would report
-    success; here that write raises.
+    success; here that write raises.  A usage error's text goes to stderr
+    alone, where a failed write is ignored, as in argparse.
     """
 
-    def _print_message(self, message, file=None):
-        if message and file is sys.stdout:
-            if file is None:  # the process was started with stdout closed
-                raise OSError("standard output is closed")
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+    def _print_message(self, message, file=None):  # argparse's help and version text, for stdout
+        if file is None:  # the process was started with stdout closed
+            raise OSError("standard output is closed")
+        file.write(message)
+
+    def error(self, message):  # argparse would write the usage to stdout when stderr is closed
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
     def exit(self, status=0, message=None):
         if message:
-            self._print_message(message, sys.stderr)
+            super()._print_message(message, sys.stderr)
         raise _ParserExit(status)
 
 

@@ -26,6 +26,16 @@ import numpy as np
 ATOL = 1e-12
 PSD_SLACK = 1e-10
 
+# Entries per block of every streamed loop, 128 kB as float64.  README, "Memory", gives each
+# stage's width, and why the engine pass this sets (64 settings of 16x16) is not larger.
+_BLOCK_ENTRIES = 2**14
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a loop whose rows carry ``width`` entries each: at least one."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
+
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

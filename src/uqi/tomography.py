@@ -18,14 +18,12 @@ import numpy as np
 
 from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles, mode_mixer, normalize_angle
 from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
-from .qcore import DensityMatrix, _value_class
+from .qcore import DensityMatrix, _block_rows, _value_class
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
 _GROUP_RTOL = 1e-10
 _RANK_RTOL = 1e-12
-# Sweeps per step of the estimator: about 1 MB of temporaries at 8 phases, however many pixels.
-_FIT_ROWS = 4096
 
 
 @_value_class
@@ -221,11 +219,11 @@ def _phase_design(phis: np.ndarray, method: str) -> tuple[str, np.ndarray]:
     if method == "least-squares":
         if len(phis) < 3:
             raise ValueError("least-squares inversion needs at least three phase points")
+        _check_finite(phis, "measurement phase")
         # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
         rounded = np.round(phis, 12)
-        if np.all(rounded == rounded[0]) or np.all(np.isnan(rounded)):
+        if np.all(rounded == rounded[0]):
             raise ValueError("duplicate phase values: cannot invert a single setting")
-        _check_finite(phis, "measurement phase")
         # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
         design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
         if np.linalg.matrix_rank(design) < 3:
@@ -243,8 +241,9 @@ def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
     Returns arrays ``t_hat``, ``gamma_hat`` (NaN when degenerate),
     ``stderr_t``, ``stderr_gamma`` (NaN when not defined) and ``degenerate``.
     """
-    if len(ps) > _FIT_ROWS:  # in blocks of rows, which the sums below keep apart
-        parts = [_fit(method, g, ps[lo:lo + _FIT_ROWS], shots) for lo in range(0, len(ps), _FIT_ROWS)]
+    rows = _block_rows(ps.shape[1])
+    if len(ps) > rows:  # in blocks of rows, which the sums below keep apart
+        parts = [_fit(method, g, ps[lo:lo + rows], shots) for lo in range(0, len(ps), rows)]
         return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
     if method == "two-point":
         ps = ps[:, :2]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from conftest import readout
 
+from uqi import qcore
 from uqi.channels import mode_mixer
 from uqi.circuit import (
-    _BLOCK_ROWS,
     bell_ket,
     measurement_stack,
     pipeline_stages,
@@ -285,9 +285,10 @@ def test_sample_frequencies_streams_are_default_rng_streams(seed, width):
         assert np.array_equal(out[r], [ref.binomial(5000, x) / 5000 for x in p[r]])
 
 
-def test_sample_frequencies_rows_across_blocks_are_default_rng_streams():
-    # the sampler converts and stores its rows a block at a time
-    n = 2 * _BLOCK_ROWS + 3
+def test_sample_frequencies_rows_across_blocks_are_default_rng_streams(monkeypatch):
+    # the sampler converts and stores its rows a block at a time: here 1024 rows of 2 draws
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 2048)
+    n = 2 * qcore._block_rows(2) + 3
     rng = np.random.default_rng(77)
     keys = rng.integers(0, 2**32, size=(n, 2))
     p = rng.uniform(0.0, 1.0, size=(n, 2))

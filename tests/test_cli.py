@@ -871,10 +871,10 @@ def test_process_full_stdout_and_stderr_is_io_error(argv, unbuffered):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_process_out_file_equals_stdout(tmp_path, fmt):
-    # 1600 rows, written in two blocks
+    # 2304 rows of ten columns, written in two blocks
     rng = np.random.default_rng(40)
-    np.savetxt(tmp_path / "t.csv", rng.uniform(0.0, 1.0, (40, 40)), delimiter=",")
-    np.savetxt(tmp_path / "g.csv", rng.uniform(-3.0, 3.0, (40, 40)), delimiter=",")
+    np.savetxt(tmp_path / "t.csv", rng.uniform(0.0, 1.0, (48, 48)), delimiter=",")
+    np.savetxt(tmp_path / "g.csv", rng.uniform(-3.0, 3.0, (48, 48)), delimiter=",")
     argv = ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"),
             "--shots", "100", "--format", fmt)
     proc = subprocess.run([sys.executable, "-m", "uqi.cli", *argv], capture_output=True, env=PROCESS_ENV)
@@ -896,3 +896,13 @@ def test_process_closed_stdout_is_io_error(tmp_path):
     # a run that writes its table to --out needs no stdout
     assert closed_stdout("probe", "--out", str(tmp_path / "probe.csv")) == (0, "")
     assert (tmp_path / "probe.csv").read_text().startswith("row,col,re,im\n")
+
+
+@pytest.mark.parametrize("redirect", [">&- 2>&-", "2>&-"], ids=["stdout-and-stderr-closed", "stderr-closed"])
+def test_process_usage_error_without_stderr_exits_2(redirect):
+    # argparse would write the usage text to stdout, and with stdout closed
+    # too that write would be taken for an I/O error
+    script = f'exec "$0" -m uqi.cli "$@" {redirect}'
+    argv = ["sh", "-c", script, sys.executable, "sweep", "--T", "abc"]
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, env=PROCESS_ENV)
+    assert (proc.returncode, proc.stdout) == (2, b"")

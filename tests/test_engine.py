@@ -7,7 +7,7 @@ from conftest import readout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqi import circuit
+from uqi import qcore
 from uqi.channels import MIXER_VANISHED, ModeMixer, ObjectParams, mode_mixer, object_channel
 from uqi.circuit import (
     measurement_stack,
@@ -107,7 +107,7 @@ def singlet_idler_probe() -> DensityMatrix:
 
 @pytest.mark.parametrize("chunk", [1, 2, 64])
 def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk):
-    monkeypatch.setattr(circuit, "BATCH_CHUNK", chunk)
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)  # passes of chunk 16x16 states
     probe, mm = singlet_idler_probe(), mode_mixer()
     ts = [0.5, 1.0, 1.0, 1.5, 0.3]
     gammas = [0.0, 0.0, 0.5, 0.0, np.nan]
@@ -147,7 +147,7 @@ def interleaved_probes():
 
 @pytest.mark.parametrize("chunk", [1, 2, 64])
 def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
-    monkeypatch.setattr(circuit, "BATCH_CHUNK", chunk)
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)
     probes, ts, gammas = interleaved_probes()
     mm, stack = mode_mixer(), measurement_stack([0.0, 1.0, -2.0])
     batch = run_batch(probes, mm, ts, gammas, stack)

@@ -3,7 +3,9 @@
 The table writer streams the header, blocks of rows and the tail; its
 bytes must be those of the whole table joined at once, the reference
 below.  The engine builds its readout products a block of (setting,
-operator) rows at a time.
+operator) rows at a time, and the sampler and the estimator take blocks of
+rows; every block holds about ``qcore._BLOCK_ENTRIES`` entries, however
+wide its rows are.
 """
 
 import json
@@ -15,11 +17,14 @@ import numpy as np
 import pytest
 
 import uqi
+from uqi import qcore
 from uqi.channels import mode_mixer
-from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, run_batch
-from uqi.cli import _OUTPUT_ROWS, _csv_column, _write_output
+from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, run_batch, sample_frequencies
+from uqi.cli import _csv_column, _write_output
+from uqi.qcore import _block_rows
+from uqi.tomography import _fit, _phase_design
 
-B = _OUTPUT_ROWS
+B = 1024  # rows per block of the nine columns of _table, under the budget the test sets
 
 
 def reference_text(names, columns, config, seed, fmt) -> str:
@@ -77,8 +82,10 @@ CONFIG = {"command": "test", "phi": [0.0, 1.5], "note": '"results": [] %s', "nes
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_streamed_table_equals_whole_table(tmp_path, capsys, fmt, n):
+def test_streamed_table_equals_whole_table(tmp_path, capsys, monkeypatch, fmt, n):
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 9 * B)
     names, columns = _table(n, seed=n)
+    assert _block_rows(len(columns)) == B
     want = reference_text(names, columns, CONFIG, 5, fmt)
     _write_output(names, columns, CONFIG, SimpleNamespace(format=fmt, out=None, seed=5))
     assert capsys.readouterr().out == want
@@ -144,3 +151,43 @@ def test_run_batch_readout_equals_whole_product(n, phases):
     want = (flat[None] * signal.swapaxes(1, 2).reshape(n, 1, 16)).sum(axis=-1).real.reshape(n, phases, 2)
     got = run_batch(prepare_probe(), mode_mixer(), t, gamma, readout).values
     assert np.array_equal(got, want)
+
+
+def test_fit_memory_does_not_grow_with_the_phases():
+    # 4096 sweeps x 1024 phases with shots: one (4096, 2, 2, 1024) covariance
+    # product would take 128 MB, while the results take 160 kB and a block of
+    # 16 sweeps 0.5 MB
+    phis = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    design = _phase_design(phis, "least-squares")
+    ps = np.random.default_rng(4).uniform(0.05, 0.95, (4096, 1024))
+    fit = None
+
+    def call():
+        nonlocal fit
+        fit = _fit(*design, ps, 100)
+
+    peak = _traced_peak(call)
+    assert peak < 4 * 2**20, peak
+    rows = _block_rows(1024)
+    for i in (0, rows - 1, rows, 4095):  # a row's estimate is the one it gets alone
+        alone = _fit(*design, ps[i:i + 1], 100)
+        assert all(np.array_equal(fit[key][i:i + 1], alone[key], equal_nan=True) for key in alone), i
+
+
+def test_sampler_memory_does_not_grow_with_the_phases():
+    # 1024 rows x 1024 draws: the result takes 8 MB, while one block of all
+    # rows as Python lists, with a clipped copy and a count array, took 57 MB
+    rng = np.random.default_rng(6)
+    p, keys = rng.uniform(0.0, 1.0, (1024, 1024)), np.arange(1024)[:, None]
+    sample_frequencies(p[:1], 100, 9, keys[:1])  # imports numpy.random outside the traced call
+    out = None
+
+    def call():
+        nonlocal out
+        out = sample_frequencies(p, 100, 9, keys)
+
+    peak = _traced_peak(call)
+    assert peak < 12 * 2**20, peak
+    rows = _block_rows(1024)
+    for r in (0, rows - 1, rows, 1023):
+        assert np.array_equal(out[r], np.random.default_rng([9, r]).binomial(100, p[r]) / 100), r

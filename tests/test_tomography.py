@@ -8,7 +8,7 @@ from uqi.channels import (
     mode_mixer,
     object_channel,
 )
-from uqi import circuit, tomography
+from uqi import qcore, tomography
 from uqi.circuit import (
     measurement_stack,
     pipeline_stages,
@@ -304,8 +304,8 @@ def test_estimate_rejects_single_phase():
         estimate_object([(0.0, 0.4), (0.0, 0.4)], method="two-point")
     with pytest.raises(ValueError):
         estimate_object([(0.0, 0.4), (0.0, 0.41), (0.0, 0.39)], method="least-squares")
-    # equal after rounding to 12 digits, or all NaN, is still a single setting
-    for phis in ([0.0, 1e-13, 0.0], [0.5, 0.5 + 4e-13, 0.5 - 4e-13], [np.nan] * 3):
+    # equal after rounding to 12 digits is still a single setting
+    for phis in ([0.0, 1e-13, 0.0], [0.5, 0.5 + 4e-13, 0.5 - 4e-13]):
         with pytest.raises(ValueError, match="duplicate phase values"):
             estimate_object([(p, 0.4) for p in phis], method="least-squares")
     with pytest.raises(ValueError):
@@ -500,7 +500,7 @@ def test_image_scan_independent_of_batch_size(monkeypatch, shots):
     phis = [2 * np.pi * k / 8 for k in range(8)]
     scans = []
     for chunk in (1, 7, 20, 64):
-        monkeypatch.setattr(circuit, "BATCH_CHUNK", chunk)
+        monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)  # passes of chunk 16x16 states
         scans.append(image_scan(maps, phis, shots=shots, seed=3))
     # the first row alone: same pixel positions, so the same shot streams
     scans.append(image_scan(ImageMaps(maps.t_map[:1], maps.gamma_map[:1]), phis, shots=shots, seed=3))
@@ -588,10 +588,29 @@ def test_fit_runs_row_by_row_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 12e6
     # a row's estimate is the one it gets alone, on either side of a block edge
-    for i in (0, 4095, 4096, 65535):
+    rows = qcore._block_rows(8)
+    for i in (0, rows - 1, rows, 65535):
         alone = _fit(*design, ps[i:i + 1], 10**4)
         for key, value in alone.items():
             assert np.array_equal(fit[key][i:i + 1], value, equal_nan=True), (i, key)
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+@pytest.mark.parametrize("method, m", [("two-point", 2), ("two-point", 5), ("least-squares", 3), ("least-squares", 8)])
+@pytest.mark.parametrize("budget", [1, 8, 40, 256])
+def test_fit_in_blocks_equals_one_block(monkeypatch, method, m, shots, budget):
+    # blocks of 1 to 128 sweeps give every row the bytes of one block of all 37
+    phis = np.array([2 * np.pi * k / (m + 1) for k in range(m)])
+    ps = np.random.default_rng(m).uniform(0.0, 1.0, (37, m))
+    ps[::5] = 0.5  # zero modulation: degenerate rows between live ones
+    design = _phase_design(phis, method)
+    assert qcore._block_rows(m) >= len(ps)
+    whole = _fit(*design, ps, shots)
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", budget)
+    blocked = _fit(*design, ps, shots)
+    assert whole["degenerate"][::5].all() and not whole["degenerate"].all()
+    for key, value in whole.items():
+        assert np.array_equal(blocked[key], value, equal_nan=True), key
 
 
 # Which correlations carry the image: the modulation of P_h over the object

@@ -8,7 +8,7 @@ from uqi.circuit import measurement_stack, prepare_probe, run_batch
 from uqi.cli import main
 from uqi.gates import Gate
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, as_complex_matrix
-from uqi.tomography import aapt_predict, operator_schmidt
+from uqi.tomography import aapt_predict, estimate_object, operator_schmidt
 
 
 def _mixer_on_one_wire_block():
@@ -39,6 +39,8 @@ CHECKS = [
     (lambda: DensityMatrix.from_ket(np.zeros(16), DEFAULT_REGISTER), "cannot normalize a zero ket"),
     (lambda: prepare_probe().reordered(["s1", "i1"]), "wire permutation must mention every wire exactly once"),
     (_mixer_on_one_wire_block, "the mode mixer post-operation needs a two-wire system block"),
+    # the finite check comes before the duplicate test, which all-NaN phases would pass
+    (lambda: estimate_object([(np.nan, 0.5)] * 3), "measurement phase must be finite, got nan"),
     (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
 ]
 
