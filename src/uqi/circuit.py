@@ -335,12 +335,17 @@ def _stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-def _check_sampler(shots: int, seed: int) -> None:
-    """The sampler's rule: a seed of at least 0, and shots in [0, 2**63) (0 is analytic; binomial takes a C long)."""
+def _check_sampler(shots: int, seed: int, least: int = 0) -> None:
+    """The sampler's rule: shots in [least, 2**63) (a C long) and a seed >= 0, each an integer to ``operator.index``."""
+    for name, value in (("shots", shots), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value}") from None
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    if shots < least:
+        raise ValueError(f"shots must be at least {least}" if least else "shots must be nonnegative")
     if shots > 2**63 - 1:
         raise ValueError(f"shots must be below 2**63, got {shots}")
 
@@ -364,11 +369,7 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.state
 
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    seed = operator.index(seed)
-    _check_sampler(shots, seed)
+    _check_sampler(shots, seed, least=1)
     p_h = np.asarray(p_h, dtype=float)
     keys = np.asarray(keys, dtype=np.int64)
     if p_h.ndim != 2 or keys.ndim != 2 or len(keys) != len(p_h):
@@ -376,7 +377,7 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("stream keys must lie in [0, 2**32)")
     freqs = np.empty(p_h.shape)
-    states = _stream_states(seed, keys)
+    states = _stream_states(int(seed), keys)  # a Python int: numpy's would overflow in the word arithmetic
     row_seed = _RowSeed()
     rows = _block_rows(p_h.shape[1])
     for lo in range(0, len(p_h), rows):

@@ -292,13 +292,15 @@ def estimate_object(probabilities, method: str = "least-squares", shots: int | N
     A single phase setting determines only ``T cos(gamma + phi)`` and is
     rejected: both methods require genuinely distinct phases.  With
     ``shots`` given, binomial uncertainty is propagated into standard
-    errors and the degeneracy test becomes ``t_hat < 3 stderr_t``.
+    errors and the degeneracy test becomes ``t_hat < 3 stderr_t``;
+    ``shots`` follow the sampler's rule, with None and 0 analytic.
     """
     pts = [(float(p), float(v)) for p, v in probabilities]
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
     _check_finite(ps, "detection probability")
     method, g = _phase_design(phis, method)
+    _check_sampler(shots or 0, 0)
     fit = _fit(method, g, ps, shots)
     stderr_t, stderr_gamma = fit["stderr_t"][0], fit["stderr_gamma"][0]
     return ObjectEstimate(
@@ -388,29 +390,25 @@ def image_scan(
     :func:`sample_frequencies` from its own stream ``[seed, row, col]``,
     so a pixel's result does not depend on the others.  A phase set that
     ``method`` cannot invert, and shots or a seed outside the sampler's
-    bounds, raise ValueError before the engine runs; a pixel that fails an
-    engine check is recorded without aborting the scan.  Output grids match
-    the input shape.
+    rule, raise ValueError before the engine runs.  A pixel that fails an
+    engine check is recorded without aborting the scan: its readout row,
+    sampled as zeros, carries NaN through the estimator, so its estimates
+    are NaN and it is not degenerate.  Output grids match the input shape.
     """
     phis = np.array([float(p) for p in phi_sweep])
     method, g = _phase_design(phis, method)
-    shots = int(shots)
     _check_sampler(shots, seed)
     h, w = maps.height, maps.width
     batch = run_batch(
         prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, measurement_stack(phis)[:, 0]
     )
     p_h = batch.values
-    live = np.array([e is None for e in batch.errors], dtype=bool)
+    failed = np.not_equal(batch.errors, None)
     if shots:
-        pixels = np.column_stack(divmod(np.flatnonzero(live), w))
-        p_h[live] = sample_frequencies(p_h[live], shots, seed, pixels)
-
-    fit = {key: np.full(h * w, np.nan) for key in ("t_hat", "gamma_hat", "stderr_t", "stderr_gamma")}
-    fit["degenerate"] = np.zeros(h * w, dtype=bool)
-    for key, value in _fit(method, g, p_h[live], shots).items():
-        fit[key][live] = value
+        p_h[failed] = 0.0
+        p_h = sample_frequencies(p_h, shots, seed, np.indices((h, w)).reshape(2, -1).T)
+        p_h[failed] = np.nan
     return ScanResult(
-        **{key: value.reshape(h, w) for key, value in fit.items()},
+        **{key: value.reshape(h, w) for key, value in _fit(method, g, p_h, shots).items()},
         errors=tuple((*divmod(i, w), e) for i, e in enumerate(batch.errors) if e is not None),
     )

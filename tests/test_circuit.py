@@ -248,6 +248,7 @@ def test_sample_frequencies_deterministic_per_row_stream():
     keys = [(0, 2), (1, 0), (5, 3)]
     out = sample_frequencies(p, 1234, seed=99, keys=keys)
     assert np.array_equal(out, sample_frequencies(p, 1234, seed=99, keys=keys))
+    assert np.array_equal(out, sample_frequencies(p, np.int64(1234), seed=np.uint8(99), keys=keys))
     for r, key in enumerate(keys):
         assert np.array_equal(out[r], np.random.default_rng([99, *key]).binomial(1234, p[r]) / 1234)
     back = sample_frequencies(p[::-1], 1234, seed=99, keys=keys[::-1])

@@ -22,7 +22,7 @@ from uqi.channels import mode_mixer
 from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import _csv_column, _write_output
 from uqi.qcore import _block_rows
-from uqi.tomography import _fit, _phase_design
+from uqi.tomography import ImageMaps, _fit, _phase_design, image_scan
 
 B = 1024  # rows per block of the nine columns of _table, under the budget the test sets
 
@@ -172,6 +172,19 @@ def test_fit_memory_does_not_grow_with_the_phases():
     for i in (0, rows - 1, rows, 4095):  # a row's estimate is the one it gets alone
         alone = _fit(*design, ps[i:i + 1], 100)
         assert all(np.array_equal(fit[key][i:i + 1], alone[key], equal_nan=True) for key in alone), i
+
+
+@pytest.mark.parametrize("n, shots, bound", [(32, 0, 1.5), (16, 100, 3.0)])
+def test_image_scan_samples_and_fits_its_readouts_in_place(n, shots, bound):
+    # n x n pixels x 1024 phases of readouts take 8 n**2 kB. An analytic scan
+    # holds them once, and a shot scan once more as frequencies; each copy of
+    # them, such as a gather of the live pixels' rows, would add one more
+    rng = np.random.default_rng(8)
+    maps = ImageMaps(rng.uniform(0.0, 1.0, (n, n)), rng.uniform(-3.0, 3.0, (n, n)))
+    phis = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    image_scan(maps, phis[:3], shots=1)  # imports numpy.random and the engine's modules outside the traced call
+    peak = _traced_peak(lambda: image_scan(maps, phis, shots=shots, seed=2))
+    assert peak < bound * n * n * 1024 * 8, peak / (n * n * 1024 * 8)
 
 
 def test_sampler_memory_does_not_grow_with_the_phases():

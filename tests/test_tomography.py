@@ -541,12 +541,24 @@ def test_image_scan_records_pixel_errors_without_aborting(monkeypatch):
         patch.setattr(tomography, "run_batch", _no_engine)
         with pytest.raises(ValueError, match="^duplicate phase values: cannot invert a single setting$"):
             image_scan(maps, [0.0, 0.0], method="two-point")
-    # a setting that fails an engine check is recorded, and the scan goes on
-    monkeypatch.setattr(tomography, "run_batch", fail_second_setting(run_batch))
-    scan = image_scan(maps, [0.0, np.pi / 2], shots=100, seed=1)
-    assert scan.errors == ((0, 1, "engine check failed"),)
-    assert np.isnan(scan.t_hat[0, 1]) and not scan.degenerate[0, 1]
-    assert np.count_nonzero(np.isnan(scan.t_hat)) == 1
+    # a setting that fails an engine check is recorded, and the scan goes on:
+    # the failed pixel is NaN in every estimate and not degenerate, and every
+    # other pixel, its shot stream included, is that of a scan without it
+    maps = ImageMaps([[0.5, 0.9, 0.2], [0.7, 0.0, 1.0]], [[0.3, -2.0, 1.0], [3.1, 0.0, -0.5]])
+    keys = ("t_hat", "gamma_hat", "stderr_t", "stderr_gamma", "degenerate")
+    others = np.ones(maps.t_map.shape, dtype=bool)
+    others[0, 1] = False
+    for shots in (0, 100):
+        for method in ("two-point", "least-squares"):
+            clean = image_scan(maps, [0.0, np.pi / 2, 2.0], shots=shots, seed=1, method=method)
+            with monkeypatch.context() as patch:
+                patch.setattr(tomography, "run_batch", fail_second_setting(run_batch))
+                scan = image_scan(maps, [0.0, np.pi / 2, 2.0], shots=shots, seed=1, method=method)
+            assert scan.errors == ((0, 1, "engine check failed"),)
+            assert all(np.isnan(getattr(scan, key)[0, 1]) for key in keys[:4]), (shots, method)
+            assert not scan.degenerate[0, 1]
+            for key in keys:
+                assert np.array_equal(getattr(scan, key)[others], getattr(clean, key)[others], equal_nan=True), key
 
 
 @pytest.mark.parametrize("method", ["auto", "least-squares"])

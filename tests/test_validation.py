@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from uqi.channels import ChiMatrix, KrausChannel, ObjectParams, choi_matrix, mode_mixer, object_channel
-from uqi.circuit import measurement_stack, prepare_probe, run_batch
+from uqi.circuit import measurement_stack, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import main
 from uqi.gates import Gate
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, as_complex_matrix
-from uqi.tomography import aapt_predict, estimate_object, operator_schmidt
+from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt
 
 
 def _mixer_on_one_wire_block():
@@ -41,6 +41,15 @@ CHECKS = [
     (_mixer_on_one_wire_block, "the mode mixer post-operation needs a two-wire system block"),
     # the finite check comes before the duplicate test, which all-NaN phases would pass
     (lambda: estimate_object([(np.nan, 0.5)] * 3), "measurement phase must be finite, got nan"),
+    # shots and a seed are integers, numpy's included; on the command line argparse's type=int holds them
+    (
+        lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [0.0, 1.0], shots=10, seed=1.5),
+        "seed must be an integer, got 1.5",
+    ),
+    (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [0.0, 1.0], shots=10.7), "shots must be an integer, got 10.7"),
+    (lambda: sample_frequencies([[0.5]], np.float64(3.0), 0, [(0,)]), "shots must be an integer, got 3.0"),
+    # a negative count would clip the shot variance to 0 and report stderr_t = 0
+    (lambda: estimate_object([(0.0, 0.3), (1.0, 0.6), (2.0, 0.7)], shots=-3), "shots must be nonnegative"),
     (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
 ]
 
