@@ -18,8 +18,6 @@ to a fixed state ``|Xi>``, the rest of the two-wire space is untouched.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .qcore import (
@@ -45,33 +43,16 @@ def normalize_angle(theta: float) -> float:
     return float(fold_angles(theta))
 
 
-def _param_error(t: float, gamma: float) -> str | None:
-    if not 0.0 <= t <= 1.0:
-        return f"transmission must lie in [0, 1], got {t}"
-    if not math.isfinite(gamma):
-        return f"phase must be finite, got {gamma}"
-    return None
-
-
-def object_param_errors(t, gamma) -> np.ndarray:
-    """The checks of :class:`ObjectParams` on arrays of settings.
-
-    Returns an object array holding each setting's first failed check as
-    a message, or None where ``t`` lies in [0, 1] and ``gamma`` is finite.
-    """
+def _check_object_params(t, gamma) -> None:
+    """Raise ValueError for the first setting, in row-major order, with ``t`` outside [0, 1] or a non-finite ``gamma``."""
     t = np.asarray(t, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    errors = np.full(t.shape, None, dtype=object)
-    for i in np.flatnonzero(~((t >= 0.0) & (t <= 1.0) & np.isfinite(gamma))):
-        errors.flat[i] = _param_error(float(t.flat[i]), float(gamma.flat[i]))
-    return errors
-
-
-def _check_object_params(t, gamma) -> None:
-    """Raise ValueError with the first failed check of :func:`object_param_errors`, in row-major order."""
-    for err in object_param_errors(t, gamma).flat:
-        if err is not None:
-            raise ValueError(err)
+    bad = np.flatnonzero(~((t >= 0.0) & (t <= 1.0) & np.isfinite(gamma)))
+    if bad.size:
+        t, gamma = float(t.flat[bad[0]]), float(gamma.flat[bad[0]])
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transmission must lie in [0, 1], got {t}")
+        raise ValueError(f"phase must be finite, got {gamma}")
 
 
 @_value_class
@@ -140,7 +121,7 @@ class KrausChannel:
 def object_kraus(t, gamma) -> np.ndarray:
     """``(n, 2, 2, 2)`` stack of the Kraus pairs ``(K0, K1)`` of n object settings.
 
-    The settings are taken as valid (see :func:`object_param_errors`).
+    The settings are taken as valid (see :func:`_check_object_params`).
     """
     t = np.asarray(t, dtype=float)
     kraus = np.zeros((t.size, 2, 2, 2), dtype=complex)

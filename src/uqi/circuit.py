@@ -28,11 +28,11 @@ from .channels import (
     MIXER_VANISHED,
     TP_VIOLATED,
     ModeMixer,
+    _check_object_params,
     apply_kraus_stack,
     fold_angles,
     mix_stack,
     object_kraus,
-    object_param_errors,
     tp_deviation,
 )
 from .gates import apply_unitary, cnot, hadamard
@@ -42,6 +42,7 @@ from .qcore import (
     DensityMatrix,
     Register,
     _block_rows,
+    _check_finite,
     _value_class,
     basis_ket,
     embed,
@@ -99,22 +100,25 @@ def _engine_inputs(probe, t, gamma):
 
     ``probe`` stays the one :class:`DensityMatrix` every setting shares,
     or becomes a tuple of one per setting, all on one register; ``t`` and
-    ``gamma`` become flat float arrays of the n settings.
+    ``gamma`` become flat float arrays of the n settings, each of which
+    must obey :class:`ObjectParams`' rule.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     if t.shape != gamma.shape:
         raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
     if isinstance(probe, DensityMatrix):
-        return probe, probe.register, t, gamma
-    probe = tuple(probe)
-    if len(probe) != t.size or not probe:
-        raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
-    first = probe[0].register
-    # identity first: the probes of one call usually share one Register object
-    if any(p.register is not first and p.register != first for p in probe):
-        raise ValueError(f"probes must share one register, got {len({p.register for p in probe})}")
-    return probe, probe[0].register, t, gamma
+        reg = probe.register
+    else:
+        probe = tuple(probe)
+        if len(probe) != t.size or not probe:
+            raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
+        reg = probe[0].register
+        # identity first: the probes of one call usually share one Register object
+        if any(p.register is not reg and p.register != reg for p in probe):
+            raise ValueError(f"probes must share one register, got {len({p.register for p in probe})}")
+    _check_object_params(t, gamma)
+    return probe, reg, t, gamma
 
 
 def _start_stack(probe, part: slice, n: int) -> np.ndarray:
@@ -133,14 +137,15 @@ def _stage_stacks(start: np.ndarray, reg: Register, m: np.ndarray | None, t: np.
 
     ``start`` holds each setting's probe on ``reg``, and ``m`` is the mixer
     embedded on ``(i1, i2)``, or None to skip mixing.
+    The settings obey :class:`ObjectParams`' rule (:func:`_engine_inputs`).
     Returns the post-object stack, the post-mixer stack (or None), the
-    signal stack and each setting's first failed check (None if it passed).
-    Every stage gets the checks of :class:`DensityMatrix`; a setting that
-    fails one carries on with harmless values and is reported, not raised.
+    signal stack and each setting's first failed engine check (None if it
+    passed): the Kraus trace-preserving check, the mixer's normalization and
+    the checks of :class:`DensityMatrix` on every stage.  A setting that
+    fails one is reported, not raised, and carries on through the pass.
     """
-    errors = object_param_errors(t, gamma)
-    bad = ~np.equal(errors, None)
-    kraus = object_kraus(np.where(bad, 1.0, t), fold_angles(np.where(bad, 0.0, gamma)))
+    errors = np.full(t.size, None, dtype=object)
+    kraus = object_kraus(t, fold_angles(gamma))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
     post_object = apply_kraus_stack(start, kraus, ["i1"], reg)
     _record(errors, state_errors(post_object))
@@ -166,8 +171,8 @@ class PipelineStages:
     ``post_object`` and ``post_mixer`` are ``(n, 16, 16)`` on the probe's
     register (``post_mixer`` is None without a mixer); ``signal`` is
     ``(n, 4, 4)`` on ``(s1, s2)``.  ``errors[i]`` holds setting i's first
-    failed check, or None; the rows of a failed setting hold the harmless
-    values the pass carried on with, not a physical state.
+    failed engine check, or None; the rows of a failed setting hold what
+    the pass computed for it, which need not be a physical state.
     """
 
     post_object: np.ndarray
@@ -180,8 +185,8 @@ def pipeline_stages(probe, mm: ModeMixer | None, t, gamma) -> PipelineStages:
     """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
 
     ``probe`` is as in :func:`run_batch`.  One engine pass over all n
-    settings with the mixer embedded once: the same stacks, checks and
-    per-setting messages as in :func:`run_batch`.
+    settings with the mixer embedded once: the same input rules, stacks,
+    checks and per-setting messages as in :func:`run_batch`.
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     start = _start_stack(probe, slice(None), t.size)
@@ -194,8 +199,9 @@ class BatchReadout:
     """Readouts of n object settings from :func:`run_batch`.
 
     ``values[i]`` holds ``Tr[R rho_i]`` for every operator ``R`` of the
-    readout stack; a setting that failed a check holds NaN and its message
-    in ``errors[i]`` (None for the settings that passed).
+    readout stack; a setting that failed one of the engine's own checks
+    holds NaN and its message in ``errors[i]`` (None for the settings that
+    passed).
     """
 
     values: np.ndarray
@@ -215,11 +221,16 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
     interference: without indistinguishability the detectors see 1/2 each.
     The settings run in passes of ``qcore._block_rows(D**2)``; each setting's
     result does not depend on the others or on the pass size.
+    Bad input raises ValueError before the first pass: a setting outside
+    :class:`ObjectParams`' rule (the first one, in order), probes that do
+    not fit the settings, or a readout stack that is not 4x4 or not
+    finite.  Only the engine's own checks give a per-setting NaN.
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     readout = np.asarray(readout)
     if readout.shape[-2:] != (4, 4):
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
+    _check_finite(readout, "readout operators")
     flat = readout.reshape(-1, 16)
     m = _embedded_mixer(reg, mm)
     values = np.empty((t.size, len(flat)))
@@ -357,8 +368,9 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     generator ``default_rng([seed, *keys[r]])``, so a row's counts depend
     on the seed, its key and its own probabilities only.  The n streams
     are seeded in one vectorized pass (:func:`_stream_states`); keys must
-    lie in [0, 2**32) and ``shots`` in [1, 2**63).  The probabilities are
-    clipped to [0, 1] first, which absorbs the engine's rounding.
+    lie in [0, 2**32), ``shots`` in [1, 2**63) and the probabilities must be
+    finite.  They are clipped to [0, 1] first, which absorbs the engine's
+    rounding.
     """
     # numpy.random stays out of the import path of the CLI
     from numpy.random.bit_generator import ISeedSequence
@@ -376,6 +388,7 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
         raise ValueError(f"need an (n, k) array and (n, m) keys, got shapes {p_h.shape} and {keys.shape}")
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("stream keys must lie in [0, 2**32)")
+    _check_finite(p_h, "click probability")
     freqs = np.empty(p_h.shape)
     states = _stream_states(int(seed), keys)  # a Python int: numpy's would overflow in the word arithmetic
     row_seed = _RowSeed()

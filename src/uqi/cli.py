@@ -27,10 +27,10 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .channels import ObjectParams, _check_object_params, chi_matrix, fold_angles, mode_mixer, object_channel
+from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
-from .qcore import _block_rows, partial_transpose
-from .tomography import ImageMaps, _check_finite, _fit, _phase_design, image_scan, operator_schmidt, visibility
+from .qcore import _block_rows, _check_finite, partial_transpose
+from .tomography import ImageMaps, _fit, _phase_design, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
@@ -214,7 +214,6 @@ def cmd_probabilities(args) -> int:
         gammas = [g * _DEG for g in gammas]
     phis = _resolve_phis(args)
     setting_t, setting_gamma = zip(*itertools.product(ts, gammas))
-    _check_object_params(setting_t, setting_gamma)
     probs = _readouts(prepare_probe(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
     grid = list(zip(*itertools.product(ts, gammas, phis)))

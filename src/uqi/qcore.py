@@ -36,6 +36,13 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(width, 1))
 
 
+def _check_finite(values, name: str) -> None:
+    """Raise ValueError naming the first non-finite entry of ``values``, in row-major order."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0].item()}")
+
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

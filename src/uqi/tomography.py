@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles, mode_mixer, normalize_angle
 from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
-from .qcore import DensityMatrix, _block_rows, _value_class
+from .qcore import DensityMatrix, _block_rows, _check_finite, _value_class
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
@@ -188,12 +188,6 @@ def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[:, :, None] * m * v[:, None, :]).sum(axis=(1, 2))
 
 
-def _check_finite(values: np.ndarray, name: str) -> None:
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {float(bad[0])}")
-
-
 def _phase_design(phis: np.ndarray, method: str) -> tuple[str, np.ndarray]:
     """The method and the ``2 x m`` matrix ``G`` that invert a sweep over ``phis``.
 
@@ -318,6 +312,7 @@ def visibility(p_series) -> float:
     ps = np.asarray(list(p_series), dtype=float)
     if ps.size == 0:
         raise ValueError("visibility needs a nonempty series")
+    _check_finite(ps, "detection probability")
     if np.any(ps < 0):
         raise ValueError("probabilities must be nonnegative")
     hi, lo = float(ps.max()), float(ps.min())

@@ -442,13 +442,12 @@ def _no_engine(*args, **kwargs):
     (("image", "--t-map", "g.csv", "--gamma-map", "t.csv"), "phase must be finite, got nan"),
 ], ids=["probabilities-T", "probabilities-gamma", "image-T", "image-gamma"])
 def test_bad_object_setting_exits_2_before_the_engine(tmp_path, capsys, monkeypatch, argv, message):
-    # the engine's own rule (channels.object_param_errors), checked on the whole
-    # grid or map first, in row-major order
+    # ObjectParams' rule (channels._check_object_params), checked on the whole
+    # grid or map before any engine pass, in row-major order
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t.csv").write_text("0.5,0.5\n1.5,nan\n")
     (tmp_path / "g.csv").write_text("0.0,0.0\n0.5,1.0\n")
-    monkeypatch.setattr("uqi.cli.run_batch", _no_engine)
-    monkeypatch.setattr("uqi.tomography.run_batch", _no_engine)
+    monkeypatch.setattr("uqi.circuit._stage_stacks", _no_engine)
     assert run_cli(capsys, *argv) == (2, "", f"uqi: {message}\n")
 
 

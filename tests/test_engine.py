@@ -7,8 +7,8 @@ from conftest import readout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqi import qcore
-from uqi.channels import MIXER_VANISHED, ModeMixer, ObjectParams, mode_mixer, object_channel
+from uqi import circuit, qcore
+from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, ObjectParams, mode_mixer, object_channel
 from uqi.circuit import (
     measurement_stack,
     pipeline_stages,
@@ -16,7 +16,7 @@ from uqi.circuit import (
     prepare_werner,
     run_batch,
 )
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed, state_errors
 
 TOL = 1e-12
 
@@ -109,20 +109,14 @@ def singlet_idler_probe() -> DensityMatrix:
 def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk):
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)  # passes of chunk 16x16 states
     probe, mm = singlet_idler_probe(), mode_mixer()
-    ts = [0.5, 1.0, 1.0, 1.5, 0.3]
-    gammas = [0.0, 0.0, 0.5, 0.0, np.nan]
+    ts = [0.5, 1.0, 1.0]
+    gammas = [0.0, 0.0, 0.5]
     stack = measurement_stack([0.0, 1.0])
     batch = run_batch(probe, mm, ts, gammas, stack)
-    assert batch.errors == (
-        None,
-        MIXER_VANISHED,
-        None,
-        "transmission must lie in [0, 1], got 1.5",
-        "phase must be finite, got nan",
-    )
+    assert batch.errors == (None, MIXER_VANISHED, None)
     # the stage view runs the same checks over all settings in one pass
     assert pipeline_stages(probe, mm, ts, gammas).errors == batch.errors
-    assert np.all(np.isnan(batch.values[1:2])) and np.all(np.isnan(batch.values[3:]))
+    assert np.all(np.isnan(batch.values[1]))
     for i in (0, 2):
         alone = run_batch(probe, mm, ts[i : i + 1], gammas[i : i + 1], stack)
         assert np.array_equal(batch.values[i], alone.values[0])
@@ -134,13 +128,12 @@ def interleaved_probes():
     """Werner probes and the singlet-idler probe, interleaved, with each setting's ``(T, gamma)``.
 
     The singlet-idler probe at ``T = 1, gamma = 0`` loses the mixer's
-    normalization mid-pass, and one Werner setting carries a bad
-    transmission.
+    normalization mid-pass.
     """
     werner = [prepare_werner(xi) for xi in (0.0, 0.3, 2.0 / 3.0, 1.0)]
     singlet = singlet_idler_probe()
     probes = [werner[0], singlet, werner[1], werner[2], singlet, werner[3], werner[1], singlet, werner[0]]
-    ts = [0.4, 0.5, 0.9, 1.0, 1.0, 0.2, 1.5, 0.8, 0.0]
+    ts = [0.4, 0.5, 0.9, 1.0, 1.0, 0.2, 0.7, 0.8, 0.0]
     gammas = [0.3, -1.0, 2.0, 0.0, 0.0, -2.5, 0.1, 3.0, 1.0]
     return probes, ts, gammas
 
@@ -153,8 +146,7 @@ def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
     batch = run_batch(probes, mm, ts, gammas, stack)
     stages = pipeline_stages(probes, mm, ts, gammas)
     assert batch.errors[4] == stages.errors[4] == MIXER_VANISHED
-    assert batch.errors[6] == "transmission must lie in [0, 1], got 1.5"
-    assert sum(e is not None for e in batch.errors) == 2
+    assert sum(e is not None for e in batch.errors) == 1
     assert stages.errors == batch.errors
     for probe in {id(p): p for p in probes}.values():
         rows = [i for i, p in enumerate(probes) if p is probe]
@@ -182,3 +174,53 @@ def test_per_setting_probes_are_validated():
             call([], [], [])
         with pytest.raises(ValueError, match="one register"):
             call(probes[:-1] + [other], ts, gammas)
+
+
+@pytest.mark.parametrize("bad_t, bad_gamma, message", [
+    (1.5, 0.0, "transmission must lie in [0, 1], got 1.5"),
+    (0.5, np.nan, "phase must be finite, got nan"),
+], ids=["T", "gamma"])
+def test_bad_object_setting_raises_before_any_pass(monkeypatch, bad_t, bad_gamma, message):
+    def no_pass(*args):
+        raise AssertionError("an engine pass ran before the settings were checked")
+
+    monkeypatch.setattr(circuit, "_stage_stacks", no_pass)
+    probes, ts, gammas = interleaved_probes()
+    ts[2], gammas[2] = bad_t, bad_gamma
+    ts[5], gammas[5] = -1.0, np.inf  # a later bad setting: the first one in order is reported
+    mm, stack = mode_mixer(), measurement_stack([0.0])
+    other = DensityMatrix(prepare_probe().mat, Register(("s1", "i2", "i1", "s2")))
+    for call in (
+        lambda probes, ts, gammas: run_batch(probes, mm, ts, gammas, stack),
+        lambda probes, ts, gammas: pipeline_stages(probes, mm, ts, gammas),
+    ):
+        for probe in (prepare_probe(), probes):
+            with pytest.raises(ValueError) as info:
+                call(probe, ts, gammas)
+            assert str(info.value) == message
+        # the probe-count and register checks come first
+        with pytest.raises(ValueError, match="one probe per setting"):
+            call(probes[:-1], ts, gammas)
+        with pytest.raises(ValueError, match="one register"):
+            call(probes[:-1] + [other], ts, gammas)
+
+
+def test_tp_violation_is_the_first_check_and_leaves_neighbours_alone(monkeypatch):
+    probe, mm, stack = prepare_probe(), mode_mixer(), measurement_stack([0.0, 1.0])
+    ts, gammas = [0.2, 0.5, 0.9], [0.1, -1.0, 2.0]
+    clean = run_batch(probe, mm, ts, gammas, stack)
+    object_kraus = circuit.object_kraus
+
+    def broken(t, gamma):
+        kraus = object_kraus(t, gamma)
+        kraus[1, 0] *= 1.5  # setting 1's K0: sum K^† K is no longer I
+        return kraus
+
+    monkeypatch.setattr(circuit, "object_kraus", broken)
+    batch = run_batch(probe, mm, ts, gammas, stack)
+    stages = pipeline_stages(probe, mm, ts, gammas)
+    assert batch.errors == stages.errors == (None, TP_VIOLATED, None)
+    # the trace the broken set also spoils is reported after it
+    assert state_errors(stages.post_object)[1].startswith("density matrix trace")
+    assert np.all(np.isnan(batch.values[1]))
+    assert np.array_equal(batch.values[[0, 2]], clean.values[[0, 2]])

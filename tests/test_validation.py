@@ -8,7 +8,7 @@ from uqi.circuit import measurement_stack, prepare_probe, run_batch, sample_freq
 from uqi.cli import main
 from uqi.gates import Gate
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, as_complex_matrix
-from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt
+from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt, visibility
 
 
 def _mixer_on_one_wire_block():
@@ -32,6 +32,16 @@ CHECKS = [
         lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.0], np.eye(2)),
         "readout operators must be 4x4 on (s1, s2), got shape (2, 2)",
     ),
+    (
+        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.1], measurement_stack([np.nan, 0.0])),
+        "readout operators must be finite, got (nan+nanj)",
+    ),
+    (lambda: visibility([0.5, np.nan]), "detection probability must be finite, got nan"),
+    (lambda: visibility([np.inf, 0.2]), "detection probability must be finite, got inf"),
+    # the sampler would clip inf to 1 and -inf to 0 and draw from them
+    (lambda: sample_frequencies([[0.5, np.inf]], 10, 0, [(0,)]), "click probability must be finite, got inf"),
+    (lambda: sample_frequencies([[-np.inf]], 10, 0, [(0,)]), "click probability must be finite, got -inf"),
+    (lambda: sample_frequencies([[0.5], [np.nan]], 10, 0, [(0,), (1,)]), "click probability must be finite, got nan"),
     (lambda: Gate("h", np.eye(2), 2), "gate 'h': shape (2, 2) does not match arity 2"),
     (lambda: as_complex_matrix(np.zeros((0, 2))), "expected a non-empty 2-D matrix, got shape (0, 2)"),
     (lambda: as_complex_matrix([[np.nan]]), "matrix contains non-finite entries"),
