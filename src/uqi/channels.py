@@ -20,14 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import (
-    ATOL,
-    PAULI,
-    PSD_SLACK,
-    Register,
-    _value_class,
-    as_complex_matrix,
-)
+from .qcore import ATOL, PAULI, PSD_SLACK, _value_class, as_complex_matrix
 
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
 
@@ -134,28 +127,6 @@ def object_kraus(t, gamma) -> np.ndarray:
 def object_channel(params: ObjectParams) -> KrausChannel:
     """Amplitude-damping-with-phase channel of a semi-transparent object."""
     return KrausChannel(tuple(object_kraus([params.t], [params.gamma])[0]))
-
-
-def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
-    """``rho -> sum_k K_k rho K_k^†`` on ``targets``, per state of an ``(n, D, D)`` stack.
-
-    ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
-    set.  The set becomes one ``d^2 x d^2`` superoperator per state, which
-    acts on the target legs of that state by a single batched matmul.
-    Unvalidated: the caller checks the resulting states.
-    """
-    idx = reg.positions(targets)
-    rest = [i for i in range(reg.n) if i not in idx]
-    n, w, d = len(stack), reg.n, kraus.shape[-1]
-    if d != 2 ** len(idx):
-        raise ValueError(f"channel dimension {d} does not match {len(idx)} target wire(s)")
-    # axes: n, target rows, target columns, other rows, other columns
-    order = [0] + [1 + i for i in idx] + [1 + w + i for i in idx]
-    order += [1 + i for i in rest] + [1 + w + i for i in rest]
-    tensor = stack.reshape((n,) + (2,) * (2 * w)).transpose(order)
-    sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
-    out = (sup @ tensor.reshape(n, d * d, -1)).reshape(tensor.shape)
-    return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
 
 
 @_value_class

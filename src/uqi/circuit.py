@@ -29,7 +29,6 @@ from .channels import (
     TP_VIOLATED,
     ModeMixer,
     _check_object_params,
-    apply_kraus_stack,
     fold_angles,
     mix_stack,
     object_kraus,
@@ -44,6 +43,7 @@ from .qcore import (
     _block_rows,
     _check_finite,
     _value_class,
+    apply_kraus_stack,
     basis_ket,
     embed,
     partial_trace_stack,
@@ -280,9 +280,10 @@ def measurement_stack(phis) -> np.ndarray:
     ``u_i conj(u_j)``.  ``m_h + m_g`` is the projector ``(II - ZZ)/2`` on
     the one-photon subspace at every phase, so ``P_h + P_g = 1`` for the
     Bell probe; a Werner probe leaks weight outside it, and the missing
-    weight is the no-click probability.
+    weight is the no-click probability.  Phases must be finite.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
+    _check_finite(phis, "measurement phase")
     u = np.ones((phis.size, 4), dtype=complex)
     u[:, 1] = u[:, 3] = np.exp(1j * phis)
     proj = np.array([np.outer(k, k.conj()) for k in (bell_ket("psi-"), bell_ket("psi+"))])
@@ -367,10 +368,10 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     Row ``r`` draws its k binomial counts, in order, from its own
     generator ``default_rng([seed, *keys[r]])``, so a row's counts depend
     on the seed, its key and its own probabilities only.  The n streams
-    are seeded in one vectorized pass (:func:`_stream_states`); keys must
-    lie in [0, 2**32), ``shots`` in [1, 2**63) and the probabilities must be
-    finite.  They are clipped to [0, 1] first, which absorbs the engine's
-    rounding.
+    are seeded in one vectorized pass (:func:`_stream_states`).  Key
+    elements are integers to ``operator.index`` in [0, 2**32), ``shots``
+    lies in [1, 2**63) and the probabilities must be finite; they are
+    clipped to [0, 1] first, which absorbs the engine's rounding.
     """
     # numpy.random stays out of the import path of the CLI
     from numpy.random.bit_generator import ISeedSequence
@@ -383,11 +384,19 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
 
     _check_sampler(shots, seed, least=1)
     p_h = np.asarray(p_h, dtype=float)
-    keys = np.asarray(keys, dtype=np.int64)
+    given, keys = keys, np.asarray(keys)
+    if keys.dtype.kind not in "iu":  # element by element: numpy reads 2**63 beside small ints as a float
+        keys = np.asarray(given, dtype=object)
+        for key in keys.ravel().tolist():
+            try:
+                operator.index(key)
+            except TypeError:
+                raise ValueError(f"stream keys must be integers, got {key!r}") from None
     if p_h.ndim != 2 or keys.ndim != 2 or len(keys) != len(p_h):
         raise ValueError(f"need an (n, k) array and (n, m) keys, got shapes {p_h.shape} and {keys.shape}")
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("stream keys must lie in [0, 2**32)")
+    keys = keys.astype(np.int64, copy=False)
     _check_finite(p_h, "click probability")
     freqs = np.empty(p_h.shape)
     states = _stream_states(int(seed), keys)  # a Python int: numpy's would overflow in the word arithmetic

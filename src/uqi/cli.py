@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
-from .qcore import _block_rows, _check_finite, partial_transpose
+from .qcore import _block_rows, partial_transpose
 from .tomography import ImageMaps, _fit, _phase_design, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
@@ -51,10 +51,7 @@ def _resolve_phis(args) -> list[float]:
         raise ValueError("give either --phi or --phi-points, not both")
     if args.phi is not None:
         phis = _float_list(args.phi, "phi")
-        if args.degrees:
-            phis = [p * _DEG for p in phis]
-        _check_finite(np.array(phis), "measurement phase")
-        return phis
+        return [p * _DEG for p in phis] if args.degrees else phis
     n = args.phi_points if args.phi_points is not None else args.default_phi_points
     if n < 1:
         raise ValueError("phi point count must be at least 1")
@@ -267,7 +264,7 @@ _WERNER_GAMMA_POINTS = 24
 def cmd_werner(args) -> int:
     xis = _float_list(args.xi, "xi")
     probes = [prepare_werner(xi) for xi in xis]  # rejects any xi outside [0, 1]
-    t = ObjectParams(args.T).t
+    t = args.T  # the engine applies ObjectParams' rule
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])

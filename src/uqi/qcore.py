@@ -2,10 +2,10 @@
 
 Everything in this package runs through the primitives defined here:
 embedding of small operators onto a labeled register, the batched
-physicality checks, partial trace, partial transpose and Pauli-basis
-decomposition.  Matrices are plain complex numpy arrays; states are
-wrapped in :class:`DensityMatrix`, which validates physicality on
-construction.
+physicality checks, the Kraus action on a stack of states, partial
+trace, partial transpose and Pauli-basis decomposition.  Matrices are
+plain complex numpy arrays; states are wrapped in :class:`DensityMatrix`,
+which validates physicality on construction.
 
 Conventions:
 
@@ -56,12 +56,11 @@ _AXIS_LETTERS = "abcdefghijklmnopqrstuvwx"
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array and reject empty or non-finite input."""
+    """Coerce to a 2-D complex array and reject empty or non-finite input (``matrix must be finite, ...``)."""
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2 or out.shape[0] == 0 or out.shape[1] == 0:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix contains non-finite entries")
+    _check_finite(out, "matrix")
     return out
 
 
@@ -212,6 +211,13 @@ def basis_ket(bits: str) -> np.ndarray:
     return ket
 
 
+def _permute_wires(mat: np.ndarray, order) -> np.ndarray:
+    """``mat`` on n wires with wire ``order[k]`` moved to position k, on rows and columns alike."""
+    n = len(order)
+    t = mat.reshape((2,) * (2 * n)).transpose(order + [n + p for p in order])
+    return np.ascontiguousarray(t.reshape(mat.shape))
+
+
 def embed(op, targets, reg: Register) -> np.ndarray:
     """Lift ``op`` acting on ``targets`` to the full register.
 
@@ -221,22 +227,14 @@ def embed(op, targets, reg: Register) -> np.ndarray:
     transposing tensor legs.
     """
     op = as_complex_matrix(op)
-    targets = list(targets)
     idx = reg.positions(targets)
     k = len(idx)
     if op.shape != (2 ** k, 2 ** k):
-        raise ValueError(
-            f"operator shape {op.shape} does not match {k} target wire(s)"
-        )
-    n = reg.n
-    rest = [i for i in range(n) if i not in idx]
+        raise ValueError(f"operator shape {op.shape} does not match {k} target wire(s)")
+    rest = [i for i in range(reg.n) if i not in idx]
     full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
     # current leg order is targets + rest; sort legs back into register order
-    cur = idx + rest
-    perm = list(np.argsort(cur))
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(reg.dim, reg.dim))
+    return _permute_wires(full, list(np.argsort(idx + rest)))
 
 
 @_value_class
@@ -266,8 +264,9 @@ class DensityMatrix:
 
     @classmethod
     def from_ket(cls, ket, register: Register) -> "DensityMatrix":
-        """Pure state from an amplitude vector (normalized here)."""
+        """Pure state from a finite, non-zero amplitude vector (normalized here)."""
         v = np.asarray(ket, dtype=complex).reshape(-1)
+        _check_finite(v, "ket")
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise ValueError("cannot normalize a zero ket")
@@ -283,10 +282,7 @@ class DensityMatrix:
         perm = self.register.positions(new_wires)
         if len(perm) != self.n:
             raise ValueError("wire permutation must mention every wire exactly once")
-        n = self.n
-        t = self.mat.reshape((2,) * (2 * n))
-        t = t.transpose(perm + [n + p for p in perm])
-        return np.ascontiguousarray(t.reshape(self.register.dim, self.register.dim))
+        return _permute_wires(self.mat, perm)
 
 
 def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
@@ -314,6 +310,28 @@ def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
     t = stack.reshape((len(stack),) + (2,) * (2 * n))
     d = 2 ** len(keep)
     return np.einsum(sub, t).reshape(len(stack), d, d)
+
+
+def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
+    """``rho -> sum_k K_k rho K_k^†`` on ``targets``, per state of an ``(n, D, D)`` stack.
+
+    ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
+    set.  The set becomes one ``d^2 x d^2`` superoperator per state, which
+    acts on the target legs of that state by a single batched matmul.
+    Unvalidated: the caller checks the resulting states.
+    """
+    idx = reg.positions(targets)
+    rest = [i for i in range(reg.n) if i not in idx]
+    n, w, d = len(stack), reg.n, kraus.shape[-1]
+    if d != 2 ** len(idx):
+        raise ValueError(f"channel dimension {d} does not match {len(idx)} target wire(s)")
+    # axes: n, target rows, target columns, other rows, other columns
+    order = [0] + [1 + i for i in idx] + [1 + w + i for i in idx]
+    order += [1 + i for i in rest] + [1 + w + i for i in rest]
+    tensor = stack.reshape((n,) + (2,) * (2 * w)).transpose(order)
+    sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
+    out = (sup @ tensor.reshape(n, d * d, -1)).reshape(tensor.shape)
+    return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:

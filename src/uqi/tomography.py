@@ -195,14 +195,15 @@ def _phase_design(phis: np.ndarray, method: str) -> tuple[str, np.ndarray]:
     ``s = T sin(gamma)``; ``G`` depends on the phases alone, so whether a
     phase set can be inverted is known before any readout.  ``auto`` is
     two-point for exactly two phases and least squares otherwise.  Raises
-    ValueError for a non-finite phase or a phase set that cannot be inverted.
+    ValueError for a non-finite phase, checked first, or a phase set that
+    cannot be inverted.
     """
+    _check_finite(phis, "measurement phase")
     if method == "auto":
         method = "two-point" if len(phis) == 2 else "least-squares"
     if method == "two-point":
         if len(phis) < 2:
             raise ValueError("two-point inversion needs at least two phase points")
-        _check_finite(phis, "measurement phase")
         p1, p2 = phis[:2]
         if abs(normalize_angle(p1 - p2)) < 1e-12:
             raise ValueError("duplicate phase values: cannot invert a single setting")
@@ -213,7 +214,6 @@ def _phase_design(phis: np.ndarray, method: str) -> tuple[str, np.ndarray]:
     if method == "least-squares":
         if len(phis) < 3:
             raise ValueError("least-squares inversion needs at least three phase points")
-        _check_finite(phis, "measurement phase")
         # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
         rounded = np.round(phis, 12)
         if np.all(rounded == rounded[0]):

@@ -6,7 +6,6 @@ from uqi.channels import (
     ChiMatrix,
     KrausChannel,
     ObjectParams,
-    apply_kraus_stack,
     chi_matrix,
     choi_matrix,
     choi_psd_check,
@@ -17,7 +16,15 @@ from uqi.channels import (
     object_kraus,
 )
 from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, prepare_werner
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed, partial_trace_stack
+from uqi.qcore import (
+    DEFAULT_REGISTER,
+    DensityMatrix,
+    Register,
+    apply_kraus_stack,
+    basis_ket,
+    embed,
+    partial_trace_stack,
+)
 
 ATOL = 1e-12
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import uqi
 from conftest import fail_second_setting
+from uqi.circuit import BatchReadout
 from uqi.cli import main
 from uqi.tomography import ImageMaps, image_scan
 
@@ -482,6 +483,25 @@ def test_image_per_pixel_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
     assert [failed[k] for k in ("row", "col")] == ["0", "1"]
     assert all(v == "" for k, v in failed.items() if k not in ("row", "col", "status"))
     assert all(r["t_hat"] != "" and r["degenerate"] == "false" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("probabilities", "--T", "0.5,0.6", "--phi", "0,1", "--shots", "10"),
+    ("sweep", "--T", "0.5"),
+    ("werner",),
+], ids=["probabilities", "sweep", "werner"])
+def test_engine_failure_outside_image_exits_2_before_any_output(capsys, monkeypatch, argv):
+    # only image reports a setting that fails an engine check per pixel; these
+    # commands have no row for it, so the engine's message is a config error
+    run_batch = uqi.cli.run_batch
+
+    def fail_last_setting(*args):
+        batch = run_batch(*args)
+        batch.values[-1] = np.nan
+        return BatchReadout(batch.values, (*batch.errors[:-1], "engine check failed"))
+
+    monkeypatch.setattr("uqi.cli.run_batch", fail_last_setting)
+    assert run_cli(capsys, *argv) == (2, "", "uqi: engine check failed\n")
 
 
 @pytest.mark.parametrize("command", ["sweep", "image"])

@@ -32,10 +32,13 @@ CHECKS = [
         lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.0], np.eye(2)),
         "readout operators must be 4x4 on (s1, s2), got shape (2, 2)",
     ),
+    # measurement_stack rejects a non-finite phase itself, so the stack is built here
     (
-        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.1], measurement_stack([np.nan, 0.0])),
+        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.1], np.full((1, 4, 4), complex(np.nan, np.nan))),
         "readout operators must be finite, got (nan+nanj)",
     ),
+    # exp(1j * inf) would warn and give NaN operators
+    (lambda: measurement_stack([np.inf]), "measurement phase must be finite, got inf"),
     (lambda: visibility([0.5, np.nan]), "detection probability must be finite, got nan"),
     (lambda: visibility([np.inf, 0.2]), "detection probability must be finite, got inf"),
     # the sampler would clip inf to 1 and -inf to 0 and draw from them
@@ -44,9 +47,12 @@ CHECKS = [
     (lambda: sample_frequencies([[0.5], [np.nan]], 10, 0, [(0,), (1,)]), "click probability must be finite, got nan"),
     (lambda: Gate("h", np.eye(2), 2), "gate 'h': shape (2, 2) does not match arity 2"),
     (lambda: as_complex_matrix(np.zeros((0, 2))), "expected a non-empty 2-D matrix, got shape (0, 2)"),
-    (lambda: as_complex_matrix([[np.nan]]), "matrix contains non-finite entries"),
+    (lambda: as_complex_matrix([[np.nan]]), "matrix must be finite, got (nan+0j)"),
     (lambda: DensityMatrix(np.eye(2) / 2, DEFAULT_REGISTER), "state shape (2, 2) does not match register dimension 16"),
     (lambda: DensityMatrix.from_ket(np.zeros(16), DEFAULT_REGISTER), "cannot normalize a zero ket"),
+    # checked before the norm, which would warn on inf and pass NaN on to the state checks
+    (lambda: DensityMatrix.from_ket([1.0, np.nan] + [0.0] * 14, DEFAULT_REGISTER), "ket must be finite, got (nan+0j)"),
+    (lambda: DensityMatrix.from_ket([np.inf] + [0.0] * 15, DEFAULT_REGISTER), "ket must be finite, got (inf+0j)"),
     (lambda: prepare_probe().reordered(["s1", "i1"]), "wire permutation must mention every wire exactly once"),
     (_mixer_on_one_wire_block, "the mode mixer post-operation needs a two-wire system block"),
     # the finite check comes before the duplicate test, which all-NaN phases would pass
@@ -58,6 +64,11 @@ CHECKS = [
     ),
     (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [0.0, 1.0], shots=10.7), "shots must be an integer, got 10.7"),
     (lambda: sample_frequencies([[0.5]], np.float64(3.0), 0, [(0,)]), "shots must be an integer, got 3.0"),
+    # stream keys follow the same integer rule; a float key was truncated, a numeric string read as its number
+    (lambda: sample_frequencies([[0.5], [0.5]], 10, 0, [(0.9,), (1.2,)]), "stream keys must be integers, got 0.9"),
+    (lambda: sample_frequencies([[0.5]], 10, 0, [("3",)]), "stream keys must be integers, got '3'"),
+    # each of these raised OverflowError
+    (lambda: sample_frequencies([[0.5], [0.5]], 10, 0, [(2**63,), (1,)]), "stream keys must lie in [0, 2**32)"),
     # a negative count would clip the shot variance to 0 and report stderr_t = 0
     (lambda: estimate_object([(0.0, 0.3), (1.0, 0.6), (2.0, 0.7)], shots=-3), "shots must be nonnegative"),
     (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
@@ -73,3 +84,19 @@ def test_input_check_message(capsys, check, message):
         with pytest.raises(ValueError) as info:
             check()
         assert str(info.value) == message
+
+
+# checks whose message a row of CHECKS already holds as its test id
+REPEATED = [
+    # it built NaN operators
+    (lambda: measurement_stack([0.0, np.nan]), "measurement phase must be finite, got nan"),
+    (lambda: sample_frequencies([[0.5], [0.5]], 10, 0, [(2**70,), (1,)]), "stream keys must lie in [0, 2**32)"),
+    (lambda: sample_frequencies([[0.5]], 10, 0, [(np.uint64(2**63),)]), "stream keys must lie in [0, 2**32)"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, message", REPEATED, ids=["measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)"]
+)
+def test_repeated_input_check_message(check, message):
+    test_input_check_message(None, check, message)
