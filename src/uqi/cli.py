@@ -236,7 +236,7 @@ _SWEEP_COLUMNS = (
 def cmd_sweep(args) -> int:
     params = _object_params(args)
     phis = _resolve_phis(args)
-    method, g = _phase_design(np.array(phis), args.method)
+    method, g = _phase_design(np.array(phis))
     probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
     samples = {"record": ["sample"] * len(phis), "phi": phis, "p_h": p_h.tolist(), "p_g": p_g.tolist()}
@@ -325,7 +325,7 @@ def cmd_image(args) -> int:
         gamma_map = gamma_map * _DEG
     maps = ImageMaps(t_map, gamma_map)
     phis = _resolve_phis(args)
-    scan = image_scan(maps, phis, shots=args.shots, seed=args.seed, method=args.method)
+    scan = image_scan(maps, phis, shots=args.shots, seed=args.seed)
     # one row per pixel in row-major order; a failed pixel, and only a failed
     # one, has a NaN t_hat, so all its cells but row, col and status are empty
     status = [""] * maps.t_map.size
@@ -347,7 +347,6 @@ def cmd_image(args) -> int:
         "phi": phis,
         "shots": args.shots,
         "seed": args.seed,
-        "method": args.method,
         "format": args.format,
     }
     _write_output(
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="phase sweep and object-parameter recovery")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--method", choices=("auto", "two-point", "least-squares"), default="auto")
     _add_readout_options(p, phi_points=12)
     p.set_defaults(func=cmd_sweep)
 
@@ -456,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("image", help="per-pixel reconstruction of (T, gamma) maps")
     p.add_argument("--t-map", required=True, help="headerless CSV grid of transmissions in [0, 1]")
     p.add_argument("--gamma-map", required=True, help="headerless CSV grid of phases (radians)")
-    p.add_argument("--method", choices=("auto", "two-point", "least-squares"), default="auto")
     _add_readout_options(p, phi_points=8)
     p.set_defaults(func=cmd_image)
 

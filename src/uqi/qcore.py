@@ -265,12 +265,15 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, ket, register: Register) -> "DensityMatrix":
         """Pure state from a finite, non-zero amplitude vector (normalized here)."""
-        v = np.asarray(ket, dtype=complex).reshape(-1)
+        v = np.array(ket, dtype=complex).reshape(-1)
         _check_finite(v, "ket")
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
+        # scaled first by its largest real or imaginary part, so the norm's squares neither overflow nor underflow
+        parts = v.view(float)
+        scale = np.abs(parts).max(initial=0.0)
+        if scale == 0.0:
             raise ValueError("cannot normalize a zero ket")
-        v = v / nrm
+        parts /= scale
+        v /= np.linalg.norm(v)
         return cls(np.outer(v, v.conj()), register)
 
     @property

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles, mode_mixer, normalize_angle
 from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
-from .qcore import DensityMatrix, _block_rows, _check_finite, _value_class
+from .qcore import ATOL, DensityMatrix, _block_rows, _check_finite, _value_class
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
@@ -188,44 +188,38 @@ def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[:, :, None] * m * v[:, None, :]).sum(axis=(1, 2))
 
 
-def _phase_design(phis: np.ndarray, method: str) -> tuple[str, np.ndarray]:
+def _phase_design(phis: np.ndarray) -> tuple[str, np.ndarray]:
     """The method and the ``2 x m`` matrix ``G`` that invert a sweep over ``phis``.
 
     Both methods are linear, ``(c, s) = G y`` with ``c = T cos(gamma)``,
     ``s = T sin(gamma)``; ``G`` depends on the phases alone, so whether a
-    phase set can be inverted is known before any readout.  ``auto`` is
-    two-point for exactly two phases and least squares otherwise.  Raises
-    ValueError for a non-finite phase, checked first, or a phase set that
-    cannot be inverted.
+    phase set can be inverted is known before any readout.  The phase
+    count picks the method: two-point for exactly two phases, least
+    squares otherwise.  Raises ValueError for a non-finite phase, checked
+    first, or a phase set that cannot be inverted.
     """
     _check_finite(phis, "measurement phase")
-    if method == "auto":
-        method = "two-point" if len(phis) == 2 else "least-squares"
-    if method == "two-point":
-        if len(phis) < 2:
-            raise ValueError("two-point inversion needs at least two phase points")
-        p1, p2 = phis[:2]
+    if len(phis) == 2:
+        p1, p2 = phis
         if abs(normalize_angle(p1 - p2)) < 1e-12:
             raise ValueError("duplicate phase values: cannot invert a single setting")
         if abs(np.sin(p1 - p2)) < 1e-12:
             raise ValueError("phase points pi apart are degenerate for the two-point inversion")
         # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i)
-        return method, np.linalg.inv(np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]]))
-    if method == "least-squares":
-        if len(phis) < 3:
-            raise ValueError("least-squares inversion needs at least three phase points")
-        # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
-        rounded = np.round(phis, 12)
-        if np.all(rounded == rounded[0]):
-            raise ValueError("duplicate phase values: cannot invert a single setting")
-        # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
-        design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-        if np.linalg.matrix_rank(design) < 3:
-            # (1, cos, sin) has rank 3 exactly when three phases differ modulo 2 pi;
-            # with two, one quadrature is unidentifiable and pinv would return it as 0
-            raise ValueError("least-squares inversion needs three distinct phases modulo 2 pi")
-        return method, np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
-    raise ValueError(f"unknown method {method!r}; use 'two-point' or 'least-squares'")
+        return "two-point", np.linalg.inv(np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]]))
+    if len(phis) < 3:
+        raise ValueError("least-squares inversion needs at least three phase points")
+    # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
+    rounded = np.round(phis, 12)
+    if np.all(rounded == rounded[0]):
+        raise ValueError("duplicate phase values: cannot invert a single setting")
+    # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
+    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    if np.linalg.matrix_rank(design) < 3:
+        # (1, cos, sin) has rank 3 exactly when three phases differ modulo 2 pi;
+        # with two, one quadrature is unidentifiable and pinv would return it as 0
+        raise ValueError("least-squares inversion needs three distinct phases modulo 2 pi")
+    return "least-squares", np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
 
 
 def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
@@ -240,7 +234,6 @@ def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
         parts = [_fit(method, g, ps[lo:lo + rows], shots) for lo in range(0, len(ps), rows)]
         return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
     if method == "two-point":
-        ps = ps[:, :2]
         y, scale = 1 - 2 * ps, 4.0
     else:
         y, scale = ps, 1.0
@@ -272,19 +265,22 @@ def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
     }
 
 
-def estimate_object(probabilities, method: str = "least-squares", shots: int | None = None) -> ObjectEstimate:
+def estimate_object(probabilities, shots: int | None = None) -> ObjectEstimate:
     """Invert a phase sweep ``[(phi, P_h), ...]`` into ``(T, gamma)``.
 
     The sinusoid ``P_h = 1/2 - (c cos(phi) - s sin(phi))/2`` is linear in
-    ``c = T cos(gamma)`` and ``s = T sin(gamma)``:
+    ``c = T cos(gamma)`` and ``s = T sin(gamma)``, and the phase count
+    picks the method:
 
-    * ``two-point`` solves the 2x2 system from the first two points (the
-      default sweep {0, pi/2} gives ``c = 1 - 2 P(0)``,
+    * ``two-point``, for exactly two phases, solves the 2x2 system under
+      ``P_h + P_g = 1`` (the sweep {0, pi/2} gives ``c = 1 - 2 P(0)``,
       ``s = 2 P(pi/2) - 1``);
-    * ``least-squares`` fits offset and both quadratures over the sweep.
+    * ``least-squares``, for three or more, fits offset and both
+      quadratures over the sweep.
 
     A single phase setting determines only ``T cos(gamma + phi)`` and is
-    rejected: both methods require genuinely distinct phases.  With
+    rejected: both methods require genuinely distinct phases.  Each
+    probability must be finite and lie in [0, 1] within ``ATOL``.  With
     ``shots`` given, binomial uncertainty is propagated into standard
     errors and the degeneracy test becomes ``t_hat < 3 stderr_t``;
     ``shots`` follow the sampler's rule, with None and 0 analytic.
@@ -293,7 +289,10 @@ def estimate_object(probabilities, method: str = "least-squares", shots: int | N
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
     _check_finite(ps, "detection probability")
-    method, g = _phase_design(phis, method)
+    outside = ps[np.abs(ps - 0.5) > 0.5 + ATOL]
+    if outside.size:
+        raise ValueError(f"detection probability must lie in [0, 1], got {outside[0].item()}")
+    method, g = _phase_design(phis)
     _check_sampler(shots or 0, 0)
     fit = _fit(method, g, ps, shots)
     stderr_t, stderr_gamma = fit["stderr_t"][0], fit["stderr_gamma"][0]
@@ -370,13 +369,7 @@ class ScanResult:
         return not self.errors
 
 
-def image_scan(
-    maps: ImageMaps,
-    phi_sweep,
-    shots: int = 0,
-    seed: int = 0,
-    method: str = "auto",
-) -> ScanResult:
+def image_scan(maps: ImageMaps, phi_sweep, shots: int = 0, seed: int = 0) -> ScanResult:
     """Run the full pipeline and estimator for every pixel.
 
     All pixels go through the batched engine (:func:`run_batch`) and one
@@ -384,14 +377,14 @@ def image_scan(
     probabilities; shot mode draws each pixel's counts with
     :func:`sample_frequencies` from its own stream ``[seed, row, col]``,
     so a pixel's result does not depend on the others.  A phase set that
-    ``method`` cannot invert, and shots or a seed outside the sampler's
-    rule, raise ValueError before the engine runs.  A pixel that fails an
+    cannot be inverted, and shots or a seed outside the sampler's rule,
+    raise ValueError before the engine runs.  A pixel that fails an
     engine check is recorded without aborting the scan: its readout row,
     sampled as zeros, carries NaN through the estimator, so its estimates
     are NaN and it is not degenerate.  Output grids match the input shape.
     """
     phis = np.array([float(p) for p in phi_sweep])
-    method, g = _phase_design(phis, method)
+    method, g = _phase_design(phis)
     _check_sampler(shots, seed)
     h, w = maps.height, maps.width
     batch = run_batch(

@@ -79,7 +79,7 @@ def test_criterion_3_phase_sweep_and_estimation():
     worst_t = worst_g = 0.0
     for t in np.linspace(0.05, 1.0, 12):
         for g in np.linspace(-np.pi, np.pi, 12, endpoint=False):
-            est = estimate_object(sweep_points(t, g, phis), method="least-squares")
+            est = estimate_object(sweep_points(t, g, phis))
             worst_t = max(worst_t, abs(est.t_hat - t))
             worst_g = max(worst_g, abs(angle_diff(est.gamma_hat, g)))
     assert worst_t < TOL and worst_g < TOL
@@ -88,7 +88,7 @@ def test_criterion_3_phase_sweep_and_estimation():
     good = 0
     for seed in range(100):
         pts = sweep_points(t, g, phis, shots=10**5, seed=seed)
-        est = estimate_object(pts, method="least-squares", shots=10**5)
+        est = estimate_object(pts, shots=10**5)
         if abs(est.t_hat - t) < 0.02 and abs(angle_diff(est.gamma_hat, g)) < 0.04:
             good += 1
     assert good >= 95

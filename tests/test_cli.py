@@ -410,8 +410,15 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     (("-h",), 0, None),
     (("sweep", "-h"), 0, None),
     (("--version",), 0, None),
+    # the phase count picks the estimator; there is no option for it
+    (("sweep", "--T", "0.5", "--method", "auto"), 2, "uqi: error: unrecognized arguments: --method auto"),
+    (
+        ("image", "--t-map", "t.csv", "--gamma-map", "g.csv", "--method", "two-point"),
+        2,
+        "uqi: error: unrecognized arguments: --method two-point",
+    ),
 ], ids=["sweep-T", "chi-gamma", "unknown-command", "image-no-maps", "probabilities-no-T", "phi-points", "bogus",
-        "help", "sweep-help", "version"])
+        "help", "sweep-help", "version", "sweep-method", "image-method"])
 def test_main_returns_argparse_exit_status_and_writes_its_text(capsys, monkeypatch, argv, want_code, error):
     monkeypatch.setenv("COLUMNS", "80")
     got = run_cli(capsys, *argv)
@@ -505,13 +512,14 @@ def test_engine_failure_outside_image_exits_2_before_any_output(capsys, monkeypa
 
 
 @pytest.mark.parametrize("command", ["sweep", "image"])
-@pytest.mark.parametrize("phis, method, message", [
-    ("0,0", "two-point", "duplicate phase values: cannot invert a single setting"),
-    ("0,3.141592653589793", "two-point", "phase points pi apart are degenerate for the two-point inversion"),
-    ("0,0,1e-13", "auto", "duplicate phase values: cannot invert a single setting"),
-], ids=["duplicate", "pi-apart", "rounded-duplicate"])
+@pytest.mark.parametrize("phis, message", [
+    ("0,0", "duplicate phase values: cannot invert a single setting"),
+    ("0,3.141592653589793", "phase points pi apart are degenerate for the two-point inversion"),
+    ("0,0,1e-13", "duplicate phase values: cannot invert a single setting"),
+    ("0.5", "least-squares inversion needs at least three phase points"),
+], ids=["duplicate", "pi-apart", "rounded-duplicate", "single"])
 def test_phase_set_that_cannot_be_inverted_exits_2_before_any_work(
-    tmp_path, capsys, monkeypatch, command, phis, method, message
+    tmp_path, capsys, monkeypatch, command, phis, message
 ):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the phase set was checked")
@@ -524,7 +532,7 @@ def test_phase_set_that_cannot_be_inverted_exits_2_before_any_work(
         np.savetxt(tmp_path / "t.csv", np.full((2, 2), 0.5), delimiter=",")
         np.savetxt(tmp_path / "g.csv", np.zeros((2, 2)), delimiter=",")
         argv = ("image", "--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"))
-    code, out, err = run_cli(capsys, *argv, "--phi", phis, "--method", method, "--shots", "100")
+    code, out, err = run_cli(capsys, *argv, "--phi", phis, "--shots", "100")
     assert (code, out, err) == (2, "", f"uqi: {message}\n")
 
 
@@ -721,8 +729,6 @@ def _other_argvs(draw):
         argv.append(f"--phi-points={draw(_or_unparseable(st.integers(-2, 12), '1.5'))}")
     if draw(st.booleans()):
         argv.append(f"--shots={draw(_or_unparseable(_shots(2000), 'x'))}")
-    if draw(st.booleans()):
-        argv.append(f"--method={draw(st.sampled_from(['auto', 'two-point', 'least-squares']))}")
     if draw(st.booleans()):
         argv.append(f"--seed={draw(_or_unparseable(st.integers(-2, 2**65), 'abc'))}")
     if draw(st.booleans()):

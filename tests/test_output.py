@@ -158,7 +158,7 @@ def test_fit_memory_does_not_grow_with_the_phases():
     # product would take 128 MB, while the results take 160 kB and a block of
     # 16 sweeps 0.5 MB
     phis = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    design = _phase_design(phis, "least-squares")
+    design = _phase_design(phis)
     ps = np.random.default_rng(4).uniform(0.05, 0.95, (4096, 1024))
     fit = None
 

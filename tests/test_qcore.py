@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ def test_density_matrix_validation():
     assert rho.mat[0, 0] == 1.0
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 0.0  # frozen array
+
+
+_MIXED = [[0.36, -0.48j], [0.48j, 0.64]]
+
+
+@pytest.mark.parametrize("ket, want", [
+    ([1e200, 1.0], [[1.0, 1e-200], [1e-200, 0.0]]),  # the norm's squares overflowed
+    ([1e-13, 0.0], [[1.0, 0.0], [0.0, 0.0]]),  # it was taken for a zero ket
+    *((scale * np.array([3.0, 4.0j]), _MIXED) for scale in (5e-324, 1e-300, 1.0, 1e300)),
+], ids=["1e200", "1e-13", "5e-324", "1e-300", "1", "1e300"])
+def test_from_ket_normalizes_a_ket_at_any_scale(ket, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = DensityMatrix.from_ket(ket, Register(("a",)))
+    assert np.allclose(rho.mat, want, rtol=1e-15, atol=1e-15)
 
 
 def test_partial_trace_product_state():

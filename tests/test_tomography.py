@@ -271,7 +271,8 @@ def test_aapt_predict_dimension_check():
 
 def test_estimate_two_point_exact():
     t, g = 0.8, np.pi / 3
-    est = estimate_object(sweep_points(t, g, [0.0, np.pi / 2]), method="two-point")
+    est = estimate_object(sweep_points(t, g, [0.0, np.pi / 2]))
+    assert est.method == "two-point"
     assert est.t_hat == pytest.approx(t, abs=ATOL)
     assert est.gamma_hat == pytest.approx(g, abs=ATOL)
     assert not est.degenerate
@@ -283,57 +284,91 @@ def test_estimate_round_trip_grid_both_methods():
     phis12 = [2 * np.pi * k / 12 for k in range(12)]
     for t in np.linspace(0.05, 1.0, 20):
         for g in np.linspace(-np.pi, np.pi, 20, endpoint=False):
-            e2 = estimate_object(sweep_points(t, g, phis2), method="two-point")
-            el = estimate_object(sweep_points(t, g, phis12), method="least-squares")
+            e2 = estimate_object(sweep_points(t, g, phis2))
+            el = estimate_object(sweep_points(t, g, phis12))
             for est in (e2, el):
                 assert abs(est.t_hat - t) < ATOL
                 assert abs(angle_diff(est.gamma_hat, g)) < ATOL
 
 
 def test_estimate_degenerate_object():
-    est = estimate_object(sweep_points(0.0, 0.9, [0.0, np.pi / 2]), method="two-point")
+    est = estimate_object(sweep_points(0.0, 0.9, [0.0, np.pi / 2]))
     assert est.degenerate
     assert np.isnan(est.gamma_hat)
 
 
 def test_estimate_rejects_single_phase():
     # one phase setting only pins T cos(gamma + phi); both methods refuse
-    with pytest.raises(ValueError):
-        estimate_object([(0.0, 0.4)], method="two-point")
-    with pytest.raises(ValueError):
-        estimate_object([(0.0, 0.4), (0.0, 0.4)], method="two-point")
-    with pytest.raises(ValueError):
-        estimate_object([(0.0, 0.4), (0.0, 0.41), (0.0, 0.39)], method="least-squares")
+    with pytest.raises(ValueError, match="^least-squares inversion needs at least three phase points$"):
+        estimate_object([(0.0, 0.4)])
+    with pytest.raises(ValueError, match="^duplicate phase values: cannot invert a single setting$"):
+        estimate_object([(0.0, 0.4), (0.0, 0.4)])
+    with pytest.raises(ValueError, match="^duplicate phase values: cannot invert a single setting$"):
+        estimate_object([(0.0, 0.4), (0.0, 0.41), (0.0, 0.39)])
     # equal after rounding to 12 digits is still a single setting
     for phis in ([0.0, 1e-13, 0.0], [0.5, 0.5 + 4e-13, 0.5 - 4e-13]):
         with pytest.raises(ValueError, match="duplicate phase values"):
-            estimate_object([(p, 0.4) for p in phis], method="least-squares")
-    with pytest.raises(ValueError):
-        estimate_object([(0.0, 0.4), (np.pi / 2, 0.3)], method="least-squares")
-    with pytest.raises(ValueError):
-        estimate_object([(0.0, 0.4), (np.pi, 0.6)], method="two-point")
+            estimate_object([(p, 0.4) for p in phis])
+    with pytest.raises(ValueError, match="^phase points pi apart are degenerate for the two-point inversion$"):
+        estimate_object([(0.0, 0.4), (np.pi, 0.6)])
     # three points on two phases modulo 2 pi: the design has rank 2
     for phis in ([0.0, np.pi, 0.0], [0.0, 2 * np.pi, 1.0], [0.3, 1.2, 0.3, 1.2]):
         with pytest.raises(ValueError, match="three distinct phases"):
-            estimate_object(sweep_points(0.8, 1.0, phis), method="least-squares")
-    with pytest.raises(ValueError):
-        estimate_object(sweep_points(0.5, 0.5, [0.0, np.pi / 2]), method="bogus")
+            estimate_object(sweep_points(0.8, 1.0, phis))
+
+
+@pytest.mark.parametrize("phis, method", [
+    ([0.0, np.pi / 2], "two-point"),
+    ([0.3, 1.1], "two-point"),
+    ([0.0, np.pi / 2, 2.0], "least-squares"),
+    ([2 * np.pi * k / 12 for k in range(12)], "least-squares"),
+])
+def test_phase_count_picks_the_method(monkeypatch, phis, method):
+    # exactly two phases invert two-point, three or more by least squares, at
+    # every entry: estimate_object and image_scan here, sweep in test_cli
+    assert _phase_design(np.array(phis))[0] == method
+    assert estimate_object(sweep_points(0.7, 1.2, phis)).method == method
+    seen = []
+
+    def spy(used, *args):
+        seen.append(used)
+        return _fit(used, *args)
+
+    monkeypatch.setattr(tomography, "_fit", spy)
+    image_scan(ImageMaps([[0.7]], [[1.2]]), phis)
+    assert seen == [method]
+
+
+def test_method_is_not_an_option():
+    pts = sweep_points(0.7, 1.2, [0.0, np.pi / 2, 2.0])
+    with pytest.raises(TypeError):
+        estimate_object(pts, method="least-squares")
+    with pytest.raises(TypeError):
+        image_scan(ImageMaps([[0.7]], [[1.2]]), [0.0, np.pi / 2], method="two-point")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("method", ["two-point", "least-squares"])
 def test_estimate_rejects_non_finite_input(method, bad):
+    n = 2 if method == "two-point" else 3  # the phase count that picks the method
     with pytest.raises(ValueError, match=f"measurement phase must be finite, got {bad}"):
-        estimate_object([(0.0, 0.5), (bad, 0.5), (bad, 0.5)], method=method)
+        estimate_object([(0.0, 0.5), (bad, 0.5), (bad, 0.5)][:n])
     with pytest.raises(ValueError, match=f"measurement phase must be finite, got {bad}"):
-        estimate_object([(bad, 0.5), (0.0, 0.5), (1.0, 0.5)], method=method, shots=100)
+        estimate_object([(bad, 0.5), (0.0, 0.5), (1.0, 0.5)][:n], shots=100)
     with pytest.raises(ValueError, match=f"detection probability must be finite, got {bad}"):
-        estimate_object([(0.0, 0.5), (1.0, bad), (2.0, 0.5)], method=method)
+        estimate_object([(0.0, 0.5), (1.0, bad), (2.0, 0.5)][:n])
+
+
+def test_estimate_probability_range_has_the_engine_slack():
+    # an engine readout may leave [0, 1] by rounding: ATOL is the slack
+    assert estimate_object([(0.0, 1.0 + ATOL / 2), (np.pi / 2, 0.5)]).t_hat == pytest.approx(1.0, abs=2 * ATOL)
+    with pytest.raises(ValueError, match=r"^detection probability must lie in \[0, 1\], got -2e-12$"):
+        estimate_object([(0.0, 0.5), (np.pi / 2, -2 * ATOL)])
 
 
 def test_estimate_two_point_generic_phase_pair():
     t, g = 0.62, -2.3
-    est = estimate_object(sweep_points(t, g, [0.3, 1.1]), method="two-point")
+    est = estimate_object(sweep_points(t, g, [0.3, 1.1]))
     assert est.t_hat == pytest.approx(t, abs=1e-11)
     assert abs(angle_diff(est.gamma_hat, g)) < 1e-11
 
@@ -346,7 +381,7 @@ def test_estimate_monte_carlo_bounds():
     good = 0
     for seed in range(100):
         pts = sweep_points(t, g, phis, shots=10**5, seed=seed)
-        est = estimate_object(pts, method="least-squares", shots=10**5)
+        est = estimate_object(pts, shots=10**5)
         if abs(est.t_hat - t) < 0.02 and abs(angle_diff(est.gamma_hat, g)) < 0.04:
             good += 1
     assert good >= 95
@@ -363,7 +398,9 @@ def test_estimate_standard_errors_are_calibrated(t, g, method, phis):
     shots, repeats = 10**4, 400
     p_h = np.array([v for _, v in sweep_points(t, g, phis)])
     freq = sample_frequencies(np.tile(p_h, (repeats, 1)), shots, seed=7, keys=np.arange(repeats)[:, None])
-    fit = _fit(*_phase_design(np.array(phis), method), freq, shots)
+    design = _phase_design(np.array(phis))
+    assert design[0] == method
+    fit = _fit(*design, freq, shots)
     assert not fit["degenerate"].any()
     z_t = (fit["t_hat"] - t) / fit["stderr_t"]
     z_g = angle_diff(fit["gamma_hat"], g) / fit["stderr_gamma"]
@@ -373,7 +410,7 @@ def test_estimate_standard_errors_are_calibrated(t, g, method, phis):
 
 def test_estimate_shot_mode_reports_standard_errors():
     pts = sweep_points(0.7, 0.4, [2 * np.pi * k / 8 for k in range(8)], shots=10**4, seed=5)
-    est = estimate_object(pts, method="least-squares", shots=10**4)
+    est = estimate_object(pts, shots=10**4)
     assert est.stderr_t is not None and est.stderr_t > 0
     assert est.stderr_gamma is not None and est.stderr_gamma > 0
     assert abs(est.t_hat - 0.7) < 5 * est.stderr_t
@@ -395,9 +432,11 @@ def dense_reference_covariance(phis, ps, shots, method):
 
 @pytest.mark.parametrize("method", ["two-point", "least-squares"])
 def test_estimate_standard_errors_match_dense_covariance(method):
-    phis = np.array([0.3, 1.4, 2.0, 4.1, 5.5])
-    ps = np.array([0.2, 0.61, 0.75, 0.35, 0.1])
-    est = estimate_object(zip(phis, ps), method=method, shots=1000)
+    n = 2 if method == "two-point" else 5  # the phase count that picks the method
+    phis = np.array([0.3, 1.4, 2.0, 4.1, 5.5])[:n]
+    ps = np.array([0.2, 0.61, 0.75, 0.35, 0.1])[:n]
+    est = estimate_object(zip(phis, ps), shots=1000)
+    assert est.method == method
     cov = dense_reference_covariance(phis, ps, 1000, method)
     c, s = est.t_hat * np.cos(est.gamma_hat), est.t_hat * np.sin(est.gamma_hat)
     jt = np.array([c, s]) / est.t_hat
@@ -416,7 +455,7 @@ def test_estimate_error_scales_with_shot_noise():
         errs = []
         for seed in range(150):
             pts = sweep_points(t, g, phis, shots=shots, seed=1000 + seed)
-            est = estimate_object(pts, method="least-squares", shots=shots)
+            est = estimate_object(pts, shots=shots)
             errs.append((est.t_hat - t) ** 2)
         rmse.append(np.sqrt(np.mean(errs)))
     slope = np.polyfit(np.log10(shots_levels), np.log10(rmse), 1)[0]
@@ -524,7 +563,7 @@ def test_image_scan_shot_streams_are_per_pixel_in_phase_order():
             pts = []
             for phi, p in zip(phis, p_h[row, col]):
                 pts.append((phi, rng.binomial(200, min(max(p, 0.0), 1.0)) / 200))
-            est = estimate_object(pts, method="least-squares", shots=200)
+            est = estimate_object(pts, shots=200)
             assert scan.t_hat[row, col] == pytest.approx(est.t_hat, abs=1e-12)
             assert scan.stderr_t[row, col] == pytest.approx(est.stderr_t, rel=1e-12)
 
@@ -540,7 +579,7 @@ def test_image_scan_records_pixel_errors_without_aborting(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(tomography, "run_batch", _no_engine)
         with pytest.raises(ValueError, match="^duplicate phase values: cannot invert a single setting$"):
-            image_scan(maps, [0.0, 0.0], method="two-point")
+            image_scan(maps, [0.0, 0.0])
     # a setting that fails an engine check is recorded, and the scan goes on:
     # the failed pixel is NaN in every estimate and not degenerate, and every
     # other pixel, its shot stream included, is that of a scan without it
@@ -549,25 +588,25 @@ def test_image_scan_records_pixel_errors_without_aborting(monkeypatch):
     others = np.ones(maps.t_map.shape, dtype=bool)
     others[0, 1] = False
     for shots in (0, 100):
-        for method in ("two-point", "least-squares"):
-            clean = image_scan(maps, [0.0, np.pi / 2, 2.0], shots=shots, seed=1, method=method)
+        for phis in ([0.0, np.pi / 2], [0.0, np.pi / 2, 2.0]):  # two-point, then least squares
+            clean = image_scan(maps, phis, shots=shots, seed=1)
             with monkeypatch.context() as patch:
                 patch.setattr(tomography, "run_batch", fail_second_setting(run_batch))
-                scan = image_scan(maps, [0.0, np.pi / 2, 2.0], shots=shots, seed=1, method=method)
+                scan = image_scan(maps, phis, shots=shots, seed=1)
             assert scan.errors == ((0, 1, "engine check failed"),)
-            assert all(np.isnan(getattr(scan, key)[0, 1]) for key in keys[:4]), (shots, method)
+            assert all(np.isnan(getattr(scan, key)[0, 1]) for key in keys[:4]), (shots, phis)
             assert not scan.degenerate[0, 1]
             for key in keys:
                 assert np.array_equal(getattr(scan, key)[others], getattr(clean, key)[others], equal_nan=True), key
 
 
-@pytest.mark.parametrize("method", ["auto", "least-squares"])
+@pytest.mark.parametrize("method", ["two-point", "least-squares"])
 def test_image_scan_rejects_non_finite_phase_for_every_pixel(monkeypatch, method):
     maps = ImageMaps(np.full((2, 3), 0.5), np.zeros((2, 3)))
-    phis = [0.0, np.nan] if method == "auto" else [0.0, 1.0, np.nan]
+    phis = [0.0, np.nan] if method == "two-point" else [0.0, 1.0, np.nan]
     monkeypatch.setattr(tomography, "run_batch", _no_engine)
     with pytest.raises(ValueError, match="^measurement phase must be finite, got nan$"):
-        image_scan(maps, phis, method=method)
+        image_scan(maps, phis)
 
 
 def test_image_scan_degenerate_pixels_flagged():
@@ -591,7 +630,7 @@ def test_fit_runs_row_by_row_in_bounded_memory():
 
     phis = np.array([2 * np.pi * k / 8 for k in range(8)])
     ps = np.random.default_rng(2).uniform(0.0, 1.0, (65536, 8))
-    design = _phase_design(phis, "least-squares")
+    design = _phase_design(phis)
     tracemalloc.start()
     try:
         fit = _fit(*design, ps, 10**4)
@@ -611,11 +650,15 @@ def test_fit_runs_row_by_row_in_bounded_memory():
 @pytest.mark.parametrize("method, m", [("two-point", 2), ("two-point", 5), ("least-squares", 3), ("least-squares", 8)])
 @pytest.mark.parametrize("budget", [1, 8, 40, 256])
 def test_fit_in_blocks_equals_one_block(monkeypatch, method, m, shots, budget):
-    # blocks of 1 to 128 sweeps give every row the bytes of one block of all 37
+    # blocks of 1 to 128 sweeps give every row the bytes of one block of all 37;
+    # two-point keeps the first two of the m phases, the phase count that picks it
     phis = np.array([2 * np.pi * k / (m + 1) for k in range(m)])
     ps = np.random.default_rng(m).uniform(0.0, 1.0, (37, m))
     ps[::5] = 0.5  # zero modulation: degenerate rows between live ones
-    design = _phase_design(phis, method)
+    if method == "two-point":
+        phis, ps = phis[:2], ps[:, :2]
+    design = _phase_design(phis)
+    assert design[0] == method
     assert qcore._block_rows(m) >= len(ps)
     whole = _fit(*design, ps, shots)
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", budget)
@@ -698,7 +741,7 @@ def test_fully_separable_probe_biases_the_estimate():
     def estimate(t, gamma):
         batch = run_batch(probe, mode_mixer(), [t], [gamma], measurement_stack(phis))
         assert batch.errors == (None,)
-        return estimate_object(zip(phis, batch.values[0, :, 0]), method="least-squares")
+        return estimate_object(zip(phis, batch.values[0, :, 0]))
 
     for gamma in (2.0, 0.7, -2.5):
         est = estimate(1.0, gamma)

@@ -71,6 +71,12 @@ CHECKS = [
     (lambda: sample_frequencies([[0.5], [0.5]], 10, 0, [(2**63,), (1,)]), "stream keys must lie in [0, 2**32)"),
     # a negative count would clip the shot variance to 0 and report stderr_t = 0
     (lambda: estimate_object([(0.0, 0.3), (1.0, 0.6), (2.0, 0.7)], shots=-3), "shots must be nonnegative"),
+    # checked after the finite rule: -3 gave t_hat = 8.68, and 1e300 overflowed the shot variance
+    (
+        lambda: estimate_object([(0.0, -3.0), (1.0, 0.5), (2.0, 0.5)], shots=10),
+        "detection probability must lie in [0, 1], got -3.0",
+    ),
+    (lambda: estimate_object([(0.0, 0.5), (1.0, 1e300)], shots=10), "detection probability must lie in [0, 1], got 1e+300"),
     (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
 ]
 
