@@ -42,6 +42,7 @@ from .qcore import (
     Register,
     _block_rows,
     _check_finite,
+    _check_probability,
     _value_class,
     apply_kraus_stack,
     basis_ket,
@@ -370,8 +371,9 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     on the seed, its key and its own probabilities only.  The n streams
     are seeded in one vectorized pass (:func:`_stream_states`).  Key
     elements are integers to ``operator.index`` in [0, 2**32), ``shots``
-    lies in [1, 2**63) and the probabilities must be finite; they are
-    clipped to [0, 1] first, which absorbs the engine's rounding.
+    lies in [1, 2**63) and the probabilities must lie in [0, 1] within
+    ``ATOL``; they are clipped to [0, 1] first, which absorbs the engine's
+    rounding.
     """
     # numpy.random stays out of the import path of the CLI
     from numpy.random.bit_generator import ISeedSequence
@@ -397,7 +399,7 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("stream keys must lie in [0, 2**32)")
     keys = keys.astype(np.int64, copy=False)
-    _check_finite(p_h, "click probability")
+    _check_probability(p_h, "click probability")
     freqs = np.empty(p_h.shape)
     states = _stream_states(int(seed), keys)  # a Python int: numpy's would overflow in the word arithmetic
     row_seed = _RowSeed()

@@ -30,7 +30,7 @@ from . import __version__
 from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import _block_rows, partial_transpose
-from .tomography import ImageMaps, _fit, _phase_design, image_scan, operator_schmidt, visibility
+from .tomography import ImageMaps, _fit, _phase_design, _sinusoid_rows, image_scan, operator_schmidt, visibility
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
@@ -267,40 +267,35 @@ def cmd_werner(args) -> int:
     t = args.T  # the engine applies ObjectParams' rule
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
-    design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
+    # the offset and cos rows of the sinusoid fit; sin is orthogonal to both on the uniform gammas
+    rows = _sinusoid_rows(gammas)[:2]
     # every xi x gamma setting in one engine call, xi outer
     values = _readouts(
         [p for p in probes for _ in gammas], np.full(len(probes) * gammas.size, t), np.tile(gammas, len(probes)),
         pair0,
     ).reshape(len(probes), gammas.size, 2)
-    ppt_mins = np.linalg.eigvalsh(np.stack([partial_transpose(p, ["s1", "i1"]) for p in probes]))[:, 0]
-    recs = []
-    for xi, ph, pg, ppt_min in zip(xis, values[..., 0], values[..., 1], ppt_mins.tolist()):
-        coef, *_ = np.linalg.lstsq(design, ph, rcond=None)
-        offset_raw, half_amp = float(coef[0]), float(coef[1])
-        amplitude = 2.0 * abs(half_amp)
-        clicks = ph + pg
-        cond = ph / clicks
-        coef_c, *_ = np.linalg.lstsq(design, cond, rcond=None)
-        recs.append(
-            (
-                xi,
-                amplitude,
-                offset_raw,
-                float(coef_c[0]),
-                float(np.mean(1.0 - clicks)),
-                visibility(ph),
-                visibility(cond),
-                ppt_min,
-            )
-        )
+    ppt_mins = np.linalg.eigvalsh(np.stack([partial_transpose(p, ["s1", "i1"]) for p in probes]))[:, 0].tolist()
+    p_h = values[..., 0]
+    clicks = p_h + values[..., 1]
+    conds = p_h / clicks
+    offsets_raw, half_amps = (p_h[:, None, :] * rows).sum(axis=-1).T.tolist()
+    columns = [
+        xis,
+        [2.0 * abs(a) for a in half_amps],
+        offsets_raw,
+        (conds * rows[0]).sum(axis=-1).tolist(),
+        np.mean(1.0 - clicks, axis=-1).tolist(),
+        list(map(visibility, p_h)),
+        list(map(visibility, conds)),
+        ppt_mins,
+    ]
     config = {"command": "werner", "xi": xis, "t": t, "gamma_points": _WERNER_GAMMA_POINTS, "format": args.format}
     _write_output(
         (
             "xi", "modulation_amplitude", "offset_raw", "offset_conditioned",
             "no_click", "visibility_raw", "visibility_conditioned", "ppt_min_eigenvalue",
         ),
-        list(zip(*recs)),
+        columns,
         config,
         args,
     )

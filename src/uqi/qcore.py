@@ -43,6 +43,15 @@ def _check_finite(values, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {bad[0].item()}")
 
 
+def _check_probability(values, name: str) -> None:
+    """The finite rule, then [0, 1] within ``ATOL``: ValueError naming the first bad entry, in row-major order."""
+    _check_finite(values, name)
+    # |v - 1/2| is largest at the least or the greatest value: no array-sized temporary unless one is outside
+    if values.size and max(abs(values.min() - 0.5), abs(values.max() - 0.5)) > 0.5 + ATOL:
+        outside = values[np.abs(values - 0.5) > 0.5 + ATOL]
+        raise ValueError(f"{name} must lie in [0, 1], got {outside[0].item()}")
+
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -14,16 +14,20 @@ inverts the two object parameters from the sinusoid
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles, mode_mixer, normalize_angle
 from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
-from .qcore import ATOL, DensityMatrix, _block_rows, _check_finite, _value_class
+from .qcore import ATOL, DensityMatrix, _block_rows, _check_finite, _check_probability, _value_class
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
 _GROUP_RTOL = 1e-10
 _RANK_RTOL = 1e-12
+# the largest shift of T cos(gamma) or T sin(gamma) that readouts off by ATOL may cause
+_MAX_SHIFT = 1e-6
 
 
 @_value_class
@@ -188,6 +192,44 @@ def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[:, :, None] * m * v[:, None, :]).sum(axis=(1, 2))
 
 
+def _sinusoid_rows(phis: np.ndarray) -> np.ndarray:
+    """The least-squares rows ``R^-1 Q^T`` of the design with columns ``(1, cos phi, sin phi)``.
+
+    Row k applied to a sweep gives the fit's k-th coefficient.  Modified
+    Gram-Schmidt with elementwise products and sums alone, so no BLAS or
+    LAPACK kernel decides a bit and the rows are the same on every
+    machine.  The normal equations square the design's condition number:
+    for three phases ``2 pi/1024`` apart, rows solved from them differ
+    from pinv's by 1.7e-6 relative, these by 3e-13.  Each column is
+    projected twice: after one pass the quadrature rows are orthogonal to
+    the offset only to ``eps`` times the condition number, which at those
+    phases turns a fringe's offset of 1/2 into an error of 1e-6 in T.
+    Raises ValueError when fewer than three phases differ modulo 2 pi.
+    """
+    angles = phis.tolist()
+    columns = [np.ones(len(angles)), np.array([math.cos(p) for p in angles]), np.array([math.sin(p) for p in angles])]
+    r = np.zeros((3, 3))
+    q = []
+    for k, v in enumerate(columns):
+        for _ in range(2):
+            for j, qj in enumerate(q):
+                d = (qj * v).sum()
+                r[j, k] += d
+                v = v - d * qj
+        r[k, k] = math.sqrt((v * v).sum())
+        # matrix_rank's cutoff, with the first column's norm sqrt(m) for the largest singular value
+        if r[k, k] <= r[0, 0] * len(phis) * np.finfo(float).eps:
+            # (1, cos, sin) has rank 3 exactly when three phases differ modulo 2 pi;
+            # with two, one quadrature is unidentifiable
+            raise ValueError("least-squares inversion needs three distinct phases modulo 2 pi")
+        q.append(v / r[k, k])
+    # back substitution through R, last row first
+    row2 = q[2] / r[2, 2]
+    row1 = (q[1] - r[1, 2] * row2) / r[1, 1]
+    row0 = (q[0] - r[0, 1] * row1 - r[0, 2] * row2) / r[0, 0]
+    return np.array([row0, row1, row2])
+
+
 def _phase_design(phis: np.ndarray) -> tuple[str, np.ndarray]:
     """The method and the ``2 x m`` matrix ``G`` that invert a sweep over ``phis``.
 
@@ -196,30 +238,38 @@ def _phase_design(phis: np.ndarray) -> tuple[str, np.ndarray]:
     phase set can be inverted is known before any readout.  The phase
     count picks the method: two-point for exactly two phases, least
     squares otherwise.  Raises ValueError for a non-finite phase, checked
-    first, or a phase set that cannot be inverted.
+    first, for a phase set that cannot be inverted, and for one whose
+    ``G`` would let readouts within ``ATOL`` move ``(c, s)`` by more than
+    ``_MAX_SHIFT``.
     """
     _check_finite(phis, "measurement phase")
     if len(phis) == 2:
-        p1, p2 = phis
+        p1, p2 = phis.tolist()
         if abs(normalize_angle(p1 - p2)) < 1e-12:
             raise ValueError("duplicate phase values: cannot invert a single setting")
-        if abs(np.sin(p1 - p2)) < 1e-12:
+        if abs(math.sin(p1 - p2)) < 1e-12:
             raise ValueError("phase points pi apart are degenerate for the two-point inversion")
-        # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i)
-        return "two-point", np.linalg.inv(np.array([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]]))
-    if len(phis) < 3:
+        # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i): the adjugate of that 2x2 system
+        (c1, s1), (c2, s2) = (math.cos(p1), math.sin(p1)), (math.cos(p2), math.sin(p2))
+        det = s1 * c2 - c1 * s2
+        method, g, scale = "two-point", np.array([[-s2, s1], [-c2, c1]]) / det, 2.0
+    elif len(phis) < 3:
         raise ValueError("least-squares inversion needs at least three phase points")
-    # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
-    rounded = np.round(phis, 12)
-    if np.all(rounded == rounded[0]):
-        raise ValueError("duplicate phase values: cannot invert a single setting")
-    # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
-    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    if np.linalg.matrix_rank(design) < 3:
-        # (1, cos, sin) has rank 3 exactly when three phases differ modulo 2 pi;
-        # with two, one quadrature is unidentifiable and pinv would return it as 0
-        raise ValueError("least-squares inversion needs three distinct phases modulo 2 pi")
-    return "least-squares", np.linalg.pinv(design)[1:] * np.array([[-2.0], [2.0]])
+    else:
+        # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
+        rounded = np.round(phis, 12)
+        if np.all(rounded == rounded[0]):
+            raise ValueError("duplicate phase values: cannot invert a single setting")
+        # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
+        method, g, scale = "least-squares", _sinusoid_rows(phis)[1:] * np.array([[-2.0], [2.0]]), 1.0
+    # the largest shift of c or s when every readout moves by ATOL; _fit reads y = 1 - 2 P for two-point
+    shift = ATOL * scale * float(np.abs(g).sum(axis=1).max())
+    if shift > _MAX_SHIFT:
+        raise ValueError(
+            f"phase points too close to invert: readouts off by {ATOL:g} could shift the estimate by {shift:.3g}"
+            f" (limit {_MAX_SHIFT:g})"
+        )
+    return method, g
 
 
 def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
@@ -255,7 +305,9 @@ def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
         stderr_gamma[live] = np.sqrt(np.maximum(_quadratic_form(jg, cov[live]), 0.0))
     else:
         degenerate = t_hat < 1e-9
-    gamma_hat = np.where(degenerate, np.nan, fold_angles(np.arctan2(s, c)))
+    # math.atan2 per row: numpy's arctan2 gives other bits under AVX-512 than under AVX2
+    angles = np.array([math.atan2(sn, cn) for sn, cn in zip(s.tolist(), c.tolist())])
+    gamma_hat = np.where(degenerate, np.nan, fold_angles(angles))
     return {
         "t_hat": t_hat,
         "gamma_hat": gamma_hat,
@@ -288,10 +340,7 @@ def estimate_object(probabilities, shots: int | None = None) -> ObjectEstimate:
     pts = [(float(p), float(v)) for p, v in probabilities]
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
-    _check_finite(ps, "detection probability")
-    outside = ps[np.abs(ps - 0.5) > 0.5 + ATOL]
-    if outside.size:
-        raise ValueError(f"detection probability must lie in [0, 1], got {outside[0].item()}")
+    _check_probability(ps, "detection probability")
     method, g = _phase_design(phis)
     _check_sampler(shots or 0, 0)
     fit = _fit(method, g, ps, shots)
@@ -307,13 +356,11 @@ def estimate_object(probabilities, shots: int | None = None) -> ObjectEstimate:
 
 
 def visibility(p_series) -> float:
-    """Fringe visibility ``(P_max - P_min) / (P_max + P_min)``."""
+    """Fringe visibility ``(P_max - P_min) / (P_max + P_min)``; each probability must be finite and lie in [0, 1] within ``ATOL``."""
     ps = np.asarray(list(p_series), dtype=float)
     if ps.size == 0:
         raise ValueError("visibility needs a nonempty series")
-    _check_finite(ps, "detection probability")
-    if np.any(ps < 0):
-        raise ValueError("probabilities must be nonnegative")
+    _check_probability(ps, "detection probability")
     hi, lo = float(ps.max()), float(ps.min())
     if hi + lo == 0.0:
         raise ValueError("visibility is undefined for an all-zero series")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import uqi
 from conftest import fail_second_setting
-from uqi.circuit import BatchReadout
+from uqi.channels import mode_mixer
+from uqi.circuit import BatchReadout, measurement_stack, prepare_werner, run_batch
 from uqi.cli import main
 from uqi.tomography import ImageMaps, image_scan
 
@@ -208,6 +209,44 @@ def test_werner_table(capsys):
     assert ppt[0.75] > -1e-10
     # offsets are reported for comparison, not asserted against any formula
     assert "offset_raw" in rows[0] and "offset_conditioned" in rows[0]
+
+
+def test_werner_offsets_and_amplitudes_match_lstsq(capsys):
+    # the sinusoid fit's offset and cos rows against numpy's least squares on (1, cos gamma)
+    xis = [0.0, 0.3, 2.0 / 3.0, 0.9, 1.0]
+    code, out, _ = run_cli(capsys, "werner", "--T", "0.83", "--xi", ",".join(map(repr, xis)), "--format", "json")
+    assert code == 0
+    gammas = np.array([2.0 * np.pi * k / 24 for k in range(24)])
+    design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
+    for xi, row in zip(xis, json.loads(out)["results"]):
+        values = run_batch(prepare_werner(xi), mode_mixer(), np.full(24, 0.83), gammas, measurement_stack([0.0])[0]).values
+        raw = np.linalg.lstsq(design, values[:, 0], rcond=None)[0]
+        conditioned = np.linalg.lstsq(design, values[:, 0] / values.sum(axis=1), rcond=None)[0]
+        assert row["offset_raw"] == pytest.approx(raw[0], abs=1e-14)
+        assert row["modulation_amplitude"] == pytest.approx(2.0 * abs(raw[1]), abs=1e-14)
+        assert row["offset_conditioned"] == pytest.approx(conditioned[0], abs=1e-14)
+
+
+def test_fit_calls_no_lapack(tmp_path, capsys, monkeypatch):
+    # sweep, image and werner invert their fringes without an SVD, a solve or an inverse;
+    # werner's PPT eigvalsh is not part of the fit
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the fit called LAPACK")
+
+    for name in ("pinv", "lstsq", "matrix_rank", "inv", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    np.savetxt(tmp_path / "t.csv", [[0.0, 0.5], [1.0, 0.8]], delimiter=",")
+    np.savetxt(tmp_path / "g.csv", [[0.0, 1.0], [-2.0, 3.0]], delimiter=",")
+    maps = ("--t-map", str(tmp_path / "t.csv"), "--gamma-map", str(tmp_path / "g.csv"))
+    for argv in (
+        ("sweep", "--T", "0.7", "--gamma", "1.2", "--shots", "100"),
+        ("sweep", "--T", "0.7", "--gamma", "1.2", "--phi", "0,1.5707963267948966"),
+        ("image", *maps),
+        ("image", *maps, "--shots", "100"),
+        ("werner",),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 def test_werner_default_transmission_is_unity(capsys):

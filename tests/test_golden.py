@@ -8,11 +8,17 @@ changes the determinism contract and must say so.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqi
 from uqi.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,19 +80,19 @@ def _scale_xis() -> str:
 SCALE_CASES = {
     "image-shots-64x64": (
         lambda tmp_path: ("image", *_write_scale_maps(tmp_path), "--shots", "10000", "--seed", "17"),
-        "083307e0a2c4d8ea06712faf0335c796eee6b4645c9158e938495b728bff6624",
+        "80daad03891546529bd8a4f082d19e8efc3bcf00eca4edd74d57e289294290b1",
     ),
     "sweep-4096-phases": (
         lambda tmp_path: (
             "sweep", "--T", "0.8", "--gamma", "0.5", "--phi-points", "4096",
             "--shots", "100000", "--seed", "601",
         ),
-        "8807a7cf82df6995d375393a11143976c91808e75f8efaa3f63b72f9f9c48c0c",
+        "e855590ebdecc4736254f29e8529a15a6e0a41b22b8669b8ed985c2ccb8b079e",
     ),
     # 61 xi x 24 gamma settings: engine passes straddle the xi boundaries
     "werner-61-xi": (
         lambda tmp_path: ("werner", "--xi", _scale_xis(), "--T", "0.83"),
-        "e0a1ec8de7e8c22a388feea7d221f766c23ab9ec5eeb75201dee1816609707c2",
+        "d0bc08398213a1bd823a043b07512ce170c5540247bfacd23ee64d3d6c9bdabf",
     ),
 }
 
@@ -96,3 +102,45 @@ def test_cli_output_at_scale_matches_pinned_hash(tmp_path, capsys, name):
     argv, digest = SCALE_CASES[name]
     assert main(list(argv(tmp_path))) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# OpenBLAS's AVX2 kernel and numpy's AVX2 dispatch, as on an x86-64 runner without AVX-512
+HASWELL_AVX2 = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+# runs each argument list of stdin's JSON through cli.main and prints one JSON list of [code, stdout]
+_CHILD = """
+import contextlib, io, json, sys
+from uqi.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+json.dump(runs, sys.stdout)
+"""
+
+
+def _has_avx2() -> bool:
+    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
+    return platform.machine().lower() in ("x86_64", "amd64") and features.get("X86_V3", False)
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="the Haswell kernel and the AVX2 targets need an x86-64 CPU with AVX2")
+def test_golden_bytes_hold_under_haswell_kernel_and_avx2_dispatch(tmp_path):
+    # the variables are set in the child process only; every case runs in that one process
+    argvs = {name: list(argv) for name, argv in CASES.items()}
+    argvs.update((name, list(argv(tmp_path))) for name, (argv, _) in SCALE_CASES.items())
+    env = {**os.environ, **HASWELL_AVX2, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD], input=json.dumps(list(argvs.values())), env=env,
+        capture_output=True, text=True, check=True,
+    )
+    differ = []
+    for name, (code, out) in zip(argvs, json.loads(proc.stdout)):
+        if name in CASES:
+            same = out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+        else:
+            same = hashlib.sha256(out.encode("utf-8")).hexdigest() == SCALE_CASES[name][1]
+        if code != 0 or not same:
+            differ.append(name)
+    assert differ == []

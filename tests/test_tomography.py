@@ -32,6 +32,7 @@ from uqi.tomography import (
     SchmidtData,
     _fit,
     _phase_design,
+    _sinusoid_rows,
     aapt_predict,
     estimate_object,
     image_scan,
@@ -364,6 +365,62 @@ def test_estimate_probability_range_has_the_engine_slack():
     assert estimate_object([(0.0, 1.0 + ATOL / 2), (np.pi / 2, 0.5)]).t_hat == pytest.approx(1.0, abs=2 * ATOL)
     with pytest.raises(ValueError, match=r"^detection probability must lie in \[0, 1\], got -2e-12$"):
         estimate_object([(0.0, 0.5), (np.pi / 2, -2 * ATOL)])
+
+
+def test_probability_rule_is_one_rule_with_the_engine_slack():
+    # visibility and the sampler take estimate_object's rule, and the sampler still clips the slack
+    assert visibility([1.0 + ATOL / 2, 0.5]) == pytest.approx(1.0 / 3.0, abs=ATOL)
+    assert np.array_equal(sample_frequencies([[1.0 + ATOL / 2, -ATOL / 2]], 10, 0, [(0,)]), [[1.0, 0.0]])
+    for call in (lambda: visibility([0.5, -2 * ATOL]), lambda: estimate_object([(0.0, 0.5), (1.0, -2 * ATOL)])):
+        with pytest.raises(ValueError, match=r"^detection probability must lie in \[0, 1\], got -2e-12$"):
+            call()
+    with pytest.raises(ValueError, match=r"^click probability must lie in \[0, 1\], got 1.000000000002$"):
+        sample_frequencies([[0.5], [1.0 + 2 * ATOL]], 10, 0, [(0,), (1,)])
+
+
+def _pinv_rows(phis):
+    """The reference least-squares rows: numpy's SVD pseudo-inverse of the (1, cos, sin) design."""
+    return np.linalg.pinv(np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)]))
+
+
+_FIT_PHASE_SETS = [
+    *((f"uniform-{m}", np.array([2 * np.pi * k / m for k in range(m)])) for m in (3, 4, 5, 8, 12, 24, 64, 1024, 4096)),
+    *((f"random-{m}", np.random.default_rng(m).uniform(-10.0, 10.0, m)) for m in (3, 7, 50, 500)),
+]
+
+
+@pytest.mark.parametrize("phis", [p for _, p in _FIT_PHASE_SETS], ids=[name for name, _ in _FIT_PHASE_SETS])
+def test_sinusoid_rows_match_pinv(phis):
+    want = _pinv_rows(phis)
+    assert np.abs(_sinusoid_rows(phis) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sinusoid_rows_at_close_phases():
+    # three phases 2 pi/1024 apart: the rows stay within 1e-9 of pinv's, and they still
+    # cancel the 1/2 offset, which one Gram-Schmidt pass left at an error of 1e-6 in T
+    h = 2 * np.pi / 1024
+    phis = np.array([0.0, h, 2 * h])
+    want = _pinv_rows(phis)
+    assert np.abs(_sinusoid_rows(phis) - want).max() <= 1e-9 * np.abs(want).max()
+    est = estimate_object(sweep_points(0.7, 1.2, phis))
+    assert est.t_hat == pytest.approx(0.7, abs=1e-10)
+    assert abs(angle_diff(est.gamma_hat, 1.2)) < 1e-10
+
+
+def test_two_point_design_matches_the_inverse():
+    for p1, p2 in np.random.default_rng(12).uniform(-4.0, 4.0, (50, 2)):
+        method, g = _phase_design(np.array([p1, p2]))
+        want = np.linalg.inv([[np.cos(p1), -np.sin(p1)], [np.cos(p2), -np.sin(p2)]])
+        assert method == "two-point"
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("phis", [
+    [0.0, 1e-7, 2e-7], [0.0, 1e-9], [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6], [0.5, 0.5 + 1e-7, 0.5 + np.pi],
+])
+def test_phase_design_rejects_sets_too_close_to_invert(phis):
+    with pytest.raises(ValueError, match=r"^phase points too close to invert: readouts off by 1e-12 .* \(limit 1e-06\)$"):
+        _phase_design(np.array(phis))
 
 
 def test_estimate_two_point_generic_phase_pair():

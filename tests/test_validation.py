@@ -77,6 +77,23 @@ CHECKS = [
         "detection probability must lie in [0, 1], got -3.0",
     ),
     (lambda: estimate_object([(0.0, 0.5), (1.0, 1e300)], shots=10), "detection probability must lie in [0, 1], got 1e+300"),
+    # visibility and the sampler share estimate_object's rule: 2.0 gave a visibility of 0.6, and 1.5 was clipped to 1
+    (lambda: visibility([2.0, 0.5]), "detection probability must lie in [0, 1], got 2.0"),
+    (lambda: visibility([-0.1, 0.5]), "detection probability must lie in [0, 1], got -0.1"),
+    (lambda: sample_frequencies([[0.5, 1.5]], 10, 0, [(0,)]), "click probability must lie in [0, 1], got 1.5"),
+    # readouts within ATOL of a flat sweep gave t_hat = 39.34; two points 1e-9 apart have |G| about 1e9
+    (
+        lambda: estimate_object([(0.0, 0.5), (1e-7, 0.5 + 1e-13), (2e-7, 0.5)]),
+        "phase points too close to invert: readouts off by 1e-12 could shift the estimate by 801 (limit 1e-06)",
+    ),
+    (
+        lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [0.0, 1e-9]),
+        "phase points too close to invert: readouts off by 1e-12 could shift the estimate by 0.004 (limit 1e-06)",
+    ),
+    (
+        ("sweep", "--T", "0.5", "--phi", "0,1e-6,2e-6"),
+        "phase points too close to invert: readouts off by 1e-12 could shift the estimate by 8 (limit 1e-06)",
+    ),
     (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
 ]
 
