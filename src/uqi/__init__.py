@@ -16,7 +16,6 @@ from .channels import (
     chi_matrix,
     choi_matrix,
     choi_psd_check,
-    mode_mixer,
     normalize_angle,
     object_channel,
 )

@@ -229,11 +229,6 @@ class ModeMixer:
     op.setflags(write=False)
 
 
-def mode_mixer() -> ModeMixer:
-    """The mode mixer, with its ``|Xi> = |-+>`` target state."""
-    return ModeMixer()
-
-
 MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
 
 

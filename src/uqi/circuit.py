@@ -133,36 +133,29 @@ def _start_stack(probe, part: slice, n: int) -> np.ndarray:
     return np.stack([p.mat for p in probe[part]])
 
 
-def _stage_stacks(start: np.ndarray, reg: Register, m: np.ndarray | None, t: np.ndarray, gamma: np.ndarray):
+def _stage_stacks(start: np.ndarray, reg: Register, m: np.ndarray, t: np.ndarray, gamma: np.ndarray):
     """One engine pass over the n object settings of the float arrays ``t``, ``gamma``.
 
     ``start`` holds each setting's probe on ``reg``, and ``m`` is the mixer
-    embedded on ``(i1, i2)``, or None to skip mixing.
+    embedded on ``(i1, i2)``.
     The settings obey :class:`ObjectParams`' rule (:func:`_engine_inputs`).
-    Returns the post-object stack, the post-mixer stack (or None), the
-    signal stack and each setting's first failed engine check (None if it
-    passed): the Kraus trace-preserving check, the mixer's normalization and
-    the checks of :class:`DensityMatrix` on every stage.  A setting that
-    fails one is reported, not raised, and carries on through the pass.
+    Returns the post-object stack, the post-mixer stack, the signal stack
+    and each setting's first failed engine check (None if it passed): the
+    Kraus trace-preserving check, the mixer's normalization and the checks
+    of :class:`DensityMatrix` on every stage.  A setting that fails one is
+    reported, not raised, and carries on through the pass.
     """
     errors = np.full(t.size, None, dtype=object)
     kraus = object_kraus(t, fold_angles(gamma))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
     post_object = apply_kraus_stack(start, kraus, ["i1"], reg)
     _record(errors, state_errors(post_object))
-    rho, post_mixer = post_object, None
-    if m is not None:
-        post_mixer, vanished = mix_stack(post_object, m)
-        _record(errors, np.where(vanished, MIXER_VANISHED, None))
-        _record(errors, state_errors(post_mixer))
-        rho = post_mixer
-    signal = partial_trace_stack(rho, reg, ["s1", "s2"])
+    post_mixer, vanished = mix_stack(post_object, m)
+    _record(errors, np.where(vanished, MIXER_VANISHED, None))
+    _record(errors, state_errors(post_mixer))
+    signal = partial_trace_stack(post_mixer, reg, ["s1", "s2"])
     _record(errors, state_errors(signal))
     return post_object, post_mixer, signal, errors
-
-
-def _embedded_mixer(reg: Register, mm: ModeMixer | None) -> np.ndarray | None:
-    return None if mm is None else embed(mm.op, ["i1", "i2"], reg)
 
 
 @_value_class
@@ -170,19 +163,19 @@ class PipelineStages:
     """The stage stacks of n object settings, from :func:`pipeline_stages`.
 
     ``post_object`` and ``post_mixer`` are ``(n, 16, 16)`` on the probe's
-    register (``post_mixer`` is None without a mixer); ``signal`` is
-    ``(n, 4, 4)`` on ``(s1, s2)``.  ``errors[i]`` holds setting i's first
-    failed engine check, or None; the rows of a failed setting hold what
-    the pass computed for it, which need not be a physical state.
+    register; ``signal`` is ``(n, 4, 4)`` on ``(s1, s2)``.  ``errors[i]``
+    holds setting i's first failed engine check, or None; the rows of a
+    failed setting hold what the pass computed for it, which need not be a
+    physical state.
     """
 
     post_object: np.ndarray
-    post_mixer: np.ndarray | None
+    post_mixer: np.ndarray
     signal: np.ndarray
     errors: tuple[str | None, ...]
 
 
-def pipeline_stages(probe, mm: ModeMixer | None, t, gamma) -> PipelineStages:
+def pipeline_stages(probe, t, gamma) -> PipelineStages:
     """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
 
     ``probe`` is as in :func:`run_batch`.  One engine pass over all n
@@ -191,7 +184,8 @@ def pipeline_stages(probe, mm: ModeMixer | None, t, gamma) -> PipelineStages:
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     start = _start_stack(probe, slice(None), t.size)
-    post_object, post_mixer, signal, errors = _stage_stacks(start, reg, _embedded_mixer(reg, mm), t, gamma)
+    m = embed(ModeMixer.op, ["i1", "i2"], reg)
+    post_object, post_mixer, signal, errors = _stage_stacks(start, reg, m, t, gamma)
     return PipelineStages(post_object, post_mixer, signal, tuple(errors))
 
 
@@ -209,7 +203,7 @@ class BatchReadout:
     errors: tuple[str | None, ...]
 
 
-def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
+def run_batch(probe, t, gamma, readout) -> BatchReadout:
     """Object on i1, mixer on (i1, i2), discard the idlers, read out the signals.
 
     ``t`` and ``gamma`` give the n object settings.  ``probe`` is one
@@ -218,8 +212,6 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
     probes.  ``readout`` is a ``(..., 4, 4)`` stack of signal observables
     (e.g. from :func:`measurement_stack`), and ``values`` has shape
     ``(n, ...)``.
-    Passing ``mm=None`` skips the mixing step, which destroys the
-    interference: without indistinguishability the detectors see 1/2 each.
     The settings run in passes of ``qcore._block_rows(D**2)``; each setting's
     result does not depend on the others or on the pass size.
     Bad input raises ValueError before the first pass: a setting outside
@@ -233,7 +225,7 @@ def run_batch(probe, mm: ModeMixer | None, t, gamma, readout) -> BatchReadout:
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     _check_finite(readout, "readout operators")
     flat = readout.reshape(-1, 16)
-    m = _embedded_mixer(reg, mm)
+    m = embed(ModeMixer.op, ["i1", "i2"], reg)
     values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
     rows = _block_rows(reg.dim**2)

@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .channels import ObjectParams, chi_matrix, fold_angles, mode_mixer, object_channel
+from .channels import ObjectParams, chi_matrix, fold_angles, object_channel
 from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
 from .qcore import _block_rows, partial_transpose
 from .tomography import ImageMaps, _fit, _phase_design, _sinusoid_rows, image_scan, operator_schmidt, visibility
@@ -130,7 +130,12 @@ def _write_table(fh, names, columns, config, args) -> None:
 
 
 def _write_output(names, columns, config, args) -> None:
-    """Write the table whose column ``names[i]`` holds the values ``columns[i]``."""
+    """Write the table whose column ``names[i]`` holds the values ``columns[i]``.
+
+    ``config`` holds the command's own settings; its JSON ``config`` adds
+    the command first and the format last.
+    """
+    config = {"command": args.command, **config, "format": args.format}
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_table(fh, names, columns, config, args)
@@ -148,8 +153,7 @@ def _matrix_columns(mat) -> list[list]:
 
 
 def cmd_probe(args) -> int:
-    config = {"command": "probe", "format": args.format}
-    _write_output(("row", "col", "re", "im"), _matrix_columns(prepare_probe().mat), config, args)
+    _write_output(("row", "col", "re", "im"), _matrix_columns(prepare_probe().mat), {}, args)
     return 0
 
 
@@ -160,12 +164,7 @@ def _object_params(args) -> ObjectParams:
 def cmd_chi(args) -> int:
     params = _object_params(args)
     chi = chi_matrix(object_channel(params))
-    config = {
-        "command": "chi",
-        "t": params.t,
-        "gamma": params.gamma,
-        "format": args.format,
-    }
+    config = {"t": params.t, "gamma": params.gamma}
     _write_output(("row", "col", "re", "im"), _matrix_columns(chi.entries), config, args)
     return 0
 
@@ -177,14 +176,14 @@ def cmd_schmidt(args) -> int:
     for kind, ops in (("a_op", sd.a_ops), ("b_op", sd.b_ops)):
         for term, op in enumerate(ops):
             recs += [(term, kind, *entry, None) for entry in zip(*_matrix_columns(op))]
-    config = {"command": "schmidt", "bipartition": [["i1", "i2"], ["s1", "s2"]], "format": args.format}
+    config = {"bipartition": [["i1", "i2"], ["s1", "s2"]]}
     _write_output(("term", "kind", "row", "col", "re", "im", "hermitian"), list(zip(*recs)), config, args)
     return 0
 
 
 def _readouts(probe, ts, gammas, readout) -> np.ndarray:
-    """Engine readouts, with the mode mixer, of the settings ``(ts[i], gammas[i])``; a failed one is a config error."""
-    batch = run_batch(probe, mode_mixer(), ts, gammas, readout)
+    """Engine readouts of the settings ``(ts[i], gammas[i])``; a failed one is a config error."""
+    batch = run_batch(probe, ts, gammas, readout)
     for err in batch.errors:
         if err is not None:
             raise ValueError(err)
@@ -214,15 +213,7 @@ def cmd_probabilities(args) -> int:
     probs = _readouts(prepare_probe(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
     p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
     grid = list(zip(*itertools.product(ts, gammas, phis)))
-    config = {
-        "command": "probabilities",
-        "t": ts,
-        "gamma": gammas,
-        "phi": phis,
-        "shots": args.shots,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    config = {"t": ts, "gamma": gammas, "phi": phis, "shots": args.shots, "seed": args.seed}
     _write_output(("t", "gamma", "phi", "p_h", "p_g"), [*grid, p_h.tolist(), p_g.tolist()], config, args)
     return 0
 
@@ -245,14 +236,7 @@ def cmd_sweep(args) -> int:
     estimate.update(record="estimate", method=method)
     columns = [samples.get(name, [None] * len(phis)) + [estimate.get(name)] for name in _SWEEP_COLUMNS]
     config = {
-        "command": "sweep",
-        "t": params.t,
-        "gamma": params.gamma,
-        "phi": phis,
-        "shots": args.shots,
-        "seed": args.seed,
-        "method": method,
-        "format": args.format,
+        "t": params.t, "gamma": params.gamma, "phi": phis, "shots": args.shots, "seed": args.seed, "method": method,
     }
     _write_output(_SWEEP_COLUMNS, columns, config, args)
     return 0
@@ -289,7 +273,7 @@ def cmd_werner(args) -> int:
         list(map(visibility, conds)),
         ppt_mins,
     ]
-    config = {"command": "werner", "xi": xis, "t": t, "gamma_points": _WERNER_GAMMA_POINTS, "format": args.format}
+    config = {"xi": xis, "t": t, "gamma_points": _WERNER_GAMMA_POINTS}
     _write_output(
         (
             "xi", "modulation_amplitude", "offset_raw", "offset_conditioned",
@@ -335,15 +319,7 @@ def cmd_image(args) -> int:
         *map(_cells, errors),
         status,
     ]
-    config = {
-        "command": "image",
-        "t_map": args.t_map,
-        "gamma_map": args.gamma_map,
-        "phi": phis,
-        "shots": args.shots,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    config = {"t_map": args.t_map, "gamma_map": args.gamma_map, "phi": phis, "shots": args.shots, "seed": args.seed}
     _write_output(
         (
             "row", "col", "t_hat", "gamma_hat", "stderr_t", "stderr_gamma",

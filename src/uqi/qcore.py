@@ -342,7 +342,7 @@ def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
     order += [1 + i for i in rest] + [1 + w + i for i in rest]
     tensor = stack.reshape((n,) + (2,) * (2 * w)).transpose(order)
     sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
-    out = (sup @ tensor.reshape(n, d * d, -1)).reshape(tensor.shape)
+    out = (sup @ tensor.reshape(n, d * d, reg.dim**2 // (d * d))).reshape(tensor.shape)
     return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
 
 

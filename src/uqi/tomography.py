@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles, mode_mixer, normalize_angle
+from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles
 from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
 from .qcore import ATOL, DensityMatrix, _block_rows, _check_finite, _check_probability, _value_class
 
@@ -244,21 +244,19 @@ def _phase_design(phis: np.ndarray) -> tuple[str, np.ndarray]:
     """
     _check_finite(phis, "measurement phase")
     if len(phis) == 2:
-        p1, p2 = phis.tolist()
-        if abs(normalize_angle(p1 - p2)) < 1e-12:
-            raise ValueError("duplicate phase values: cannot invert a single setting")
-        if abs(math.sin(p1 - p2)) < 1e-12:
-            raise ValueError("phase points pi apart are degenerate for the two-point inversion")
         # y_i = 1 - 2 P_i = c cos(phi_i) - s sin(phi_i): the adjugate of that 2x2 system
-        (c1, s1), (c2, s2) = (math.cos(p1), math.sin(p1)), (math.cos(p2), math.sin(p2))
-        det = s1 * c2 - c1 * s2
+        (c1, s1), (c2, s2) = ((math.cos(p), math.sin(p)) for p in phis.tolist())
+        det = s1 * c2 - c1 * s2  # sin(phi_1 - phi_2), from the unit vectors: no difference can overflow
+        if abs(det) < 1e-12:
+            if c1 * c2 + s1 * s2 > 0.0:
+                raise ValueError("duplicate phase values: cannot invert a single setting")
+            raise ValueError("phase points pi apart are degenerate for the two-point inversion")
         method, g, scale = "two-point", np.array([[-s2, s1], [-c2, c1]]) / det, 2.0
     elif len(phis) < 3:
         raise ValueError("least-squares inversion needs at least three phase points")
     else:
-        # an all-equal test: np.unique would import numpy.ma, about 15 ms per process
-        rounded = np.round(phis, 12)
-        if np.all(rounded == rounded[0]):
+        # the spread as a Python float, which overflows to inf without a warning
+        if float(phis.max()) - float(phis.min()) < 1e-12:
             raise ValueError("duplicate phase values: cannot invert a single setting")
         # P = a + u cos(phi) + v sin(phi), and (c, s) = (-2u, 2v)
         method, g, scale = "least-squares", _sinusoid_rows(phis)[1:] * np.array([[-2.0], [2.0]]), 1.0
@@ -434,9 +432,7 @@ def image_scan(maps: ImageMaps, phi_sweep, shots: int = 0, seed: int = 0) -> Sca
     method, g = _phase_design(phis)
     _check_sampler(shots, seed)
     h, w = maps.height, maps.width
-    batch = run_batch(
-        prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, measurement_stack(phis)[:, 0]
-    )
+    batch = run_batch(prepare_probe(), maps.t_map, maps.gamma_map, measurement_stack(phis)[:, 0])
     p_h = batch.values
     failed = np.not_equal(batch.errors, None)
     if shots:

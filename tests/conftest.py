@@ -1,8 +1,7 @@
 import numpy as np
 
-from uqi.channels import mode_mixer
-from uqi.circuit import BatchReadout, measurement_stack, prepare_probe, run_batch
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register
+from uqi.circuit import BatchReadout, measurement_stack, pipeline_stages, prepare_probe, run_batch
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, partial_trace_stack
 
 
 def random_density_matrix(rng, register: Register) -> DensityMatrix:
@@ -32,11 +31,23 @@ def four_wire_register() -> Register:
     return DEFAULT_REGISTER
 
 
-def readout(probe, mm, ts, gammas, phis) -> np.ndarray:
+def readout(probe, ts, gammas, phis) -> np.ndarray:
     """``(P_h, P_g)`` of every setting at every phase, shape ``(n, P, 2)``; every setting must pass."""
-    batch = run_batch(probe, mm, ts, gammas, measurement_stack(phis))
+    batch = run_batch(probe, ts, gammas, measurement_stack(phis))
     assert batch.errors == (None,) * len(batch.errors)
     return batch.values
+
+
+def unmixed_readout(probe: DensityMatrix, ts, gammas, phis) -> np.ndarray:
+    """:func:`readout` of the circuit without the mode mixer, from the engine's post-object stack.
+
+    Both idlers are traced out of ``post_object`` and each signal state is
+    read out as ``Tr[R rho]``; shape ``(n, P, 2)``.
+    """
+    stages = pipeline_stages(probe, ts, gammas)
+    assert stages.errors == (None,) * len(stages.errors)
+    signal = partial_trace_stack(stages.post_object, probe.register, ["s1", "s2"])
+    return np.einsum("pkab,nba->npk", measurement_stack(phis), signal).real
 
 
 def fail_second_setting(run_batch):
@@ -51,7 +62,7 @@ def fail_second_setting(run_batch):
 
 def sweep_points(t, g, phis, shots=None, seed=None):
     """``[(phi, P_h), ...]`` of the Bell probe; with shots, drawn in phase order from ``default_rng(seed)``."""
-    p_h = readout(prepare_probe(), mode_mixer(), [t], [g], phis)[0, :, 0]
+    p_h = readout(prepare_probe(), [t], [g], phis)[0, :, 0]
     rng = np.random.default_rng(seed) if shots else None
     pts = []
     for p, v in zip(phis, p_h):

@@ -7,13 +7,12 @@ a failed assertion in any criterion fails the corresponding test.
 import time
 
 import numpy as np
-from conftest import angle_diff, readout, sweep_points
+from conftest import angle_diff, readout, sweep_points, unmixed_readout
 
 from uqi.channels import (
     ObjectParams,
     chi_matrix,
     choi_psd_check,
-    mode_mixer,
     object_channel,
 )
 from uqi.circuit import (
@@ -41,7 +40,7 @@ def t_gamma_grid(nt=20, ng=20):
 
 def test_criterion_1_detection_law():
     ts, gs = np.array(list(t_gamma_grid())).T
-    p_h, p_g = readout(prepare_probe(), mode_mixer(), ts, gs, [0.0])[:, 0].T
+    p_h, p_g = readout(prepare_probe(), ts, gs, [0.0])[:, 0].T
     worst = max(
         np.max(np.abs(p_h - (1 - ts * np.cos(gs)) / 2)),
         np.max(np.abs(p_g - (1 + ts * np.cos(gs)) / 2)),
@@ -54,7 +53,7 @@ def test_criterion_1_detection_law():
 def test_criterion_2_reduced_state_equivalence():
     rng = np.random.default_rng(2024)
     ts, gs = rng.uniform(0, 1, 50), rng.uniform(-np.pi, np.pi, 50)
-    stages = pipeline_stages(prepare_probe(), mode_mixer(), ts, gs)
+    stages = pipeline_stages(prepare_probe(), ts, gs)
     assert stages.errors == (None,) * 50
     worst = 0.0
     for sig, t, g in zip(stages.signal, ts, gs):
@@ -194,13 +193,12 @@ def test_criterion_6_bell_measurements():
 
 def test_criterion_7_werner_experiment():
     t = 0.8
-    mm = mode_mixer()
     gammas = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     offsets = {}
     worst = 0.0
     for xi in (0.0, 0.25, 0.5, 2 / 3, 0.9, 1.0, 0.75):
-        ps = readout(prepare_werner(xi), mm, np.full(gammas.size, t), gammas, [0.0])[:, 0, 0]
+        ps = readout(prepare_werner(xi), np.full(gammas.size, t), gammas, [0.0])[:, 0, 0]
         coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
         amplitude = 2 * abs(float(coef[1]))
         offsets[xi] = float(coef[0])
@@ -225,7 +223,7 @@ def test_criterion_7_werner_experiment():
 
 def test_criterion_8_which_path_necessity():
     ts, gs = np.array(list(t_gamma_grid(12, 12))).T
-    values = readout(prepare_probe(), None, ts, gs, [0.0, 1.0, np.pi / 2])
+    values = unmixed_readout(prepare_probe(), ts, gs, [0.0, 1.0, np.pi / 2])
     worst = float(np.max(np.abs(values - 0.5)))
     assert worst < TOL
     report(8, f"no mode mixing leaves both detectors at 1/2, worst deviation {worst:.2e}")

@@ -35,7 +35,6 @@ PUBLIC = [
     "hadamard",
     "image_scan",
     "measurement_stack",
-    "mode_mixer",
     "normalize_angle",
     "object_channel",
     "operator_schmidt",
@@ -64,6 +63,7 @@ REMOVED = [
     "identity_channel",
     "kron",
     "measurement_pair",
+    "mode_mixer",
     "partial_trace",
     "pauli",
     "pauli_reconstruct",

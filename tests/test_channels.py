@@ -5,12 +5,12 @@ from conftest import random_density_matrix
 from uqi.channels import (
     ChiMatrix,
     KrausChannel,
+    ModeMixer,
     ObjectParams,
     chi_matrix,
     choi_matrix,
     choi_psd_check,
     mix_stack,
-    mode_mixer,
     normalize_angle,
     object_channel,
     object_kraus,
@@ -135,7 +135,7 @@ def test_object_on_probe_reproduces_intermediate_state():
     # applying the object channel on i1 of the probe leaves five terms with
     # weights {T^2, 1-T^2, T e^{i g}, T e^{-i g}, 1} / 2
     t, g = 0.6, 0.3
-    stages = pipeline_stages(prepare_probe(), mode_mixer(), [t], [g])
+    stages = pipeline_stages(prepare_probe(), [t], [g])
     assert stages.errors == (None,)
     m = stages.post_object[0]
     i1100, i1000, i0011 = int("1100", 2), int("1000", 2), int("0011", 2)
@@ -250,7 +250,7 @@ def test_choi_cp_over_parameter_grid():
 
 
 def test_mode_mixer_mapping():
-    mm = mode_mixer()
+    mm = ModeMixer()
     e = np.eye(4, dtype=complex)
     assert np.allclose(mm.op @ e[1], mm.xi, atol=ATOL)   # |01> -> |Xi>
     assert np.allclose(mm.op @ e[2], mm.xi, atol=ATOL)   # |10> -> |Xi>
@@ -260,7 +260,7 @@ def test_mode_mixer_mapping():
 
 def test_mode_mixer_default_target_state():
     want = np.kron([1, -1], [1, 1]).astype(complex) / 2  # |-> (x) |+>
-    assert np.allclose(mode_mixer().xi, want, atol=ATOL)
+    assert np.allclose(ModeMixer().xi, want, atol=ATOL)
 
 
 @pytest.mark.parametrize("werner_xi", [None, 0.3, 2 / 3], ids=["bell", "werner-0.3", "werner-2/3"])
@@ -273,7 +273,7 @@ def test_signal_does_not_depend_on_mixer_target_state(werner_xi):
     probe = prepare_probe() if werner_xi is None else prepare_werner(werner_xi)
     rng = np.random.default_rng(20)
     t, gamma = rng.uniform(0.0, 1.0, 50), rng.uniform(-np.pi, np.pi, 50)
-    stages = pipeline_stages(probe, mode_mixer(), t, gamma)
+    stages = pipeline_stages(probe, t, gamma)
     reg = probe.register
     assert np.max(np.abs(_idler_sector_coherence(stages.post_object))) == 0.0
     for _ in range(20):
@@ -312,7 +312,7 @@ def test_signal_depends_on_mixer_target_state_for_sector_coherent_probe():
         mat += np.outer(ket, ket.conj()) / 8
     probe = DensityMatrix(mat, DEFAULT_REGISTER)
     gamma = 2 * np.pi * np.arange(24) / 24
-    stages = pipeline_stages(probe, mode_mixer(), np.full(24, 0.8), gamma)
+    stages = pipeline_stages(probe, np.full(24, 0.8), gamma)
     assert stages.errors == (None,) * 24
     assert np.max(np.abs(_idler_sector_coherence(stages.post_object))) > 0.05
     e = np.eye(4)
@@ -327,8 +327,8 @@ def test_apply_mode_mixer_on_post_object_state():
     # after the mixer every surviving idler term carries |Xi><Xi| except the
     # damped population, which stays on |00>
     t, g = 0.6, 0.3
-    mm = mode_mixer()
-    stages = pipeline_stages(prepare_probe(), mm, [t], [g])
+    mm = ModeMixer()
+    stages = pipeline_stages(prepare_probe(), [t], [g])
     assert stages.errors == (None,)
     xixi = np.outer(mm.xi, mm.xi.conj())
     e2 = np.eye(2, dtype=complex)
@@ -345,7 +345,7 @@ def test_apply_mode_mixer_on_post_object_state():
     assert np.allclose(stages.post_mixer[0], want, atol=ATOL)
 
 
-MIXER_ON_IDLERS = embed(mode_mixer().op, ["i1", "i2"], DEFAULT_REGISTER)
+MIXER_ON_IDLERS = embed(ModeMixer.op, ["i1", "i2"], DEFAULT_REGISTER)
 
 
 def test_apply_mode_mixer_leaves_00_support_alone():
@@ -357,7 +357,7 @@ def test_apply_mode_mixer_leaves_00_support_alone():
 
 def test_apply_mode_mixer_maps_01_to_target():
     rho = DensityMatrix.from_ket(basis_ket("01"), Register(("i1", "i2")))
-    mm = mode_mixer()
+    mm = ModeMixer()
     out, _ = mix_stack(rho.mat[None], mm.op)
     assert np.allclose(out[0], np.outer(mm.xi, mm.xi.conj()), atol=ATOL)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from conftest import readout
+from conftest import readout, unmixed_readout
 
 from uqi import qcore
-from uqi.channels import mode_mixer
 from uqi.circuit import (
     bell_ket,
     measurement_stack,
@@ -28,8 +27,8 @@ def analytic_signal_state(t, g):
     return m
 
 
-def signal_stack(probe, mm, ts, gammas):
-    stages = pipeline_stages(probe, mm, ts, gammas)
+def signal_stack(probe, ts, gammas):
+    stages = pipeline_stages(probe, ts, gammas)
     assert stages.errors == (None,) * len(stages.errors)
     return stages.signal
 
@@ -90,19 +89,19 @@ def test_werner_ppt_threshold():
 def test_pipeline_reproduces_analytic_state():
     rng = np.random.default_rng(0)
     ts, gs = rng.uniform(0, 1, 50), rng.uniform(-np.pi, np.pi, 50)
-    signal = signal_stack(prepare_probe(), mode_mixer(), ts, gs)
+    signal = signal_stack(prepare_probe(), ts, gs)
     for sig, t, g in zip(signal, ts, gs):
         assert np.allclose(sig, analytic_signal_state(t, g), atol=ATOL)
 
 
 def test_pipeline_offdiagonal_coherence():
     t, g = 0.8, -0.4
-    sig = signal_stack(prepare_probe(), mode_mixer(), [t], [g])[0]
+    sig = signal_stack(prepare_probe(), [t], [g])[0]
     assert sig[2, 1] == pytest.approx(t * np.exp(1j * g) / 2, abs=ATOL)
 
 
 def test_pipeline_pauli_coefficients_transparent_object():
-    sig = signal_stack(prepare_probe(), mode_mixer(), [1.0], [0.0])[0]
+    sig = signal_stack(prepare_probe(), [1.0], [0.0])[0]
     got = pauli_decompose(sig, SIGNAL_WIRES)
     assert got["II"] == pytest.approx(0.25, abs=ATOL)
     assert got["ZZ"] == pytest.approx(-0.25, abs=ATOL)
@@ -113,7 +112,7 @@ def test_pipeline_pauli_coefficients_transparent_object():
 
 def test_pipeline_pauli_coefficients_carry_both_quadratures():
     t, g = 0.7, 1.1
-    sig = signal_stack(prepare_probe(), mode_mixer(), [t], [g])[0]
+    sig = signal_stack(prepare_probe(), [t], [g])[0]
     got = pauli_decompose(sig, SIGNAL_WIRES)
     assert got["XX"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["YY"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
@@ -123,7 +122,7 @@ def test_pipeline_pauli_coefficients_carry_both_quadratures():
 
 def test_pipeline_stages_exposed():
     t, g = 0.6, 0.3
-    stages = pipeline_stages(prepare_probe(), mode_mixer(), [t, 0.2], [g, -1.0])
+    stages = pipeline_stages(prepare_probe(), [t, 0.2], [g, -1.0])
     assert stages.errors == (None, None)
     assert stages.post_object.shape == stages.post_mixer.shape == (2, 16, 16)
     assert stages.signal.shape == (2, 4, 4)
@@ -132,33 +131,33 @@ def test_pipeline_stages_exposed():
     # the signal stack is the post-mixer stack with both idlers traced out
     traced = np.einsum("nabcdebcf->nadef", stages.post_mixer.reshape((2,) + (2,) * 8))
     assert np.allclose(stages.signal, traced.reshape(2, 4, 4), atol=ATOL)
-    unmixed = pipeline_stages(prepare_probe(), None, [t], [g])
-    assert unmixed.post_mixer is None
-    assert np.array_equal(unmixed.post_object[0], stages.post_object[0])
+    alone = pipeline_stages(prepare_probe(), [t], [g])
+    assert np.array_equal(alone.post_object[0], stages.post_object[0])
+    # the post-object stack without the mixer reads 1/2 at both detectors
+    assert np.max(np.abs(unmixed_readout(prepare_probe(), [t], [g], [0.0, 1.0]) - 0.5)) < ATOL
 
 
 def test_pipeline_without_mixer_erases_image():
     # no indistinguishability, no interference: both detectors at 1/2
     rng = np.random.default_rng(1)
     ts, gs = rng.uniform(0, 1, 20), rng.uniform(-np.pi, np.pi, 20)
-    values = readout(prepare_probe(), None, ts, gs, [0.0, 0.7, np.pi / 2])
+    values = unmixed_readout(prepare_probe(), ts, gs, [0.0, 0.7, np.pi / 2])
     assert np.max(np.abs(values - 0.5)) < ATOL
 
 
 def test_werner_probe_kills_gamma_dependence_at_full_mixing():
     gammas = np.linspace(-np.pi, np.pi, 7)
-    ps = readout(prepare_werner(1.0), mode_mixer(), np.full(7, 0.9), gammas, [0.0])[:, 0, 0]
+    ps = readout(prepare_werner(1.0), np.full(7, 0.9), gammas, [0.0])[:, 0, 0]
     assert np.max(np.abs(ps - ps[0])) < ATOL
 
 
 def test_werner_modulation_amplitude():
     # the cos(gamma) part of P_h scales exactly as (1 - xi) T / 2
     t = 0.8
-    mm = mode_mixer()
     gammas = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     for xi in (0.0, 0.3, 0.6, 1.0):
-        ps = readout(prepare_werner(xi), mm, np.full(12, t), gammas, [0.0])[:, 0, 0]
+        ps = readout(prepare_werner(xi), np.full(12, t), gammas, [0.0])[:, 0, 0]
         coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
         assert abs(coef[1]) == pytest.approx((1 - xi) * t / 2, abs=ATOL)
 
@@ -212,7 +211,7 @@ def test_measurement_stack_is_phase_shifted_bell_projectors():
 
 
 def test_detection_probabilities_reference_points():
-    values = readout(prepare_probe(), mode_mixer(), [1.0, 0.0, 0.8], [0.0, 1.3, np.pi / 3], [0.0, 2.0])
+    values = readout(prepare_probe(), [1.0, 0.0, 0.8], [0.0, 1.3, np.pi / 3], [0.0, 2.0])
     assert values[0, 0] == pytest.approx((0.0, 1.0), abs=ATOL)
     assert values[1, 1] == pytest.approx((0.5, 0.5), abs=ATOL)
     assert values[2, 0, 0] == pytest.approx(0.3, abs=ATOL)
@@ -222,7 +221,7 @@ def test_sinusoid_law_over_phase_sweep():
     rng = np.random.default_rng(2)
     ts, gs = rng.uniform(0, 1, 10), rng.uniform(-np.pi, np.pi, 10)
     phis = np.linspace(0, 2 * np.pi, 24, endpoint=False)
-    values = readout(prepare_probe(), mode_mixer(), ts, gs, phis)
+    values = readout(prepare_probe(), ts, gs, phis)
     p_h, p_g = values[..., 0], values[..., 1]
     assert np.max(np.abs(p_h - 0.5 * (1 - ts[:, None] * np.cos(gs[:, None] + phis)))) < ATOL
     assert np.max(np.abs(p_h + p_g - 1.0)) < ATOL
@@ -310,5 +309,5 @@ def test_sample_frequencies_key_range_and_empty_input():
 def test_werner_click_deficit_matches_no_click_weight():
     # the detector pair underresolves the Werner signal state by xi/2
     xi, t = 0.4, 0.9
-    p_h, p_g = readout(prepare_werner(xi), mode_mixer(), [t], [0.7], [0.0])[0, 0]
+    p_h, p_g = readout(prepare_werner(xi), [t], [0.7], [0.0])[0, 0]
     assert p_h + p_g == pytest.approx(1 - xi / 2, abs=ATOL)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import uqi
 from conftest import fail_second_setting
-from uqi.channels import mode_mixer
 from uqi.circuit import BatchReadout, measurement_stack, prepare_werner, run_batch
 from uqi.cli import main
 from uqi.tomography import ImageMaps, image_scan
@@ -219,7 +218,7 @@ def test_werner_offsets_and_amplitudes_match_lstsq(capsys):
     gammas = np.array([2.0 * np.pi * k / 24 for k in range(24)])
     design = np.column_stack([np.ones_like(gammas), np.cos(gammas)])
     for xi, row in zip(xis, json.loads(out)["results"]):
-        values = run_batch(prepare_werner(xi), mode_mixer(), np.full(24, 0.83), gammas, measurement_stack([0.0])[0]).values
+        values = run_batch(prepare_werner(xi), np.full(24, 0.83), gammas, measurement_stack([0.0])[0]).values
         raw = np.linalg.lstsq(design, values[:, 0], rcond=None)[0]
         conditioned = np.linalg.lstsq(design, values[:, 0] / values.sum(axis=1), rcond=None)[0]
         assert row["offset_raw"] == pytest.approx(raw[0], abs=1e-14)
@@ -433,7 +432,7 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
             for shots in (2**63, 2**70):
                 code, out, err = run_cli(capsys, *argv, "--shots", str(shots))
                 assert (code, out, err) == (2, "", f"uqi: shots must be below 2**63, got {shots}\n")
-    # phases equal after rounding to 12 digits are one setting
+    # phases within 1e-12 of each other are one setting
     code, out, err = run_cli(capsys, "sweep", "--T", "0.5", "--phi", "0,1e-13,0")
     assert (code, out, err) == (2, "", "uqi: duplicate phase values: cannot invert a single setting\n")
 

@@ -3,12 +3,12 @@ loop over embedded Kraus operators and the closed forms."""
 
 import numpy as np
 import pytest
-from conftest import readout
+from conftest import readout, unmixed_readout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqi import circuit, qcore
-from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, ObjectParams, mode_mixer, object_channel
+from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, ObjectParams, object_channel
 from uqi.circuit import (
     measurement_stack,
     pipeline_stages,
@@ -26,16 +26,15 @@ object_settings = st.lists(st.tuples(transmissions, angles), min_size=1, max_siz
 phase_lists = st.lists(angles, min_size=1, max_size=5)
 
 
-def loop_reference_signal(probe: DensityMatrix, t: float, gamma: float, mm: ModeMixer | None) -> np.ndarray:
+def loop_reference_signal(probe: DensityMatrix, t: float, gamma: float) -> np.ndarray:
     """The pipeline written out per Kraus operator on full-register matrices."""
     rho = np.zeros((16, 16), dtype=complex)
     for k in object_channel(ObjectParams(t, gamma)).kraus_ops:
         ke = embed(k, ["i1"], DEFAULT_REGISTER)
         rho += ke @ probe.mat @ ke.conj().T
-    if mm is not None:
-        m = embed(mm.op, ["i1", "i2"], DEFAULT_REGISTER)
-        rho = m @ rho @ m.conj().T
-        rho /= np.trace(rho).real
+    m = embed(ModeMixer.op, ["i1", "i2"], DEFAULT_REGISTER)
+    rho = m @ rho @ m.conj().T
+    rho /= np.trace(rho).real
     # (s1, i1, i2, s2) row and column legs; contract i1 and i2
     return np.einsum("abcdebcf->adef", rho.reshape((2,) * 8)).reshape(4, 4)
 
@@ -49,12 +48,12 @@ def loop_readout(ref: np.ndarray, phi: float) -> tuple[float, float]:
 @settings(max_examples=40, deadline=None)
 @given(object_settings, phase_lists)
 def test_engine_matches_single_setting_loop_and_closed_form(pairs, phis):
-    probe, mm = prepare_probe(), mode_mixer()
+    probe = prepare_probe()
     ts, gammas = np.array(pairs, dtype=float).T
-    values = readout(probe, mm, ts, gammas, phis)
+    values = readout(probe, ts, gammas, phis)
     assert values.shape == (len(pairs), len(phis), 2)
     for i, (t, g) in enumerate(pairs):
-        ref = loop_reference_signal(probe, t, g, mm)
+        ref = loop_reference_signal(probe, t, g)
         for j, phi in enumerate(phis):
             closed = ((1 - t * np.cos(g + phi)) / 2, (1 + t * np.cos(g + phi)) / 2)
             for want in (loop_readout(ref, phi), closed):
@@ -62,22 +61,22 @@ def test_engine_matches_single_setting_loop_and_closed_form(pairs, phis):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(0.0, 1.0), object_settings, st.booleans())
-def test_pipeline_stages_signal_matches_loop_reference(xi, pairs, mixed):
-    probe, mm = prepare_werner(xi), mode_mixer() if mixed else None
+@given(st.floats(0.0, 1.0), object_settings)
+def test_pipeline_stages_signal_matches_loop_reference(xi, pairs):
+    probe = prepare_werner(xi)
     ts, gammas = np.array(pairs, dtype=float).T
-    stages = pipeline_stages(probe, mm, ts, gammas)
+    stages = pipeline_stages(probe, ts, gammas)
     assert stages.errors == (None,) * len(pairs)
-    assert (stages.post_mixer is None) == (mm is None)
+    assert stages.post_object.shape == stages.post_mixer.shape == (len(pairs), 16, 16)
     for sig, (t, g) in zip(stages.signal, pairs):
-        assert np.max(np.abs(sig - loop_reference_signal(probe, t, g, mm))) < TOL
+        assert np.max(np.abs(sig - loop_reference_signal(probe, t, g))) < TOL
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), object_settings, phase_lists)
 def test_werner_probe_closed_forms(xi, pairs, phis):
     ts, gammas = np.array(pairs, dtype=float).T
-    values = readout(prepare_werner(xi), mode_mixer(), ts, gammas, phis)
+    values = readout(prepare_werner(xi), ts, gammas, phis)
     fringe = (1 - xi) * ts[:, None] * np.cos(gammas[:, None] + np.array(phis)) / 2
     p_h, p_g = values[..., 0], values[..., 1]
     # modulation (1 - xi) T around the raw offset (2 - xi)/4
@@ -90,7 +89,7 @@ def test_werner_probe_closed_forms(xi, pairs, phis):
 @given(object_settings, phase_lists)
 def test_engine_without_mixer_reads_one_half(pairs, phis):
     ts, gammas = np.array(pairs, dtype=float).T
-    values = readout(prepare_probe(), None, ts, gammas, phis)
+    values = unmixed_readout(prepare_probe(), ts, gammas, phis)
     assert np.max(np.abs(values - 0.5)) < TOL
 
 
@@ -108,19 +107,19 @@ def singlet_idler_probe() -> DensityMatrix:
 @pytest.mark.parametrize("chunk", [1, 2, 64])
 def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk):
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)  # passes of chunk 16x16 states
-    probe, mm = singlet_idler_probe(), mode_mixer()
+    probe = singlet_idler_probe()
     ts = [0.5, 1.0, 1.0]
     gammas = [0.0, 0.0, 0.5]
     stack = measurement_stack([0.0, 1.0])
-    batch = run_batch(probe, mm, ts, gammas, stack)
+    batch = run_batch(probe, ts, gammas, stack)
     assert batch.errors == (None, MIXER_VANISHED, None)
     # the stage view runs the same checks over all settings in one pass
-    assert pipeline_stages(probe, mm, ts, gammas).errors == batch.errors
+    assert pipeline_stages(probe, ts, gammas).errors == batch.errors
     assert np.all(np.isnan(batch.values[1]))
     for i in (0, 2):
-        alone = run_batch(probe, mm, ts[i : i + 1], gammas[i : i + 1], stack)
+        alone = run_batch(probe, ts[i : i + 1], gammas[i : i + 1], stack)
         assert np.array_equal(batch.values[i], alone.values[0])
-        ref = loop_reference_signal(probe, ts[i], gammas[i], mm)
+        ref = loop_reference_signal(probe, ts[i], gammas[i])
         assert batch.values[i, 1] == pytest.approx(loop_readout(ref, 1.0), abs=TOL)
 
 
@@ -142,31 +141,53 @@ def interleaved_probes():
 def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)
     probes, ts, gammas = interleaved_probes()
-    mm, stack = mode_mixer(), measurement_stack([0.0, 1.0, -2.0])
-    batch = run_batch(probes, mm, ts, gammas, stack)
-    stages = pipeline_stages(probes, mm, ts, gammas)
+    stack = measurement_stack([0.0, 1.0, -2.0])
+    batch = run_batch(probes, ts, gammas, stack)
+    stages = pipeline_stages(probes, ts, gammas)
     assert batch.errors[4] == stages.errors[4] == MIXER_VANISHED
     assert sum(e is not None for e in batch.errors) == 1
     assert stages.errors == batch.errors
     for probe in {id(p): p for p in probes}.values():
         rows = [i for i, p in enumerate(probes) if p is probe]
         sub_t, sub_gamma = [ts[i] for i in rows], [gammas[i] for i in rows]
-        alone = run_batch(probe, mm, sub_t, sub_gamma, stack)
+        alone = run_batch(probe, sub_t, sub_gamma, stack)
         assert np.array_equal(batch.values[rows], alone.values, equal_nan=True)
         assert tuple(batch.errors[i] for i in rows) == alone.errors
-        alone_stages = pipeline_stages(probe, mm, sub_t, sub_gamma)
+        alone_stages = pipeline_stages(probe, sub_t, sub_gamma)
         for name in ("post_object", "post_mixer", "signal"):
             assert np.array_equal(getattr(stages, name)[rows], getattr(alone_stages, name))
         assert tuple(stages.errors[i] for i in rows) == alone_stages.errors
 
 
+def test_mixer_is_not_an_option():
+    # the engine always runs the paper's circuit, mode mixer included
+    probe, stack = prepare_probe(), measurement_stack([0.0])
+    for mm in (ModeMixer(), None):
+        with pytest.raises(TypeError):
+            run_batch(probe, mm, [0.5], [0.3], stack)
+        with pytest.raises(TypeError):
+            pipeline_stages(probe, mm, [0.5], [0.3])
+
+
+def test_zero_settings_on_a_shared_probe_give_empty_stacks():
+    # the object stage's reshape inferred a size from zero entries and raised
+    stages = pipeline_stages(prepare_probe(), [], [])
+    assert stages.post_object.shape == stages.post_mixer.shape == (0, 16, 16)
+    assert stages.signal.shape == (0, 4, 4)
+    assert stages.errors == ()
+    batch = run_batch(prepare_probe(), [], [], measurement_stack([0.0, 1.0]))
+    assert (batch.values.shape, batch.errors) == ((0, 2, 2), ())
+    with pytest.raises(ValueError, match="one probe per setting"):
+        pipeline_stages([], [], [])
+
+
 def test_per_setting_probes_are_validated():
     probes, ts, gammas = interleaved_probes()
-    mm, stack = mode_mixer(), measurement_stack([0.0])
+    stack = measurement_stack([0.0])
     other = DensityMatrix(prepare_probe().mat, Register(("s1", "i2", "i1", "s2")))
     for call in (
-        lambda probes, ts, gammas: run_batch(probes, mm, ts, gammas, stack),
-        lambda probes, ts, gammas: pipeline_stages(probes, mm, ts, gammas),
+        lambda probes, ts, gammas: run_batch(probes, ts, gammas, stack),
+        lambda probes, ts, gammas: pipeline_stages(probes, ts, gammas),
     ):
         with pytest.raises(ValueError, match="one probe per setting"):
             call(probes[:-1], ts, gammas)
@@ -188,11 +209,11 @@ def test_bad_object_setting_raises_before_any_pass(monkeypatch, bad_t, bad_gamma
     probes, ts, gammas = interleaved_probes()
     ts[2], gammas[2] = bad_t, bad_gamma
     ts[5], gammas[5] = -1.0, np.inf  # a later bad setting: the first one in order is reported
-    mm, stack = mode_mixer(), measurement_stack([0.0])
+    stack = measurement_stack([0.0])
     other = DensityMatrix(prepare_probe().mat, Register(("s1", "i2", "i1", "s2")))
     for call in (
-        lambda probes, ts, gammas: run_batch(probes, mm, ts, gammas, stack),
-        lambda probes, ts, gammas: pipeline_stages(probes, mm, ts, gammas),
+        lambda probes, ts, gammas: run_batch(probes, ts, gammas, stack),
+        lambda probes, ts, gammas: pipeline_stages(probes, ts, gammas),
     ):
         for probe in (prepare_probe(), probes):
             with pytest.raises(ValueError) as info:
@@ -206,9 +227,9 @@ def test_bad_object_setting_raises_before_any_pass(monkeypatch, bad_t, bad_gamma
 
 
 def test_tp_violation_is_the_first_check_and_leaves_neighbours_alone(monkeypatch):
-    probe, mm, stack = prepare_probe(), mode_mixer(), measurement_stack([0.0, 1.0])
+    probe, stack = prepare_probe(), measurement_stack([0.0, 1.0])
     ts, gammas = [0.2, 0.5, 0.9], [0.1, -1.0, 2.0]
-    clean = run_batch(probe, mm, ts, gammas, stack)
+    clean = run_batch(probe, ts, gammas, stack)
     object_kraus = circuit.object_kraus
 
     def broken(t, gamma):
@@ -217,8 +238,8 @@ def test_tp_violation_is_the_first_check_and_leaves_neighbours_alone(monkeypatch
         return kraus
 
     monkeypatch.setattr(circuit, "object_kraus", broken)
-    batch = run_batch(probe, mm, ts, gammas, stack)
-    stages = pipeline_stages(probe, mm, ts, gammas)
+    batch = run_batch(probe, ts, gammas, stack)
+    stages = pipeline_stages(probe, ts, gammas)
     assert batch.errors == stages.errors == (None, TP_VIOLATED, None)
     # the trace the broken set also spoils is reported after it
     assert state_errors(stages.post_object)[1].startswith("density matrix trace")

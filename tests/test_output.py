@@ -18,7 +18,6 @@ import pytest
 
 import uqi
 from uqi import qcore
-from uqi.channels import mode_mixer
 from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import _csv_column, _write_output
 from uqi.qcore import _block_rows
@@ -77,7 +76,8 @@ def _table(n: int, seed: int):
     return names, columns
 
 
-CONFIG = {"command": "test", "phi": [0.0, 1.5], "note": '"results": [] %s', "nested": {"a": [1, None]}}
+# a command's own settings; the writer adds the command first and the format last
+CONFIG = {"phi": [0.0, 1.5], "note": '"results": [] %s', "nested": {"a": [1, None]}}
 
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
@@ -86,11 +86,11 @@ def test_streamed_table_equals_whole_table(tmp_path, capsys, monkeypatch, fmt, n
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 9 * B)
     names, columns = _table(n, seed=n)
     assert _block_rows(len(columns)) == B
-    want = reference_text(names, columns, CONFIG, 5, fmt)
-    _write_output(names, columns, CONFIG, SimpleNamespace(format=fmt, out=None, seed=5))
+    want = reference_text(names, columns, {"command": "test", **CONFIG, "format": fmt}, 5, fmt)
+    _write_output(names, columns, CONFIG, SimpleNamespace(command="test", format=fmt, out=None, seed=5))
     assert capsys.readouterr().out == want
     out = tmp_path / f"table.{fmt}"
-    _write_output(names, columns, CONFIG, SimpleNamespace(format=fmt, out=str(out), seed=5))
+    _write_output(names, columns, CONFIG, SimpleNamespace(command="test", format=fmt, out=str(out), seed=5))
     assert out.read_bytes() == want.encode("utf-8")
 
 
@@ -115,9 +115,9 @@ def test_writer_memory_does_not_grow_with_the_table(tmp_path, fmt):
     status = ["" if v is not None else "pixel failed" for v in floats[1]]
     columns = [list(range(n)), list(range(n)), *floats[:4], degenerate, *floats[4:], status]
     names = tuple(f"c{i}" for i in range(len(columns)))
-    args = SimpleNamespace(format=fmt, out=str(tmp_path / "table"), seed=1)
+    args = SimpleNamespace(command="image", format=fmt, out=str(tmp_path / "table"), seed=1)
     _write_output(names[:1], columns[:1], {}, args)  # imports json outside the traced call
-    peak = _traced_peak(lambda: _write_output(names, columns, {"command": "image"}, args))
+    peak = _traced_peak(lambda: _write_output(names, columns, {}, args))
     assert peak < 4 * 2**20, peak
     assert (tmp_path / "table").stat().st_size > 100 * n
 
@@ -127,13 +127,13 @@ def test_run_batch_memory_does_not_grow_with_the_readout_stack():
     rng = np.random.default_rng(2)
     t, gamma = rng.uniform(0.0, 1.0, 64), rng.uniform(-3.0, 3.0, 64)
     readout = measurement_stack(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-    probe, mm = prepare_probe(), mode_mixer()
-    run_batch(probe, mm, t[:1], gamma[:1], readout[:1])  # warm the caches
+    probe = prepare_probe()
+    run_batch(probe, t[:1], gamma[:1], readout[:1])  # warm the caches
     batch = None
 
     def call():
         nonlocal batch
-        batch = run_batch(probe, mm, t, gamma, readout)
+        batch = run_batch(probe, t, gamma, readout)
 
     peak = _traced_peak(call)
     assert batch.values.shape == (64, 4096, 2)  # 4 MB of results
@@ -146,10 +146,10 @@ def test_run_batch_readout_equals_whole_product(n, phases):
     rng = np.random.default_rng(n * phases)
     t, gamma = rng.uniform(0.0, 1.0, n), rng.uniform(-3.0, 3.0, n)
     readout = measurement_stack(rng.uniform(0.0, 2.0 * np.pi, phases))
-    signal = pipeline_stages(prepare_probe(), mode_mixer(), t, gamma).signal
+    signal = pipeline_stages(prepare_probe(), t, gamma).signal
     flat = readout.reshape(-1, 16)
     want = (flat[None] * signal.swapaxes(1, 2).reshape(n, 1, 16)).sum(axis=-1).real.reshape(n, phases, 2)
-    got = run_batch(prepare_probe(), mode_mixer(), t, gamma, readout).values
+    got = run_batch(prepare_probe(), t, gamma, readout).values
     assert np.array_equal(got, want)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from conftest import random_unitary
 
-from uqi.channels import mode_mixer
 from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner
 from uqi.qcore import ATOL, DEFAULT_REGISTER, PSD_SLACK, DensityMatrix, state_errors
 
@@ -56,7 +55,7 @@ def test_engine_stage_stacks_match_full_checks(xi):
     rng = np.random.default_rng(11)
     t = np.concatenate([rng.uniform(0, 1, 60), [0.0, 1.0]])
     gamma = np.concatenate([rng.uniform(-7, 7, 60), [0.0, 2.0]])
-    stages = pipeline_stages(probe, mode_mixer(), t, gamma)
+    stages = pipeline_stages(probe, t, gamma)
     for stack in (stages.post_object, stages.post_mixer, stages.signal):
         assert state_errors(stack).tolist() == reference_errors(stack)
         # the block check still sees a state whose lowest eigenvalue is moved

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import angle_diff, fail_second_setting, random_density_matrix, readout, sweep_points
 
 from uqi.channels import (
     KrausChannel,
+    ModeMixer,
     ObjectParams,
-    mode_mixer,
     object_channel,
 )
 from uqi import qcore, tomography
@@ -143,7 +145,7 @@ def brute_force_ancilla_expectations(sd, obj, with_mixer):
         ke = embed(k, ["i1"], rho.register)
         out += ke @ rho.mat @ ke.conj().T
     if with_mixer:
-        m = embed(mode_mixer().op, ["i1", "i2"], rho.register)
+        m = embed(ModeMixer.op, ["i1", "i2"], rho.register)
         out = m @ out @ m.conj().T
     vals = []
     for b in sd.b_ops:
@@ -177,7 +179,7 @@ def test_aapt_predict_matches_brute_force_with_mixer():
     obj = ObjectParams(0.55, 2.1)
     sd = operator_schmidt(prepare_probe(), (("i1", "i2"), ("s1", "s2")))
     lifted = object_on_i1(obj)
-    got = aapt_predict(sd, lifted, post=mode_mixer())
+    got = aapt_predict(sd, lifted, post=ModeMixer())
     want = brute_force_ancilla_expectations(sd, obj, with_mixer=True)
     assert np.allclose(got, want, atol=ATOL)
 
@@ -198,12 +200,12 @@ def test_aapt_predict_quadratures_with_explicit_basis():
         hermitian=(True,) * 4,
     )
     lifted = object_on_i1(obj)
-    got = aapt_predict(sd, lifted, post=mode_mixer())
+    got = aapt_predict(sd, lifted, post=ModeMixer())
     scale = np.sqrt(2) / 2
     assert got[2] == pytest.approx(scale * t * np.cos(g), abs=ATOL)
     assert got[3] == pytest.approx(-scale * t * np.sin(g), abs=ATOL)
     # the same numbers read off the simulated signal state
-    sig = pipeline_stages(prepare_probe(), mode_mixer(), [t], [g]).signal[0]
+    sig = pipeline_stages(prepare_probe(), [t], [g]).signal[0]
     for i, b in enumerate(sd.b_ops):
         direct = np.trace(b.conj().T @ sig)
         assert got[i] == pytest.approx(direct, abs=ATOL)
@@ -218,7 +220,7 @@ def pauli_process_signals(probe):
     """
     reg = probe.register
     sigma = [embed(PAULI[k], ["i1"], reg) for k in "IXYZ"]
-    m = embed(mode_mixer().op, ["i1", "i2"], reg)
+    m = embed(ModeMixer.op, ["i1", "i2"], reg)
     stack = np.stack([m @ sa @ probe.mat @ sb @ m.conj().T for sa in sigma for sb in sigma])
     return partial_trace_stack(stack, reg, ["s1", "s2"]).reshape(4, 4, 4, 4)
 
@@ -306,7 +308,7 @@ def test_estimate_rejects_single_phase():
         estimate_object([(0.0, 0.4), (0.0, 0.4)])
     with pytest.raises(ValueError, match="^duplicate phase values: cannot invert a single setting$"):
         estimate_object([(0.0, 0.4), (0.0, 0.41), (0.0, 0.39)])
-    # equal after rounding to 12 digits is still a single setting
+    # phases within 1e-12 of each other are still a single setting
     for phis in ([0.0, 1e-13, 0.0], [0.5, 0.5 + 4e-13, 0.5 - 4e-13]):
         with pytest.raises(ValueError, match="duplicate phase values"):
             estimate_object([(p, 0.4) for p in phis])
@@ -421,6 +423,26 @@ def test_two_point_design_matches_the_inverse():
 def test_phase_design_rejects_sets_too_close_to_invert(phis):
     with pytest.raises(ValueError, match=r"^phase points too close to invert: readouts off by 1e-12 .* \(limit 1e-06\)$"):
         _phase_design(np.array(phis))
+
+
+@pytest.mark.parametrize("phis", [
+    [1e300, 2e300, 3e300], [1e308, -1e308], [-1.7976931348623157e308, 0.0, 1.7976931348623157e308],
+])
+def test_extreme_finite_phases_invert_without_a_warning(phis):
+    # np.round(phis, 12) overflowed above about 1.8e296 and reported a false
+    # duplicate set; the two-point phase difference overflowed to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_object(sweep_points(0.5, 0.3, phis))
+        scan = image_scan(ImageMaps([[0.5]], [[0.3]]), phis)
+        with pytest.raises(ValueError, match="^duplicate phase values"):
+            estimate_object([(phis[0], 0.5)] * len(phis))
+        with pytest.raises(ValueError, match="three distinct phases"):
+            estimate_object([(p, 0.5) for p in (phis[0], phis[1], phis[0])])
+    assert est.method == ("two-point" if len(phis) == 2 else "least-squares")
+    assert est.t_hat == pytest.approx(0.5, abs=1e-12)
+    assert abs(angle_diff(est.gamma_hat, 0.3)) < 1e-12
+    assert (scan.t_hat[0, 0], scan.gamma_hat[0, 0]) == (est.t_hat, est.gamma_hat)
 
 
 def test_estimate_two_point_generic_phase_pair():
@@ -613,7 +635,7 @@ def test_image_scan_shot_streams_are_per_pixel_in_phase_order():
     maps = ImageMaps(np.array([[0.3, 0.9], [0.6, 0.0]]), np.array([[1.0, -2.0], [0.5, 0.0]]))
     phis = [2 * np.pi * k / 6 for k in range(6)]
     scan = image_scan(maps, phis, shots=200, seed=9)
-    p_h = readout(prepare_probe(), mode_mixer(), maps.t_map, maps.gamma_map, phis)[..., 0].reshape(2, 2, -1)
+    p_h = readout(prepare_probe(), maps.t_map, maps.gamma_map, phis)[..., 0].reshape(2, 2, -1)
     for row in range(2):
         for col in range(2):
             rng = np.random.default_rng([9, row, col])
@@ -735,7 +757,7 @@ _GAMMAS = np.array([2 * np.pi * k / 24 for k in range(24)])
 def _modulation(probe: DensityMatrix) -> float:
     """Fitted ``cos(gamma)`` amplitude of ``P_h`` at phase 0, over :data:`_GAMMAS`."""
     batch = run_batch(
-        [probe] * _GAMMAS.size, mode_mixer(), np.full(_GAMMAS.size, _T), _GAMMAS, measurement_stack([0.0])[0]
+        [probe] * _GAMMAS.size, np.full(_GAMMAS.size, _T), _GAMMAS, measurement_stack([0.0])[0]
     )
     assert batch.errors == (None,) * _GAMMAS.size
     design = np.column_stack([np.ones_like(_GAMMAS), np.cos(_GAMMAS), np.sin(_GAMMAS)])
@@ -796,7 +818,7 @@ def test_fully_separable_probe_biases_the_estimate():
     phis = 2 * np.pi * np.arange(24) / 24
 
     def estimate(t, gamma):
-        batch = run_batch(probe, mode_mixer(), [t], [gamma], measurement_stack(phis))
+        batch = run_batch(probe, [t], [gamma], measurement_stack(phis))
         assert batch.errors == (None,)
         return estimate_object(zip(phis, batch.values[0, :, 0]))
 

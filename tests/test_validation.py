@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uqi.channels import ChiMatrix, KrausChannel, ObjectParams, choi_matrix, mode_mixer, object_channel
+from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, choi_matrix, object_channel
 from uqi.circuit import measurement_stack, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import main
 from uqi.gates import Gate
@@ -13,7 +13,7 @@ from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan,
 
 def _mixer_on_one_wire_block():
     sd = operator_schmidt(prepare_probe(), (("i1",), ("s1", "i2", "s2")))
-    return aapt_predict(sd, object_channel(ObjectParams(0.5)), mode_mixer())
+    return aapt_predict(sd, object_channel(ObjectParams(0.5)), ModeMixer())
 
 
 # a call that must raise ValueError, or a `uqi` command line that must exit 2;
@@ -25,16 +25,16 @@ CHECKS = [
     (lambda: ChiMatrix(np.triu(np.ones((4, 4)))), "chi matrix is not Hermitian"),
     (lambda: choi_matrix(lambda m: m), "dim is required when passing a bare callable"),
     (
-        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5, 0.6], [0.0], measurement_stack([0.0])),
+        lambda: run_batch(prepare_probe(), [0.5, 0.6], [0.0], measurement_stack([0.0])),
         "got 2 transmissions but 1 phases",
     ),
     (
-        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.0], np.eye(2)),
+        lambda: run_batch(prepare_probe(), [0.5], [0.0], np.eye(2)),
         "readout operators must be 4x4 on (s1, s2), got shape (2, 2)",
     ),
     # measurement_stack rejects a non-finite phase itself, so the stack is built here
     (
-        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.1], np.full((1, 4, 4), complex(np.nan, np.nan))),
+        lambda: run_batch(prepare_probe(), [0.5], [0.1], np.full((1, 4, 4), complex(np.nan, np.nan))),
         "readout operators must be finite, got (nan+nanj)",
     ),
     # exp(1j * inf) would warn and give NaN operators
@@ -95,6 +95,12 @@ CHECKS = [
         "phase points too close to invert: readouts off by 1e-12 could shift the estimate by 8 (limit 1e-06)",
     ),
     (("probabilities", "--T", "abc"), "could not parse T list 'abc'"),
+    # phase sets at extreme scales are decided without overflow: np.round(phis, 12) warned above 1.8e296
+    (("sweep", "--T", "0.5", "--phi", "1e300,1e300,1e300"), "duplicate phase values: cannot invert a single setting"),
+    (
+        lambda: estimate_object([(1e308, 0.5), (-1e308, 0.5), (1e308, 0.5)]),
+        "least-squares inversion needs three distinct phases modulo 2 pi",
+    ),
 ]
 
 
@@ -115,11 +121,14 @@ REPEATED = [
     (lambda: measurement_stack([0.0, np.nan]), "measurement phase must be finite, got nan"),
     (lambda: sample_frequencies([[0.5], [0.5]], 10, 0, [(2**70,), (1,)]), "stream keys must lie in [0, 2**32)"),
     (lambda: sample_frequencies([[0.5]], 10, 0, [(np.uint64(2**63),)]), "stream keys must lie in [0, 2**32)"),
+    (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [1e300] * 3), "duplicate phase values: cannot invert a single setting"),
 ]
 
 
 @pytest.mark.parametrize(
-    "check, message", REPEATED, ids=["measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)"]
+    "check, message",
+    REPEATED,
+    ids=["measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)", "image_scan at 1e300 x 3"],
 )
 def test_repeated_input_check_message(check, message):
     test_input_check_message(None, check, message)

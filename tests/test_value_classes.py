@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, chi_matrix, mode_mixer, object_channel
+from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, chi_matrix, object_channel
 from uqi.circuit import (
     BatchReadout,
     PipelineStages,
@@ -37,15 +37,15 @@ VALUE_CLASSES = [
     (ObjectParams, lambda: ObjectParams(0.5, 0.3), ("t", "gamma")),
     (KrausChannel, lambda: object_channel(ObjectParams(0.5, 0.3)), ("kraus_ops",)),
     (ChiMatrix, lambda: chi_matrix(object_channel(ObjectParams(0.5, 0.3))), ("entries",)),
-    (ModeMixer, mode_mixer, ()),
+    (ModeMixer, ModeMixer, ()),
     (
         PipelineStages,
-        lambda: pipeline_stages(prepare_probe(), mode_mixer(), [0.5], [0.3]),
+        lambda: pipeline_stages(prepare_probe(), [0.5], [0.3]),
         ("post_object", "post_mixer", "signal", "errors"),
     ),
     (
         BatchReadout,
-        lambda: run_batch(prepare_probe(), mode_mixer(), [0.5], [0.3], measurement_stack([0.0])),
+        lambda: run_batch(prepare_probe(), [0.5], [0.3], measurement_stack([0.0])),
         ("values", "errors"),
     ),
     (
@@ -120,7 +120,7 @@ def test_register_equality_and_hash_follow_wires():
 
 
 def test_mode_mixer_is_fixed_and_shared():
-    mm = mode_mixer()
+    mm = ModeMixer()
     assert mm == ModeMixer() and hash(mm) == hash(ModeMixer())
     assert repr(mm) == "ModeMixer()"
     with pytest.raises(TypeError):
@@ -140,7 +140,7 @@ def test_mode_mixer_is_fixed_and_shared():
 
 
 def _batch(t):
-    return run_batch(prepare_probe(), mode_mixer(), [t], [0.3], measurement_stack([0.0]))
+    return run_batch(prepare_probe(), [t], [0.3], measurement_stack([0.0]))
 
 
 # equal and unequal instances of the classes that hold arrays, or tuples of arrays
