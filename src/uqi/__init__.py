@@ -16,13 +16,16 @@ from .channels import (
     chi_matrix,
     choi_matrix,
     choi_psd_check,
-    normalize_angle,
     object_channel,
 )
 from .circuit import (
     BatchReadout,
+    Gate,
     PipelineStages,
+    apply_unitary,
     bell_ket,
+    cnot,
+    hadamard,
     measurement_stack,
     pipeline_stages,
     prepare_probe,
@@ -30,7 +33,6 @@ from .circuit import (
     run_batch,
     sample_frequencies,
 )
-from .gates import Gate, apply_unitary, cnot, hadamard
 from .qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,

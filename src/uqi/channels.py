@@ -18,9 +18,11 @@ to a fixed state ``|Xi>``, the rest of the two-wire space is untouched.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .qcore import ATOL, PAULI, PSD_SLACK, _value_class, as_complex_matrix
+from .qcore import ATOL, PAULI, PSD_SLACK, _unit_scaled, _value_class, as_complex_matrix
 
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
 
@@ -29,11 +31,6 @@ def fold_angles(theta) -> np.ndarray:
     """Fold angles into (-pi, pi], elementwise."""
     out = (np.asarray(theta, dtype=float) + np.pi) % (2 * np.pi) - np.pi
     return np.where(out == -np.pi, np.pi, out)
-
-
-def normalize_angle(theta: float) -> float:
-    """Fold an angle into (-pi, pi]; the scalar form of :func:`fold_angles`."""
-    return float(fold_angles(theta))
 
 
 def _check_object_params(t, gamma) -> None:
@@ -59,7 +56,7 @@ class ObjectParams:
         t, gamma = float(self.t), float(self.gamma)
         _check_object_params(t, gamma)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "gamma", normalize_angle(gamma))
+        object.__setattr__(self, "gamma", float(fold_angles(gamma)))
 
 
 TP_VIOLATED = "Kraus operators violate the trace-preserving condition"
@@ -144,7 +141,7 @@ class ChiMatrix:
         m = as_complex_matrix(self.entries).copy()
         if m.shape != (4, 4):
             raise ValueError(f"chi matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
+        if np.max(np.abs(m / 2 - m.conj().T / 2)) > ATOL / 2:  # halved first, so no difference overflows
             raise ValueError("chi matrix is not Hermitian")
         if np.linalg.eigvalsh(m).min() < -PSD_SLACK:
             raise ValueError("chi matrix is not positive semidefinite within 1e-10")
@@ -202,11 +199,15 @@ def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
 def choi_psd_check(channel, dim: int | None = None) -> tuple[bool, float]:
     """Complete-positivity test: Choi positivity within the 1e-10 slack.
 
-    Returns ``(is_psd, min_eigenvalue)``.
+    Returns ``(is_psd, min_eigenvalue)``; an eigenvalue beyond the float
+    range raises ValueError.
     """
-    c = choi_matrix(channel, dim)
+    c, e = _unit_scaled(choi_matrix(channel, dim))  # eigvalsh on parts within 1, scaled back by 2**e
     c = (c + c.conj().T) / 2  # symmetrize rounding noise before eigvalsh
-    min_eig = float(np.linalg.eigvalsh(c).min())
+    try:
+        min_eig = math.ldexp(float(np.linalg.eigvalsh(c).min()), e)
+    except OverflowError:
+        raise ValueError("Choi matrix eigenvalue lies beyond the float range") from None
     return min_eig >= -PSD_SLACK, min_eig
 
 

@@ -34,7 +34,6 @@ from .channels import (
     object_kraus,
     tp_deviation,
 )
-from .gates import apply_unitary, cnot, hadamard
 from .qcore import (
     ATOL,
     DEFAULT_REGISTER,
@@ -45,6 +44,7 @@ from .qcore import (
     _check_probability,
     _value_class,
     apply_kraus_stack,
+    as_complex_matrix,
     basis_ket,
     embed,
     partial_trace_stack,
@@ -54,6 +54,45 @@ from .qcore import (
 # the encoded two-qubit subspace: |0bar> = |00>, |1bar> = |11> on each
 # (signal, idler) pair, written in the (s1, i1, i2, s2) wire order
 ENCODED_BASIS = ("0000", "0011", "1100", "1111")
+
+
+@_value_class
+class Gate:
+    """A named unitary; ``matrix`` is square and unitary within 1e-12."""
+
+    name: str
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = as_complex_matrix(self.matrix).copy()
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"gate {self.name!r}: matrix must be square, got shape {m.shape}")
+        # a unitary's entries lie in the unit disk, so a larger part fails before m^† m can overflow
+        if np.abs(m.view(float)).max() > 1.0 + ATOL or np.abs(m.conj().T @ m - np.eye(len(m))).max() > ATOL:
+            raise ValueError(f"gate {self.name!r} is not unitary within 1e-12")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
+def hadamard() -> Gate:
+    return Gate("H", np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+
+
+def cnot(control_value: int = 1) -> Gate:
+    """CNOT on (control, target); flips the target when the control qubit
+    equals ``control_value``.  ``control_value=0`` is the polarity used by
+    the first gate of the probe-preparation chain.
+    """
+    if control_value not in (0, 1):
+        raise ValueError("control_value must be 0 or 1")
+    # the permutation that swaps |c0> and |c1> for c = control_value
+    return Gate(f"CNOT{control_value}", np.eye(4, dtype=complex)[[0, 1, 3, 2] if control_value else [1, 0, 2, 3]])
+
+
+def apply_unitary(rho: DensityMatrix, gate: Gate, targets) -> DensityMatrix:
+    """Conjugate the state: ``rho -> U rho U^†`` with U embedded on ``targets`` (:func:`embed`'s rule)."""
+    u = embed(gate.matrix, targets, rho.register)
+    return DensityMatrix(u @ rho.mat @ u.conj().T, rho.register)
 
 
 @cache

@@ -17,7 +17,9 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -50,6 +52,14 @@ def _check_probability(values, name: str) -> None:
     if values.size and max(abs(values.min() - 0.5), abs(values.max() - 0.5)) > 0.5 + ATOL:
         outside = values[np.abs(values - 0.5) > 0.5 + ATOL]
         raise ValueError(f"{name} must lie in [0, 1], got {outside[0].item()}")
+
+
+def _unit_scaled(m) -> tuple[np.ndarray, int]:
+    """``(m / 2**e, e)`` for a finite complex array, with the least ``e`` that brings every real and imaginary part
+    within 1: exact for parts in the normal range, so that a sum over the parts can no longer overflow."""
+    parts = np.ascontiguousarray(m).view(float)
+    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    return np.ldexp(parts, -e).view(complex), e
 
 
 PAULI = {
@@ -265,7 +275,10 @@ class DensityMatrix:
             raise ValueError(
                 f"state shape {m.shape} does not match register dimension {self.register.dim}"
             )
-        err = state_errors(m[None])[0]
+        # a trace beyond the float range reads inf (or NaN, from partial sums that overflow both ways,
+        # which needs a diagonal entry below -9e307) without a warning: the trace or eigenvalue check fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = state_errors(m[None])[0]
         if err is not None:
             raise ValueError(err)
         m.setflags(write=False)
@@ -364,22 +377,24 @@ def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.register.dim, rho.register.dim))
 
 
-def pauli_decompose(m, reg: Register) -> dict[str, complex]:
-    """Expand a square matrix over Pauli strings of the register.
+def pauli_decompose(m) -> dict[str, complex]:
+    """Expand a ``2**n x 2**n`` matrix over the Pauli strings of n wires.
 
     Returns ``{label: c_P}`` with ``c_P = Tr[P m] / 2^n``, one letter of
     ``IXYZ`` per wire, in ``IXYZ`` order; terms below 1e-14 in magnitude
-    are dropped, so ``m = sum_P c_P P`` over the returned labels.
+    are dropped, so ``m = sum_P c_P P`` over the returned labels.  Each part
+    of ``c_P`` is at most ``m``'s largest part in magnitude, so it is finite.
     """
     m = as_complex_matrix(m)
-    if m.shape != (reg.dim, reg.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match register dimension {reg.dim}")
+    n = len(m).bit_length() - 1
+    if n < 1 or m.shape != (2**n, 2**n):
+        raise ValueError(f"matrix shape {m.shape} is not 2**n x 2**n with n >= 1")
+    m, e = _unit_scaled(m)  # each coefficient is scaled back by 2**e
     terms = {}
-    for letters in itertools.product("IXYZ", repeat=reg.n):
-        p = np.array([[1.0 + 0j]])
-        for w in letters:
-            p = np.kron(p, PAULI[w])
-        c = np.einsum("ij,ji->", p, m) / reg.dim
-        if abs(c) > 1e-14:
-            terms["".join(letters)] = complex(c)
+    for letters in itertools.product("IXYZ", repeat=n):
+        p = functools.reduce(np.kron, [PAULI[w] for w in letters])
+        c = complex(np.einsum("ij,ji->", p, m) / 2**n)
+        c = complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+        if abs(c / 2) > 1e-14 / 2:  # halved, so the modulus cannot overflow
+            terms["".join(letters)] = c
     return terms

@@ -270,7 +270,7 @@ def _phase_design(phis: np.ndarray) -> tuple[str, np.ndarray]:
     return method, g
 
 
-def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
+def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int) -> dict:
     """Estimates for every row of ``ps`` (n sweeps over the phases of ``_phase_design``'s ``G``).
 
     With shots the covariance of ``(c, s)`` is ``G diag(var y) G^T``.
@@ -315,7 +315,7 @@ def _fit(method: str, g: np.ndarray, ps: np.ndarray, shots: int | None) -> dict:
     }
 
 
-def estimate_object(probabilities, shots: int | None = None) -> ObjectEstimate:
+def estimate_object(probabilities, shots: int = 0) -> ObjectEstimate:
     """Invert a phase sweep ``[(phi, P_h), ...]`` into ``(T, gamma)``.
 
     The sinusoid ``P_h = 1/2 - (c cos(phi) - s sin(phi))/2`` is linear in
@@ -330,17 +330,17 @@ def estimate_object(probabilities, shots: int | None = None) -> ObjectEstimate:
 
     A single phase setting determines only ``T cos(gamma + phi)`` and is
     rejected: both methods require genuinely distinct phases.  Each
-    probability must be finite and lie in [0, 1] within ``ATOL``.  With
-    ``shots`` given, binomial uncertainty is propagated into standard
-    errors and the degeneracy test becomes ``t_hat < 3 stderr_t``;
-    ``shots`` follow the sampler's rule, with None and 0 analytic.
+    probability must be finite and lie in [0, 1] within ``ATOL``.
+    ``shots`` follows the sampler's rule, and 0 is analytic.  With shots,
+    binomial uncertainty is propagated into standard errors and the
+    degeneracy test becomes ``t_hat < 3 stderr_t``.
     """
     pts = [(float(p), float(v)) for p, v in probabilities]
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
     _check_probability(ps, "detection probability")
     method, g = _phase_design(phis)
-    _check_sampler(shots or 0, 0)
+    _check_sampler(shots, 0)
     fit = _fit(method, g, ps, shots)
     stderr_t, stderr_gamma = fit["stderr_t"][0], fit["stderr_gamma"][0]
     return ObjectEstimate(

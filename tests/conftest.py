@@ -60,7 +60,7 @@ def fail_second_setting(run_batch):
     return wrapped
 
 
-def sweep_points(t, g, phis, shots=None, seed=None):
+def sweep_points(t, g, phis, shots=0, seed=None):
     """``[(phi, P_h), ...]`` of the Bell probe; with shots, drawn in phase order from ``default_rng(seed)``."""
     p_h = readout(prepare_probe(), [t], [g], phis)[0, :, 0]
     rng = np.random.default_rng(seed) if shots else None

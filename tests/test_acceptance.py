@@ -172,13 +172,10 @@ def test_criterion_6_bell_measurements():
         "psi+": {"II": 0.25, "XX": 0.25, "YY": 0.25, "ZZ": -0.25},
         "psi-": {"II": 0.25, "XX": -0.25, "YY": -0.25, "ZZ": -0.25},
     }
-    from uqi.qcore import Register
-
-    reg = Register(("a", "b"))
     worst = 0.0
     for label, want in expansions.items():
         ket = bell_ket(label)
-        terms = pauli_decompose(np.outer(ket, ket.conj()), reg)
+        terms = pauli_decompose(np.outer(ket, ket.conj()))
         assert set(terms) == set(want)
         for k, v in want.items():
             worst = max(worst, abs(terms[k] - v))

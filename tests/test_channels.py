@@ -10,8 +10,8 @@ from uqi.channels import (
     chi_matrix,
     choi_matrix,
     choi_psd_check,
+    fold_angles,
     mix_stack,
-    normalize_angle,
     object_channel,
     object_kraus,
 )
@@ -44,10 +44,10 @@ def test_object_params_validation():
     assert ObjectParams(0.5, -np.pi / 2).gamma == pytest.approx(-np.pi / 2)
 
 
-def test_normalize_angle_halfopen_interval():
-    assert normalize_angle(np.pi) == pytest.approx(np.pi)
-    assert normalize_angle(-np.pi) == pytest.approx(np.pi)
-    assert normalize_angle(0.0) == 0.0
+def test_fold_angles_halfopen_interval():
+    assert fold_angles(np.pi) == pytest.approx(np.pi)
+    assert fold_angles(-np.pi) == pytest.approx(np.pi)
+    assert fold_angles(0.0) == 0.0
 
 
 def test_object_channel_trace_preserving():

@@ -11,10 +11,9 @@ from uqi.circuit import (
     prepare_werner,
     sample_frequencies,
 )
-from uqi.qcore import PAULI, DensityMatrix, Register, basis_ket, partial_transpose, pauli_decompose
+from uqi.qcore import PAULI, DensityMatrix, basis_ket, partial_transpose, pauli_decompose
 
 ATOL = 1e-12
-SIGNAL_WIRES = Register(("s1", "s2"))
 
 
 def analytic_signal_state(t, g):
@@ -102,7 +101,7 @@ def test_pipeline_offdiagonal_coherence():
 
 def test_pipeline_pauli_coefficients_transparent_object():
     sig = signal_stack(prepare_probe(), [1.0], [0.0])[0]
-    got = pauli_decompose(sig, SIGNAL_WIRES)
+    got = pauli_decompose(sig)
     assert got["II"] == pytest.approx(0.25, abs=ATOL)
     assert got["ZZ"] == pytest.approx(-0.25, abs=ATOL)
     assert got["XX"] == pytest.approx(0.25, abs=ATOL)
@@ -113,7 +112,7 @@ def test_pipeline_pauli_coefficients_transparent_object():
 def test_pipeline_pauli_coefficients_carry_both_quadratures():
     t, g = 0.7, 1.1
     sig = signal_stack(prepare_probe(), [t], [g])[0]
-    got = pauli_decompose(sig, SIGNAL_WIRES)
+    got = pauli_decompose(sig)
     assert got["XX"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["YY"] == pytest.approx(t * np.cos(g) / 4, abs=ATOL)
     assert got["XY"] == pytest.approx(-t * np.sin(g) / 4, abs=ATOL)

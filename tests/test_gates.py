@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from conftest import random_density_matrix
 
-from uqi.circuit import measurement_stack
-from uqi.gates import Gate, apply_unitary, cnot, hadamard
+from uqi.circuit import Gate, apply_unitary, cnot, hadamard, measurement_stack
 from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, Register, basis_ket
 
 ATOL = 1e-12
-CZ = Gate("CZ", np.diag([1, 1, 1, -1]), 2)
+CZ = Gate("CZ", np.diag([1, 1, 1, -1]))
 
 
 def test_hadamard_on_zero():
@@ -29,7 +28,7 @@ def test_all_gates_unitary():
 
 def test_gate_rejects_non_unitary():
     with pytest.raises(ValueError):
-        Gate("bad", np.array([[1, 0], [0, 2]]), 1)
+        Gate("bad", np.array([[1, 0], [0, 2]]))
 
 
 def test_cnot_control_on_1():
@@ -83,7 +82,7 @@ def test_apply_unitary_involution():
 
 def test_apply_unitary_flips_basis_state():
     rho = DensityMatrix.from_ket(basis_ket("0"), Register(("a",)))
-    out = apply_unitary(rho, Gate("X", PAULI["X"], 1), ["a"])
+    out = apply_unitary(rho, Gate("X", PAULI["X"]), ["a"])
     assert np.allclose(out.mat, np.diag([0.0, 1.0]), atol=ATOL)
 
 
@@ -111,5 +110,6 @@ def test_apply_unitary_preserves_trace_and_spectrum():
 def test_apply_unitary_arity_mismatch():
     rng = np.random.default_rng(3)
     rho = random_density_matrix(rng, DEFAULT_REGISTER)
-    with pytest.raises(ValueError):
+    # embed checks the gate against its targets
+    with pytest.raises(ValueError, match=r"^operator shape \(4, 4\) does not match 1 target wire\(s\)$"):
         apply_unitary(rho, CZ, ["s1"])

@@ -249,11 +249,11 @@ def tp_hp_process_directions():
     return np.einsum("kj,jab->kab", null, np.array(units))
 
 
-@pytest.mark.parametrize("probe, real_rank, complex_rank", [
-    (prepare_probe(), 4, 4),
-    (prepare_werner(0.3), 4, 6),
+@pytest.mark.parametrize("probe, real_rank, complex_rank, readout_rank, imbalance", [
+    (prepare_probe(), 4, 4, 3, 1.0),
+    (prepare_werner(0.3), 4, 6, 3, 0.985),
 ], ids=["bell", "werner-0.3"])
-def test_partial_aapt_rank(probe, real_rank, complex_rank):
+def test_partial_aapt_rank(probe, real_rank, complex_rank, readout_rank, imbalance):
     # imaging with undetected photons is a partial ancilla-assisted process
     # tomography: of the 12 real parameters of a general qubit process on
     # i1, the signals after the mixer see only real_rank combinations
@@ -264,6 +264,22 @@ def test_partial_aapt_rank(probe, real_rank, complex_rank):
     real_map = np.concatenate([signals.real, signals.imag], axis=1).reshape(12, -1)
     assert np.linalg.matrix_rank(real_map) == real_rank
     assert np.linalg.matrix_rank(sig.reshape(16, 16)) == complex_rank
+    # the phase-shifted Bell pair reads readout_rank of them, with both detectors
+    # or m_h alone: Tr[Pi s] on the one-photon subspace and the real and
+    # imaginary parts of the |01><10| coherence
+    ops = measurement_stack(np.linspace(0, 2 * np.pi, 16))
+    readouts = np.einsum("pdij,kji->kpd", ops, signals).real
+    named = np.stack([(signals[:, 1, 1] + signals[:, 2, 2]).real, signals[:, 1, 2].real, signals[:, 1, 2].imag], axis=1)
+    for functionals in (readouts.reshape(12, -1), readouts[..., 0], named):
+        assert np.linalg.matrix_rank(functionals) == readout_rank
+    assert np.linalg.matrix_rank(np.concatenate([readouts.reshape(12, -1), named], axis=1)) == readout_rank
+    # m_h + m_g weights |01> and |10> alike at every phase, so the unit signal
+    # direction that no readout sees is (nearly) the imbalance (|01><01| - |10><10|)/sqrt(2)
+    image = np.linalg.svd(real_map)[2][:real_rank].reshape(real_rank, 2, 4, 4)
+    image = image[:, 0] + 1j * image[:, 1]  # an orthonormal basis of the signal span
+    seen = np.einsum("pdij,kji->kpd", ops, image).real.reshape(real_rank, -1)
+    unread = np.einsum("k,kij->ij", np.linalg.svd(seen.T)[2][-1], image)
+    assert abs(unread[1, 1] - unread[2, 2]) / np.sqrt(2) == pytest.approx(imbalance, abs=1e-3)
 
 
 def test_aapt_predict_dimension_check():

@@ -1,13 +1,18 @@
-"""Each input check names what is wrong: one row per check that no other test reaches."""
+"""Each input check names what is wrong: one row per check that no other test reaches.
+
+Every row runs with warnings as errors, so a check must not warn before it raises.
+"""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, choi_matrix, object_channel
-from uqi.circuit import measurement_stack, prepare_probe, run_batch, sample_frequencies
+from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, choi_matrix, choi_psd_check, object_channel
+from uqi.circuit import Gate, measurement_stack, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import main
-from uqi.gates import Gate
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, as_complex_matrix
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, as_complex_matrix, pauli_decompose
 from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt, visibility
 
 
@@ -45,7 +50,7 @@ CHECKS = [
     (lambda: sample_frequencies([[0.5, np.inf]], 10, 0, [(0,)]), "click probability must be finite, got inf"),
     (lambda: sample_frequencies([[-np.inf]], 10, 0, [(0,)]), "click probability must be finite, got -inf"),
     (lambda: sample_frequencies([[0.5], [np.nan]], 10, 0, [(0,), (1,)]), "click probability must be finite, got nan"),
-    (lambda: Gate("h", np.eye(2), 2), "gate 'h': shape (2, 2) does not match arity 2"),
+    (lambda: Gate("h", np.eye(2, 4)), "gate 'h': matrix must be square, got shape (2, 4)"),
     (lambda: as_complex_matrix(np.zeros((0, 2))), "expected a non-empty 2-D matrix, got shape (0, 2)"),
     (lambda: as_complex_matrix([[np.nan]]), "matrix must be finite, got (nan+0j)"),
     (lambda: DensityMatrix(np.eye(2) / 2, DEFAULT_REGISTER), "state shape (2, 2) does not match register dimension 16"),
@@ -101,18 +106,26 @@ CHECKS = [
         lambda: estimate_object([(1e308, 0.5), (-1e308, 0.5), (1e308, 0.5)]),
         "least-squares inversion needs three distinct phases modulo 2 pi",
     ),
+    # finite values at extreme scales: the trace overflowed with a warning, m^† m of the gate
+    # overflowed, and the Choi matrix's symmetrization overflowed into numpy's LinAlgError
+    (lambda: DensityMatrix(np.eye(2) * 1e308, Register(("a",))), "density matrix trace (inf+0j) is not 1 within 1e-12"),
+    (lambda: Gate("g", np.eye(2) * 1e200), "gate 'g' is not unitary within 1e-12"),
+    (lambda: choi_psd_check(lambda m: -m * 1e308, 2), "Choi matrix eigenvalue lies beyond the float range"),
+    (lambda: estimate_object([(0.0, 0.5), (1.0, 0.5)], shots=None), "shots must be an integer, got None"),
 ]
 
 
 @pytest.mark.parametrize("check, message", CHECKS, ids=[message for _, message in CHECKS])
 def test_input_check_message(capsys, check, message):
-    if isinstance(check, tuple):
-        assert main(list(check)) == 2
-        assert capsys.readouterr() == ("", f"uqi: {message}\n")
-    else:
-        with pytest.raises(ValueError) as info:
-            check()
-        assert str(info.value) == message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(check, tuple):
+            assert main(list(check)) == 2
+            assert capsys.readouterr() == ("", f"uqi: {message}\n")
+        else:
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == message
 
 
 # checks whose message a row of CHECKS already holds as its test id
@@ -122,13 +135,31 @@ REPEATED = [
     (lambda: sample_frequencies([[0.5], [0.5]], 10, 0, [(2**70,), (1,)]), "stream keys must lie in [0, 2**32)"),
     (lambda: sample_frequencies([[0.5]], 10, 0, [(np.uint64(2**63),)]), "stream keys must lie in [0, 2**32)"),
     (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [1e300] * 3), "duplicate phase values: cannot invert a single setting"),
+    # m - m^† overflowed with a warning
+    (lambda: ChiMatrix([[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), "chi matrix is not Hermitian"),
 ]
 
 
 @pytest.mark.parametrize(
     "check, message",
     REPEATED,
-    ids=["measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)", "image_scan at 1e300 x 3"],
+    ids=["measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)", "image_scan at 1e300 x 3", "chi at 1e308"],
 )
 def test_repeated_input_check_message(check, message):
     test_input_check_message(None, check, message)
+
+
+# calls at extreme finite scales that return finite values, and a test of the result
+FINITE = [
+    # the coefficient sums overflowed into (inf+nanj), with two warnings
+    (lambda: pauli_decompose(np.full((2, 2), 1e308)), lambda terms: terms == {"I": 1e308, "X": 1e308}),
+    # the Choi matrix 1e308 |Omega><Omega| has least eigenvalue 0
+    (lambda: choi_psd_check(lambda m: m * 1e308, 2), lambda result: math.isfinite(result[1])),
+]
+
+
+@pytest.mark.parametrize("call, holds", FINITE, ids=["pauli_decompose at 1e308", "choi_psd_check at 1e308"])
+def test_extreme_scale_returns_finite_values(call, holds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert holds(call())

@@ -8,14 +8,15 @@ import pytest
 from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, chi_matrix, object_channel
 from uqi.circuit import (
     BatchReadout,
+    Gate,
     PipelineStages,
+    hadamard,
     measurement_stack,
     pipeline_stages,
     prepare_probe,
     prepare_werner,
     run_batch,
 )
-from uqi.gates import Gate, hadamard
 from uqi.qcore import DEFAULT_WIRES, DensityMatrix, Register
 from uqi.tomography import (
     ImageMaps,
@@ -33,7 +34,7 @@ _MAPS = ImageMaps(np.full((1, 2), 0.5), np.zeros((1, 2)))
 VALUE_CLASSES = [
     (Register, lambda: Register(DEFAULT_WIRES), ("wires",)),
     (DensityMatrix, prepare_probe, ("mat", "register")),
-    (Gate, hadamard, ("name", "matrix", "arity")),
+    (Gate, hadamard, ("name", "matrix")),
     (ObjectParams, lambda: ObjectParams(0.5, 0.3), ("t", "gamma")),
     (KrausChannel, lambda: object_channel(ObjectParams(0.5, 0.3)), ("kraus_ops",)),
     (ChiMatrix, lambda: chi_matrix(object_channel(ObjectParams(0.5, 0.3))), ("entries",)),
