@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .qcore import ATOL, PAULI, PSD_SLACK, _unit_scaled, _value_class, as_complex_matrix
+from .qcore import ATOL, PAULI, PSD_SLACK, _block_trace, _unit_scaled, _value_class, as_complex_matrix
 
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
 
@@ -233,15 +233,20 @@ class ModeMixer:
 MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
 
 
-def mix_stack(stack, m) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]`` per state of a stack.
+def mix_stack(stack, m, rows, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]`` per state of a block stack.
 
-    ``m`` is the mixer already embedded on the register of the ``(n, D, D)``
-    stack.  Nonlinear by construction.  Returns the renormalized states and
-    a mask of those whose normalization vanished (at most 1e-14), i.e. that
-    have no overlap with the mixer's support; those are left unnormalized.
+    The ``(n, k, k)`` stack holds some rows and columns of states on a
+    register of dimension ``dim``, zero elsewhere; ``m`` is the mixer
+    embedded on that register, restricted to those columns and to the rows
+    ``rows`` (ascending) that they reach.  Both are ascending, so each
+    product adds the terms of the full product that are not zero, in the
+    same order.  Nonlinear by construction.  Returns the renormalized
+    states on ``rows`` and a mask of those whose normalization vanished (at
+    most 1e-14), i.e. that have no overlap with the mixer's support; those
+    are left unnormalized.
     """
     num = m @ stack @ m.conj().T
-    norm = np.trace(num, axis1=1, axis2=2).real
+    norm = _block_trace(num, rows, dim).real
     vanished = norm <= 1e-14
     return num / np.where(vanished, 1.0, norm)[:, None, None], vanished

@@ -11,9 +11,12 @@ the signal wires, whose click counts :func:`sample_frequencies` draws.  For the 
 and the detector statistics follow ``P_{h/g} = (1 -/+ T cos(gamma+phi))/2``.
 
 One engine runs the stages from the object channel on: :func:`run_batch`
-takes n object settings as ``(n, 16, 16)`` stacks and reads them out
-against a stack of measurement operators (:func:`measurement_stack`);
-:func:`pipeline_stages` returns the same pass's stage stacks for
+takes n object settings and reads them out against a stack of
+measurement operators (:func:`measurement_stack`).  Each stage holds a
+setting only on its occupied block, the rows and columns that the probes
+and the operators before it can make non-zero: for the Bell probe 3 rows
+after the object and 8 after the mixer, of 16.  :func:`pipeline_stages`
+places the same pass's blocks in full ``(n, 16, 16)`` stacks for
 inspection.
 """
 
@@ -40,8 +43,10 @@ from .qcore import (
     DensityMatrix,
     Register,
     _block_rows,
+    _block_trace,
     _check_finite,
     _check_probability,
+    _support,
     _value_class,
     apply_kraus_stack,
     as_complex_matrix,
@@ -161,39 +166,83 @@ def _engine_inputs(probe, t, gamma):
     return probe, reg, t, gamma
 
 
-def _start_stack(probe, part: slice, n: int) -> np.ndarray:
-    """The ``(n, D, D)`` probe stack of the n settings in ``part``.
+@_value_class
+class _Plan:
+    """Where the stages of one engine call are non-zero, from :func:`_engine_plan`.
 
-    A shared probe is broadcast without a copy; per-setting probes stack
-    only the matrices of ``part``.
+    ``starts`` holds each distinct probe on the rows and columns ``legs``
+    (the occupied rest indices with ``i1`` leading, the object's tensor
+    factor); ``which[i]`` is setting i's probe among them, or None when one
+    probe serves every setting.  ``at`` picks the post-object rows
+    ``object_rows`` out of ``legs``, and ``mixer`` is the embedded mixer on
+    those columns and the rows ``mixer_rows`` it reaches.
+    """
+
+    starts: np.ndarray
+    which: np.ndarray | None
+    at: np.ndarray
+    object_rows: np.ndarray
+    mixer_rows: np.ndarray
+    mixer: np.ndarray
+
+
+def _engine_plan(probe, reg: Register) -> _Plan:
+    """The occupied blocks of one engine call on ``probe`` (:func:`_engine_inputs`), found once from its operators.
+
+    The probe block is the union support of the distinct probes.  The
+    object's Kraus pair on ``i1`` takes it to the post-object rows, and the
+    mixer on ``(i1, i2)`` takes those to the post-mixer rows; every entry of
+    a stage outside its rows is zero.  A probe with full support gives the
+    whole register at every stage.
     """
     if isinstance(probe, DensityMatrix):
-        return np.broadcast_to(probe.mat, (n,) + probe.mat.shape)
-    return np.stack([p.mat for p in probe[part]])
+        mats, which = probe.mat[None], None
+    else:
+        index = {}
+        which = np.array([index.setdefault(id(p), len(index)) for p in probe])
+        mats = np.stack([p.mat for p in {id(p): p for p in probe}.values()])
+    occupied = _support(mats)
+    i1 = 1 << (reg.n - 1 - reg.index("i1"))
+    rest = np.array(sorted({r & ~i1 for r in occupied.tolist()}))
+    legs = np.concatenate([rest, rest | i1])
+    # each entry of the pair is non-zero at T = 0 or at T = 1 or at no T, so
+    # the two ends of the range give the zero pattern of every setting
+    pattern = (object_kraus([0.0, 1.0], [0.0, 0.0]) != 0).any(axis=(0, 1))
+    object_rows = np.flatnonzero((embed(pattern, ["i1"], reg)[:, occupied] != 0).any(axis=1))
+    mixer = embed(ModeMixer.op, ["i1", "i2"], reg)[:, object_rows]
+    mixer_rows = np.flatnonzero((mixer != 0).any(axis=1))
+    order = np.argsort(legs)
+    at = order[np.searchsorted(legs[order], object_rows)]
+    return _Plan(mats[:, legs[:, None], legs], which, at, object_rows, mixer_rows, mixer[mixer_rows])
 
 
-def _stage_stacks(start: np.ndarray, reg: Register, m: np.ndarray, t: np.ndarray, gamma: np.ndarray):
-    """One engine pass over the n object settings of the float arrays ``t``, ``gamma``.
+def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, part: slice):
+    """One engine pass over the object settings ``part`` of the float arrays ``t``, ``gamma``.
 
-    ``start`` holds each setting's probe on ``reg``, and ``m`` is the mixer
-    embedded on ``(i1, i2)``.
-    The settings obey :class:`ObjectParams`' rule (:func:`_engine_inputs`).
-    Returns the post-object stack, the post-mixer stack, the signal stack
-    and each setting's first failed engine check (None if it passed): the
-    Kraus trace-preserving check, the mixer's normalization and the checks
-    of :class:`DensityMatrix` on every stage.  A setting that fails one is
+    The settings obey :class:`ObjectParams`' rule (:func:`_engine_inputs`),
+    and every stage acts on ``plan``'s blocks of the register ``reg``.
+    Returns the post-object stack on ``plan.object_rows``, the post-mixer
+    stack on ``plan.mixer_rows``, the ``(n, 4, 4)`` signal stack and each
+    setting's first failed engine check (None if it passed): the Kraus
+    trace-preserving check, the mixer's normalization and the checks of
+    :class:`DensityMatrix` on every stage.  A setting that fails one is
     reported, not raised, and carries on through the pass.
     """
+    t, gamma = t[part], gamma[part]
+    if plan.which is None:
+        start = np.broadcast_to(plan.starts[0], (t.size,) + plan.starts.shape[1:])
+    else:
+        start = plan.starts[plan.which[part]]
     errors = np.full(t.size, None, dtype=object)
     kraus = object_kraus(t, fold_angles(gamma))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
-    post_object = apply_kraus_stack(start, kraus, ["i1"], reg)
-    _record(errors, state_errors(post_object))
-    post_mixer, vanished = mix_stack(post_object, m)
+    post_object = apply_kraus_stack(start, kraus)[:, plan.at[:, None], plan.at]
+    _record(errors, state_errors(post_object, _block_trace(post_object, plan.object_rows, reg.dim)))
+    post_mixer, vanished = mix_stack(post_object, plan.mixer, plan.mixer_rows, reg.dim)
     _record(errors, np.where(vanished, MIXER_VANISHED, None))
-    _record(errors, state_errors(post_mixer))
-    signal = partial_trace_stack(post_mixer, reg, ["s1", "s2"])
-    _record(errors, state_errors(signal))
+    _record(errors, state_errors(post_mixer, _block_trace(post_mixer, plan.mixer_rows, reg.dim)))
+    signal = partial_trace_stack(post_mixer, reg, ["s1", "s2"], plan.mixer_rows)
+    _record(errors, state_errors(signal, np.trace(signal, axis1=1, axis2=2)))
     return post_object, post_mixer, signal, errors
 
 
@@ -218,14 +267,18 @@ def pipeline_stages(probe, t, gamma) -> PipelineStages:
     """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
 
     ``probe`` is as in :func:`run_batch`.  One engine pass over all n
-    settings with the mixer embedded once: the same input rules, stacks,
-    checks and per-setting messages as in :func:`run_batch`.
+    settings: the same input rules, blocks, checks and per-setting messages
+    as in :func:`run_batch`, with the blocks placed in full stacks.
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
-    start = _start_stack(probe, slice(None), t.size)
-    m = embed(ModeMixer.op, ["i1", "i2"], reg)
-    post_object, post_mixer, signal, errors = _stage_stacks(start, reg, m, t, gamma)
-    return PipelineStages(post_object, post_mixer, signal, tuple(errors))
+    plan = _engine_plan(probe, reg)
+    post_object, post_mixer, signal, errors = _engine_pass(plan, reg, t, gamma, slice(None))
+    stacks = []
+    for block, rows in ((post_object, plan.object_rows), (post_mixer, plan.mixer_rows)):
+        full = np.zeros((t.size, reg.dim, reg.dim), dtype=complex)
+        full[:, rows[:, None], rows] = block
+        stacks.append(full)
+    return PipelineStages(*stacks, signal, tuple(errors))
 
 
 @_value_class
@@ -247,16 +300,19 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
 
     ``t`` and ``gamma`` give the n object settings.  ``probe`` is one
     :class:`DensityMatrix` for every setting, or a sequence of n on one
-    register, ``probe[i]`` for setting i; a pass stacks only its own
-    probes.  ``readout`` is a ``(..., 4, 4)`` stack of signal observables
-    (e.g. from :func:`measurement_stack`), and ``values`` has shape
-    ``(n, ...)``.
-    The settings run in passes of ``qcore._block_rows(D**2)``; each setting's
-    result does not depend on the others or on the pass size.
+    register, ``probe[i]`` for setting i; each distinct probe is taken once.
+    ``readout`` is a ``(..., 4, 4)`` stack of signal observables (e.g. from
+    :func:`measurement_stack`), and ``values`` has shape ``(n, ...)``.
+    Every stage works on the block of rows and columns that the probes and
+    the operators can make non-zero (:func:`_engine_plan`), and the settings
+    run in passes of ``qcore._block_rows(k**2)`` for a post-mixer block of
+    k rows; each setting's result does not depend on the others or on the
+    pass size.
     Bad input raises ValueError before the first pass: a setting outside
     :class:`ObjectParams`' rule (the first one, in order), probes that do
     not fit the settings, or a readout stack that is not 4x4 or not
-    finite.  Only the engine's own checks give a per-setting NaN.
+    finite; so does a readout value beyond the float range, after the
+    passes.  Only the engine's own checks give a per-setting NaN.
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     readout = np.asarray(readout)
@@ -264,15 +320,20 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     _check_finite(readout, "readout operators")
     flat = readout.reshape(-1, 16)
-    m = embed(ModeMixer.op, ["i1", "i2"], reg)
+    # a part of 1 or more could overflow a sum Tr[R rho]: such a stack is read out
+    # divided by 2**scale, which is exact, and the values are scaled back at the end
+    largest = max(flat.real.max(initial=0.0), -flat.real.min(initial=0.0), flat.imag.max(initial=0.0),
+                  -flat.imag.min(initial=0.0))
+    scale = max(int(np.frexp(largest)[1]), 0)
+    if scale:
+        flat = flat * np.ldexp(1.0, -scale)
+    plan = _engine_plan(probe, reg)
     values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
-    rows = _block_rows(reg.dim**2)
+    rows = _block_rows(len(plan.mixer_rows) ** 2)
     for lo in range(0, t.size, rows):
         part = slice(lo, lo + rows)
-        start = _start_stack(probe, part, t[part].size)
-        _, _, signal, chunk_errors = _stage_stacks(start, reg, m, t[part], gamma[part])
-        errors[part] = chunk_errors
+        _, _, signal, errors[part] = _engine_pass(plan, reg, t, gamma, part)
         # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
         # setting's value depends neither on how many share its pass nor on
         # how many operators share its step
@@ -280,7 +341,12 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
         step = _block_rows(16 * len(signal))
         for r in range(0, len(flat), step):
             values[part, r:r + step] = (flat[None, r:r + step] * rho_t).sum(axis=-1).real
-    values[~np.equal(errors, None)] = np.nan
+    failed = ~np.equal(errors, None)
+    values[failed] = np.nan
+    if scale:
+        if np.abs(values[~failed]).max(initial=0.0) >= np.ldexp(1.0, 1024 - scale):
+            raise ValueError("readout value lies beyond the float range")
+        np.ldexp(values, scale, out=values)
     values = values.reshape((t.size,) + readout.shape[:-2])
     return BatchReadout(values, tuple(errors))
 

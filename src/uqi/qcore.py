@@ -29,7 +29,7 @@ ATOL = 1e-12
 PSD_SLACK = 1e-10
 
 # Entries per block of every streamed loop, 128 kB as float64.  README, "Memory", gives each
-# stage's width, and why the engine pass this sets (64 settings of 16x16) is not larger.
+# stage's width; an engine pass's is the entries of one setting's post-mixer block.
 _BLOCK_ENTRIES = 2**14
 
 
@@ -70,9 +70,6 @@ PAULI = {
 }
 
 DEFAULT_WIRES = ("s1", "i1", "i2", "s2")
-
-_AXIS_LETTERS = "abcdefghijklmnopqrstuvwx"
-
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex array and reject empty or non-finite input (``matrix must be finite, ...``)."""
@@ -186,39 +183,55 @@ class Register:
 DEFAULT_REGISTER = Register(DEFAULT_WIRES)
 
 
-def state_errors(stack) -> np.ndarray:
-    """First failed physicality check of each state in an ``(n, d, d)`` stack.
+def _support(stack) -> np.ndarray:
+    """The indices, ascending, whose row or column holds a non-zero entry in some matrix of a ``(..., d, d)`` stack."""
+    nonzero = (stack != 0).reshape((-1,) + stack.shape[-2:]).any(axis=0)
+    return np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
 
-    The checks are those of :class:`DensityMatrix`, in its order:
-    Hermiticity within 1e-12, unit trace within 1e-12, eigenvalues above
-    -1e-10.  Returns an object array holding the failed check's message,
-    or None for a physical state.  The stack must be finite.
 
-    Hermiticity and positivity are checked on the block of rows and
-    columns that hold a non-zero entry in some state of the stack.  The
-    verdicts are exact: outside the block every entry is zero, so it adds
-    nothing to the Hermiticity deviation and only zero eigenvalues, which
-    pass.  One batched Cholesky factorization of ``block + 5e-11 I``
-    screens the pass: it succeeds only if every eigenvalue lies above
-    about -5e-11, so every state passes.  If it fails, ``eigvalsh`` on
-    the block gives each state's verdict.
+def _block_trace(block, rows, dim: int) -> np.ndarray:
+    """Trace of each state of an ``(n, k, k)`` stack holding rows and columns ``rows`` of ``dim x dim`` states.
+
+    Every entry outside ``rows`` is taken as zero.  The sum runs over the
+    full-length diagonal with those zeros in place, so it has the bits of
+    ``np.trace`` on the whole matrices: numpy sums the entries pairwise,
+    and a shorter sum would group them otherwise.
     """
-    errors = np.full(len(stack), None, dtype=object)
-    nonzero = (stack != 0).any(axis=0)  # entries non-zero in some state
-    occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    block = stack[:, occupied[:, None], occupied]
-    herm = np.zeros(len(stack))
-    low = np.zeros(len(stack), dtype=bool)
-    if occupied.size:  # an all-zero stack is Hermitian with zero eigenvalues
+    diag = np.zeros((len(block), dim), dtype=block.dtype)
+    diag[:, rows] = block.diagonal(axis1=1, axis2=2)
+    return diag.sum(axis=1)
+
+
+def state_errors(block, trace) -> np.ndarray:
+    """First failed physicality check of each state, from its occupied block and its trace.
+
+    ``block`` is an ``(n, k, k)`` stack of the rows and columns of each
+    state outside of which every entry is zero, and ``trace`` holds the
+    n traces of the whole states.  The checks are those of
+    :class:`DensityMatrix`, in its order: Hermiticity within 1e-12, unit
+    trace within 1e-12, eigenvalues above -1e-10.  Returns an object array
+    holding the failed check's message, or None for a physical state.  The
+    block must be finite.
+
+    The verdicts are those of the whole states: outside the block every
+    entry is zero, so it adds nothing to the Hermiticity deviation and only
+    zero eigenvalues, which pass.  One batched Cholesky factorization of
+    ``block + 5e-11 I`` screens the stack: it succeeds only if every
+    eigenvalue lies above about -5e-11, so every state passes.  If it
+    fails, ``eigvalsh`` on the block gives each state's verdict.
+    """
+    errors = np.full(len(block), None, dtype=object)
+    herm = np.zeros(len(block))
+    low = np.zeros(len(block), dtype=bool)
+    if block.shape[-1]:  # an all-zero state is Hermitian with zero eigenvalues
         herm = np.abs(block - block.conj().swapaxes(1, 2)).max(axis=(1, 2))
         try:
-            np.linalg.cholesky(block + (PSD_SLACK / 2) * np.eye(occupied.size))
+            np.linalg.cholesky(block + (PSD_SLACK / 2) * np.eye(block.shape[-1]))
         except np.linalg.LinAlgError:
             low = np.linalg.eigvalsh(block)[:, 0] < -PSD_SLACK
     errors[herm > ATOL] = "density matrix is not Hermitian within 1e-12"
-    tr = np.trace(stack, axis1=1, axis2=2)
-    for i in np.flatnonzero((np.abs(tr - 1.0) > ATOL) & (herm <= ATOL)):
-        errors[i] = f"density matrix trace {tr[i]} is not 1 within 1e-12"
+    for i in np.flatnonzero((np.abs(trace - 1.0) > ATOL) & (herm <= ATOL)):
+        errors[i] = f"density matrix trace {trace[i]} is not 1 within 1e-12"
     errors[low & np.equal(errors, None)] = "density matrix has an eigenvalue below -1e-10"
     return errors
 
@@ -277,8 +290,9 @@ class DensityMatrix:
             )
         # a trace beyond the float range reads inf (or NaN, from partial sums that overflow both ways,
         # which needs a diagonal entry below -9e307) without a warning: the trace or eigenvalue check fails
+        occupied = _support(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            err = state_errors(m[None])[0]
+            err = state_errors(m[np.ix_(occupied, occupied)][None], np.trace(m)[None])[0]
         if err is not None:
             raise ValueError(err)
         m.setflags(write=False)
@@ -310,53 +324,45 @@ class DensityMatrix:
         return _permute_wires(self.mat, perm)
 
 
-def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
-    """Reduced matrices on the ``keep`` wires (in the order given) of an ``(n, D, D)`` stack.
+def partial_trace_stack(stack, reg: Register, keep, rows=None) -> np.ndarray:
+    """Reduced matrices on the ``keep`` wires (in the order given) of an ``(n, k, k)`` stack.
 
-    Discarded wires are contracted, so the trace is preserved.  Unvalidated:
+    The stack holds the rows and columns ``rows`` (ascending basis indices
+    of ``reg``; every index by default) of states on ``reg``, whose other
+    entries are zero.  Discarded wires are contracted, so the trace is
+    preserved: each reduced entry adds its terms one at a time, in the
+    order of the discarded wires' values on the register.  Unvalidated:
     the caller checks the resulting states.
     """
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
-    idx = reg.positions(keep)
-    n = reg.n
-    row = list(_AXIS_LETTERS[:n])
-    col = []
-    nxt = n
-    for i in range(n):
-        if i in idx:
-            col.append(_AXIS_LETTERS[nxt])
-            nxt += 1
-        else:
-            col.append(row[i])  # repeated letter contracts the discarded wire
-    out = "".join(row[i] for i in idx) + "".join(col[i] for i in idx)
-    sub = "z" + "".join(row) + "".join(col) + "->z" + out
-    t = stack.reshape((len(stack),) + (2,) * (2 * n))
-    d = 2 ** len(keep)
-    return np.einsum(sub, t).reshape(len(stack), d, d)
+    bits = [reg.n - 1 - i for i in reg.positions(keep)]
+    rows = np.arange(reg.dim) if rows is None else np.asarray(rows)
+    kept = sum(((rows >> b) & 1) << (len(bits) - 1 - j) for j, b in enumerate(bits))
+    traced = rows & ~sum(1 << b for b in bits)
+    out = np.zeros((len(stack), 2 ** len(keep), 2 ** len(keep)), dtype=complex)
+    for value in sorted(set(traced.tolist())):
+        at = np.flatnonzero(traced == value)
+        out[:, kept[at, None], kept[at]] += stack[:, at[:, None], at]
+    return out
 
 
-def apply_kraus_stack(stack, kraus, targets, reg: Register) -> np.ndarray:
-    """``rho -> sum_k K_k rho K_k^†`` on ``targets``, per state of an ``(n, D, D)`` stack.
+def apply_kraus_stack(stack, kraus) -> np.ndarray:
+    """``rho -> sum_k K_k rho K_k^†`` on the leading tensor factor of each state of an ``(n, d m, d m)`` stack.
 
     ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
     set.  The set becomes one ``d^2 x d^2`` superoperator per state, which
-    acts on the target legs of that state by a single batched matmul.
-    Unvalidated: the caller checks the resulting states.
+    acts on the factor's row and column legs of that state by a single
+    batched matmul, one column per entry of the other factor.  Unvalidated:
+    the caller checks the resulting states.
     """
-    idx = reg.positions(targets)
-    rest = [i for i in range(reg.n) if i not in idx]
-    n, w, d = len(stack), reg.n, kraus.shape[-1]
-    if d != 2 ** len(idx):
-        raise ValueError(f"channel dimension {d} does not match {len(idx)} target wire(s)")
-    # axes: n, target rows, target columns, other rows, other columns
-    order = [0] + [1 + i for i in idx] + [1 + w + i for i in idx]
-    order += [1 + i for i in rest] + [1 + w + i for i in rest]
-    tensor = stack.reshape((n,) + (2,) * (2 * w)).transpose(order)
+    n, d = len(stack), kraus.shape[-1]
+    m = stack.shape[-1] // d
+    tensor = stack.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
     sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
-    out = (sup @ tensor.reshape(n, d * d, reg.dim**2 // (d * d))).reshape(tensor.shape)
-    return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
+    out = (sup @ tensor).reshape(n, d, d, m, m)
+    return out.transpose(0, 1, 3, 2, 4).reshape(n, d * m, d * m)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:

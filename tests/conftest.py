@@ -1,7 +1,17 @@
 import numpy as np
 
+from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, fold_angles, object_kraus, tp_deviation
 from uqi.circuit import BatchReadout, measurement_stack, pipeline_stages, prepare_probe, run_batch
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, partial_trace_stack
+from uqi.qcore import (
+    ATOL,
+    DEFAULT_REGISTER,
+    DensityMatrix,
+    Register,
+    _support,
+    embed,
+    partial_trace_stack,
+    state_errors,
+)
 
 
 def random_density_matrix(rng, register: Register) -> DensityMatrix:
@@ -70,3 +80,69 @@ def sweep_points(t, g, phis, shots=0, seed=None):
             v = rng.binomial(shots, min(max(v, 0.0), 1.0)) / shots
         pts.append((p, float(v)))
     return pts
+
+
+def stack_errors(stack) -> list:
+    """``state_errors`` of whole ``(n, d, d)`` states, on the rows and columns where some state is non-zero."""
+    occupied = _support(stack)
+    return state_errors(stack[:, occupied[:, None], occupied], np.trace(stack, axis1=1, axis2=2)).tolist()
+
+
+def _kraus_on_i1(stack, kraus) -> np.ndarray:
+    """``sum_k K_k rho K_k^†`` on ``i1`` of whole ``(n, 16, 16)`` states, one superoperator matmul per state."""
+    n, reg = len(stack), DEFAULT_REGISTER
+    idx = reg.positions(["i1"])
+    rest = [i for i in range(reg.n) if i not in idx]
+    # axes: n, i1 row, i1 column, other rows, other columns
+    order = [0] + [1 + i for i in idx] + [1 + reg.n + i for i in idx]
+    order += [1 + i for i in rest] + [1 + reg.n + i for i in rest]
+    tensor = stack.reshape((n,) + (2,) * (2 * reg.n)).transpose(order)
+    sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, 4, 4)
+    out = (sup @ tensor.reshape(n, 4, reg.dim**2 // 4)).reshape(tensor.shape)
+    return out.transpose(np.argsort(order)).reshape(n, reg.dim, reg.dim)
+
+
+def reference_stages(probe, t, gamma):
+    """The engine's stages computed on whole ``(n, 16, 16)`` stacks, as one pass over every setting.
+
+    ``probe`` is one :class:`DensityMatrix` on ``DEFAULT_REGISTER`` or a
+    sequence of one per setting.  Returns the post-object, post-mixer and
+    signal stacks and each setting's first failed check, in the engine's
+    order: Kraus trace preservation, the state checks after the object,
+    the mixer's normalization, then the state checks after the mixer and
+    on the signal.
+    """
+    t, gamma = np.asarray(t, dtype=float), np.asarray(gamma, dtype=float)
+    if isinstance(probe, DensityMatrix):
+        start = np.broadcast_to(probe.mat, (t.size, 16, 16))
+    else:
+        start = np.stack([p.mat for p in probe])
+    errors = np.full(t.size, None, dtype=object)
+
+    def record(new):
+        pending = np.equal(errors, None)
+        errors[pending] = np.asarray(new, dtype=object)[pending]
+
+    kraus = object_kraus(t, fold_angles(gamma))
+    record(np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
+    post_object = _kraus_on_i1(start, kraus)
+    record(stack_errors(post_object))
+    m = embed(ModeMixer.op, ["i1", "i2"], DEFAULT_REGISTER)
+    num = m @ post_object @ m.conj().T
+    norm = np.trace(num, axis1=1, axis2=2).real
+    vanished = norm <= 1e-14
+    post_mixer = num / np.where(vanished, 1.0, norm)[:, None, None]
+    record(np.where(vanished, MIXER_VANISHED, None))
+    record(stack_errors(post_mixer))
+    # wires (s1, i1, i2, s2) on rows and columns; contract i1 and i2
+    signal = np.einsum("zabcdebcf->zadef", post_mixer.reshape((t.size,) + (2,) * 8)).reshape(t.size, 4, 4)
+    record(stack_errors(signal))
+    return post_object, post_mixer, signal, tuple(errors)
+
+
+def reference_readout(probe, t, gamma, readout):
+    """``(values, errors)`` of :func:`run_batch` from :func:`reference_stages`: ``Tr[R rho]``, NaN where a check failed."""
+    *_, signal, errors = reference_stages(probe, t, gamma)
+    values = np.einsum("rij,nji->nr", np.reshape(readout, (-1, 4, 4)), signal).real
+    values[~np.equal(errors, None)] = np.nan
+    return values.reshape((len(signal),) + np.shape(readout)[:-2]), errors

@@ -493,7 +493,7 @@ def test_bad_object_setting_exits_2_before_the_engine(tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t.csv").write_text("0.5,0.5\n1.5,nan\n")
     (tmp_path / "g.csv").write_text("0.0,0.0\n0.5,1.0\n")
-    monkeypatch.setattr("uqi.circuit._stage_stacks", _no_engine)
+    monkeypatch.setattr("uqi.circuit._engine_pass", _no_engine)
     assert run_cli(capsys, *argv) == (2, "", f"uqi: {message}\n")
 
 

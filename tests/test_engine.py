@@ -3,7 +3,14 @@ loop over embedded Kraus operators and the closed forms."""
 
 import numpy as np
 import pytest
-from conftest import readout, unmixed_readout
+from conftest import (
+    random_density_matrix,
+    readout,
+    reference_readout,
+    reference_stages,
+    stack_errors,
+    unmixed_readout,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +23,7 @@ from uqi.circuit import (
     prepare_werner,
     run_batch,
 )
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, basis_ket, embed, state_errors
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, _support, basis_ket, embed
 
 TOL = 1e-12
 
@@ -104,14 +111,30 @@ def singlet_idler_probe() -> DensityMatrix:
     return DensityMatrix.from_ket(ket, DEFAULT_REGISTER)
 
 
+def passes_of(monkeypatch, chunk, probe, ts, gammas) -> list:
+    """Set the entry budget to ``chunk`` post-mixer blocks of the call; returns the list each pass appends its size to."""
+    block = len(_support(pipeline_stages(probe, ts, gammas).post_mixer))
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", chunk * block**2)
+    sizes = []
+    engine_pass = circuit._engine_pass
+
+    def counted(plan, reg, t, gamma, part):
+        sizes.append(t[part].size)
+        return engine_pass(plan, reg, t, gamma, part)
+
+    monkeypatch.setattr(circuit, "_engine_pass", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 64])
 def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk):
-    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)  # passes of chunk 16x16 states
     probe = singlet_idler_probe()
     ts = [0.5, 1.0, 1.0]
     gammas = [0.0, 0.0, 0.5]
     stack = measurement_stack([0.0, 1.0])
+    sizes = passes_of(monkeypatch, chunk, probe, ts, gammas)
     batch = run_batch(probe, ts, gammas, stack)
+    assert max(sizes) == min(chunk, len(ts))
     assert batch.errors == (None, MIXER_VANISHED, None)
     # the stage view runs the same checks over all settings in one pass
     assert pipeline_stages(probe, ts, gammas).errors == batch.errors
@@ -139,10 +162,11 @@ def interleaved_probes():
 
 @pytest.mark.parametrize("chunk", [1, 2, 64])
 def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
-    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)
     probes, ts, gammas = interleaved_probes()
     stack = measurement_stack([0.0, 1.0, -2.0])
+    sizes = passes_of(monkeypatch, chunk, probes, ts, gammas)
     batch = run_batch(probes, ts, gammas, stack)
+    assert max(sizes) == min(chunk, len(ts))
     stages = pipeline_stages(probes, ts, gammas)
     assert batch.errors[4] == stages.errors[4] == MIXER_VANISHED
     assert sum(e is not None for e in batch.errors) == 1
@@ -205,7 +229,7 @@ def test_bad_object_setting_raises_before_any_pass(monkeypatch, bad_t, bad_gamma
     def no_pass(*args):
         raise AssertionError("an engine pass ran before the settings were checked")
 
-    monkeypatch.setattr(circuit, "_stage_stacks", no_pass)
+    monkeypatch.setattr(circuit, "_engine_pass", no_pass)
     probes, ts, gammas = interleaved_probes()
     ts[2], gammas[2] = bad_t, bad_gamma
     ts[5], gammas[5] = -1.0, np.inf  # a later bad setting: the first one in order is reported
@@ -242,6 +266,52 @@ def test_tp_violation_is_the_first_check_and_leaves_neighbours_alone(monkeypatch
     stages = pipeline_stages(probe, ts, gammas)
     assert batch.errors == stages.errors == (None, TP_VIOLATED, None)
     # the trace the broken set also spoils is reported after it
-    assert state_errors(stages.post_object)[1].startswith("density matrix trace")
+    assert stack_errors(stages.post_object)[1].startswith("density matrix trace")
     assert np.all(np.isnan(batch.values[1]))
     assert np.array_equal(batch.values[[0, 2]], clean.values[[0, 2]])
+
+
+def _coverage_case(name, rng):
+    """``(probe, t, gamma)`` of one reference case: seeded settings, T = 0 and T = 1 among them."""
+    t = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.0, 1.0, 1.0]])
+    gamma = np.concatenate([rng.uniform(-7.0, 7.0, 40), [0.0, 0.0, 2.0]])
+    amplitudes = rng.normal(size=4) + 1j * rng.normal(size=4)
+    probes = {
+        "bell": prepare_probe(),
+        "full-rank": random_density_matrix(rng, DEFAULT_REGISTER),
+        # idlers 00 and 10 beside 01: coherent between the sectors {01, 10} and {00, 11}
+        "idler-coherent": DensityMatrix.from_ket(
+            sum(a * basis_ket(b) for a, b in zip(amplitudes, ("0000", "0010", "1100", "1011"))), DEFAULT_REGISTER
+        ),
+        "basis-state": DensityMatrix.from_ket(basis_ket("0110"), DEFAULT_REGISTER),
+    }
+    for xi in (0.0, 0.3, 2.0 / 3.0, 1.0):
+        probes[f"werner-{xi:.3g}"] = prepare_werner(xi)
+    if name != "interleaved":
+        return probes[name], t, gamma
+    # every probe above and the singlet-idler probe, repeated in a seeded order
+    pool = list(probes.values()) + [singlet_idler_probe()]
+    chosen = [pool[i] for i in rng.integers(0, len(pool), t.size)]
+    chosen[41] = pool[-1]  # at T = 1, gamma = 0 its mixer normalization vanishes
+    return chosen, t, gamma
+
+
+COVERAGE = ["bell", "werner-0", "werner-0.3", "werner-0.667", "werner-1", "full-rank", "idler-coherent",
+            "basis-state", "interleaved"]
+
+
+@pytest.mark.parametrize("name", COVERAGE)
+def test_engine_matches_whole_stack_reference(name):
+    probe, t, gamma = _coverage_case(name, np.random.default_rng(26))
+    post_object, post_mixer, signal, errors = reference_stages(probe, t, gamma)
+    stages = pipeline_stages(probe, t, gamma)
+    assert stages.errors == errors
+    for got, want in ((stages.post_object, post_object), (stages.post_mixer, post_mixer), (stages.signal, signal)):
+        assert np.max(np.abs(got - want)) <= 1e-15
+    stack = measurement_stack([0.0, 1.0, -2.5])
+    batch = run_batch(probe, t, gamma, stack)
+    values, errors = reference_readout(probe, t, gamma, stack)
+    assert batch.errors == errors
+    live = ~np.isnan(values)
+    assert np.array_equal(np.isnan(batch.values), ~live)
+    assert np.max(np.abs(batch.values[live] - values[live]), initial=0.0) <= 1e-15

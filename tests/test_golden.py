@@ -104,8 +104,10 @@ def test_cli_output_at_scale_matches_pinned_hash(tmp_path, capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
-# OpenBLAS's AVX2 kernel and numpy's AVX2 dispatch, as on an x86-64 runner without AVX-512
-HASWELL_AVX2 = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# numpy's AVX2 dispatch, as on an x86-64 runner without AVX-512, beside each of
+# OpenBLAS's FMA kernels for such a runner: Haswell and Zen
+AVX2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+FMA_KERNELS = ("Haswell", "Zen")
 
 # runs each argument list of stdin's JSON through cli.main and prints one JSON list of [code, stdout]
 _CHILD = """
@@ -125,22 +127,23 @@ def _has_avx2() -> bool:
     return platform.machine().lower() in ("x86_64", "amd64") and features.get("X86_V3", False)
 
 
-@pytest.mark.skipif(not _has_avx2(), reason="the Haswell kernel and the AVX2 targets need an x86-64 CPU with AVX2")
+@pytest.mark.skipif(not _has_avx2(), reason="the FMA kernels and the AVX2 targets need an x86-64 CPU with AVX2")
 def test_golden_bytes_hold_under_haswell_kernel_and_avx2_dispatch(tmp_path):
-    # the variables are set in the child process only; every case runs in that one process
+    # the variables are set in the child processes only; every case runs in one process per kernel
     argvs = {name: list(argv) for name, argv in CASES.items()}
     argvs.update((name, list(argv(tmp_path))) for name, (argv, _) in SCALE_CASES.items())
-    env = {**os.environ, **HASWELL_AVX2, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD], input=json.dumps(list(argvs.values())), env=env,
-        capture_output=True, text=True, check=True,
-    )
     differ = []
-    for name, (code, out) in zip(argvs, json.loads(proc.stdout)):
-        if name in CASES:
-            same = out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-        else:
-            same = hashlib.sha256(out.encode("utf-8")).hexdigest() == SCALE_CASES[name][1]
-        if code != 0 or not same:
-            differ.append(name)
+    for kernel in FMA_KERNELS:
+        env = {**os.environ, **AVX2, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD], input=json.dumps(list(argvs.values())), env=env,
+            capture_output=True, text=True, check=True,
+        )
+        for name, (code, out) in zip(argvs, json.loads(proc.stdout)):
+            if name in CASES:
+                same = out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+            else:
+                same = hashlib.sha256(out.encode("utf-8")).hexdigest() == SCALE_CASES[name][1]
+            if code != 0 or not same:
+                differ.append((kernel, name))
     assert differ == []

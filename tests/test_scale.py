@@ -177,12 +177,24 @@ def _run_batch(draw):
     gamma = draw(st.lists(reals, min_size=n, max_size=n))
     phis = draw(st.lists(reals, min_size=1, max_size=3))
     probe = prepare_probe() if draw(st.booleans()) else prepare_werner(draw(st.floats(0.0, 1.0)))
-    batch = _rejects(lambda: run_batch(probe, t, gamma, measurement_stack(phis)))
+    # detector pairs, or operators of any scale: any entries, or one entry
+    # everywhere, whose readout is that entry times the sum of the state's entries
+    kind = draw(st.sampled_from(["detectors", "any", "constant"]))
+    detectors = kind == "detectors"
+    if detectors:
+        readout = measurement_stack(phis)
+    elif kind == "any":
+        readout = np.array([_matrix(draw, 4) for _ in phis])
+    else:
+        readout = np.array([np.full((4, 4), draw(complexes)) for _ in phis])
+    batch = _rejects(lambda: run_batch(probe, t, gamma, readout))
     if batch is not None:
         assert all(0.0 <= x <= 1.0 for x in t)
         assert batch.errors == (None,) * n
-        assert batch.values.shape == (n, len(phis), 2)
-        assert ((batch.values >= -ATOL) & (batch.values <= 1 + ATOL)).all()
+        assert batch.values.shape == (n,) + readout.shape[:-2]
+        assert np.isfinite(batch.values).all()
+        if detectors:
+            assert ((batch.values >= -ATOL) & (batch.values <= 1 + ATOL)).all()
 
 
 def _image_scan(draw):

@@ -1,12 +1,13 @@
 """``state_errors`` checks only the occupied block; its verdicts and messages
-must equal those of the full 16x16 checks with ``eigvalsh``."""
+must equal those of the full 16x16 checks with ``eigvalsh``.  ``stack_errors``
+gives it the block where some state of a whole stack is non-zero."""
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import random_unitary, stack_errors
 
 from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner
-from uqi.qcore import ATOL, DEFAULT_REGISTER, PSD_SLACK, DensityMatrix, state_errors
+from uqi.qcore import ATOL, DEFAULT_REGISTER, PSD_SLACK, DensityMatrix
 
 NOT_PSD = "density matrix has an eigenvalue below -1e-10"
 
@@ -57,7 +58,7 @@ def test_engine_stage_stacks_match_full_checks(xi):
     gamma = np.concatenate([rng.uniform(-7, 7, 60), [0.0, 2.0]])
     stages = pipeline_stages(probe, t, gamma)
     for stack in (stages.post_object, stages.post_mixer, stages.signal):
-        assert state_errors(stack).tolist() == reference_errors(stack)
+        assert stack_errors(stack) == reference_errors(stack)
         # the block check still sees a state whose lowest eigenvalue is moved
         # to -2e-10 inside the occupied block, trace kept
         shifted = stack.copy()
@@ -66,7 +67,7 @@ def test_engine_stage_stacks_match_full_checks(xi):
         lam[-1] += lam[0] + 2e-10
         lam[0] = -2e-10
         shifted[5][block] = (u * lam) @ u.conj().T
-        got = state_errors(shifted).tolist()
+        got = stack_errors(shifted)
         assert got == reference_errors(shifted)
         assert got[5] == NOT_PSD
 
@@ -89,7 +90,7 @@ def test_random_blocks_at_random_index_sets():
             if kind == 3 and k < 16:  # an entry outside the block breaks Hermiticity
                 outside = np.setdiff1d(np.arange(16), index)
                 stack[s, index[0], outside[0]] = 1e-9
-        assert state_errors(stack).tolist() == reference_errors(stack)
+        assert stack_errors(stack) == reference_errors(stack)
 
 
 @pytest.mark.parametrize("lam", [-1.1e-10, -1e-10 + 1e-11, -1e-10 - 1e-11, -0.9e-10])
@@ -101,9 +102,9 @@ def test_lowest_eigenvalue_within_rounding_of_the_slack(lam):
         states.append(padded(with_spectrum(rng, spectrum_with_min(rng, lam, k)), index))
     want = NOT_PSD if lam < -PSD_SLACK else None
     stack = np.array(states)
-    assert state_errors(stack).tolist() == reference_errors(stack) == [want] * len(states)
+    assert stack_errors(stack) == reference_errors(stack) == [want] * len(states)
     for state in states:  # alone in its pass, and as a DensityMatrix
-        assert state_errors(state[None]).tolist() == [want]
+        assert stack_errors(state[None]) == [want]
         if want is None:
             DensityMatrix(state, DEFAULT_REGISTER)
         else:
@@ -123,21 +124,21 @@ def test_failing_states_beside_passing_ones_take_the_eigvalsh_fallback(monkeypat
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    got = state_errors(stack).tolist()
+    got = stack_errors(stack)
     assert got == reference_errors(stack)
     assert got[1] == NOT_PSD and got[3] is None and got[4].endswith("not Hermitian within 1e-12")
     assert got[6].startswith("density matrix trace")
     assert calls[0] == (8, 3, 3)  # the fallback ran on the block, not on 16x16
     calls.clear()
-    assert state_errors(np.array(good)).tolist() == [None] * 5
+    assert stack_errors(np.array(good)) == [None] * 5
     assert calls == []  # the Cholesky screen cleared every state
 
 
 def test_all_zero_and_empty_stacks():
     zeros = np.zeros((3, 16, 16), dtype=complex)
     want = ["density matrix trace 0j is not 1 within 1e-12"] * 3
-    assert state_errors(zeros).tolist() == reference_errors(zeros) == want
-    assert state_errors(np.zeros((0, 16, 16), dtype=complex)).tolist() == []
+    assert stack_errors(zeros) == reference_errors(zeros) == want
+    assert stack_errors(np.zeros((0, 16, 16), dtype=complex)) == []
 
 
 def test_density_matrix_validation_matches_full_checks():

@@ -24,6 +24,7 @@ from uqi.qcore import (
     PAULI,
     DensityMatrix,
     Register,
+    _support,
     basis_ket,
     embed,
     partial_trace_stack,
@@ -633,8 +634,10 @@ def test_image_scan_independent_of_batch_size(monkeypatch, shots):
     maps = ImageMaps(rng.uniform(0.0, 1.0, size=(4, 5)), rng.uniform(-3.0, 3.0, size=(4, 5)))
     phis = [2 * np.pi * k / 8 for k in range(8)]
     scans = []
+    # passes of chunk settings: chunk post-mixer blocks of the Bell probe
+    block = len(_support(pipeline_stages(prepare_probe(), maps.t_map, maps.gamma_map).post_mixer))
     for chunk in (1, 7, 20, 64):
-        monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 256 * chunk)  # passes of chunk 16x16 states
+        monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", chunk * block**2)
         scans.append(image_scan(maps, phis, shots=shots, seed=3))
     # the first row alone: same pixel positions, so the same shot streams
     scans.append(image_scan(ImageMaps(maps.t_map[:1], maps.gamma_map[:1]), phis, shots=shots, seed=3))

@@ -37,6 +37,11 @@ CHECKS = [
         lambda: run_batch(prepare_probe(), [0.5], [0.0], np.eye(2)),
         "readout operators must be 4x4 on (s1, s2), got shape (2, 2)",
     ),
+    # Tr[R rho] = 1.7e308 * 2 overflowed the readout sum with a RuntimeWarning
+    (
+        lambda: run_batch(prepare_probe(), [1.0], [0.0], np.full((4, 4), 1.7e308)),
+        "readout value lies beyond the float range",
+    ),
     # measurement_stack rejects a non-finite phase itself, so the stack is built here
     (
         lambda: run_batch(prepare_probe(), [0.5], [0.1], np.full((1, 4, 4), complex(np.nan, np.nan))),
