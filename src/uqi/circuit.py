@@ -196,24 +196,31 @@ def _engine_plan(probe, reg: Register) -> _Plan:
     whole register at every stage.
     """
     if isinstance(probe, DensityMatrix):
-        mats, which = probe.mat[None], None
+        distinct, which = [probe], None
     else:
         index = {}
         which = np.array([index.setdefault(id(p), len(index)) for p in probe])
-        mats = np.stack([p.mat for p in {id(p): p for p in probe}.values()])
-    occupied = _support(mats)
+        distinct = list({id(p): p for p in probe}.values())
+    nonzero = np.zeros((reg.dim, reg.dim), dtype=bool)
+    for p in distinct:  # probe by probe: no stack of whole probes is built
+        nonzero |= p.mat != 0
+    occupied = _support(nonzero)
     i1 = 1 << (reg.n - 1 - reg.index("i1"))
     rest = np.array(sorted({r & ~i1 for r in occupied.tolist()}))
-    legs = np.concatenate([rest, rest | i1])
+    legs = np.concatenate([rest, rest + i1])  # i1's bit is clear in rest
     # each entry of the pair is non-zero at T = 0 or at T = 1 or at no T, so
     # the two ends of the range give the zero pattern of every setting
     pattern = (object_kraus([0.0, 1.0], [0.0, 0.0]) != 0).any(axis=(0, 1))
     object_rows = np.flatnonzero((embed(pattern, ["i1"], reg)[:, occupied] != 0).any(axis=1))
     mixer = embed(ModeMixer.op, ["i1", "i2"], reg)[:, object_rows]
     mixer_rows = np.flatnonzero((mixer != 0).any(axis=1))
-    order = np.argsort(legs)
-    at = order[np.searchsorted(legs[order], object_rows)]
-    return _Plan(mats[:, legs[:, None], legs], which, at, object_rows, mixer_rows, mixer[mixer_rows])
+    # each row's place in legs from a lookup table, not a sort, whose SIMD
+    # kernels would add about 300 kB of code pages to the process's RSS
+    place = np.zeros(reg.dim, dtype=int)
+    place[legs] = np.arange(len(legs))
+    at = place[object_rows]
+    starts = np.stack([p.mat[legs[:, None], legs] for p in distinct])
+    return _Plan(starts, which, at, object_rows, mixer_rows, mixer[mixer_rows])
 
 
 def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, part: slice):
@@ -311,8 +318,8 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
     Bad input raises ValueError before the first pass: a setting outside
     :class:`ObjectParams`' rule (the first one, in order), probes that do
     not fit the settings, or a readout stack that is not 4x4 or not
-    finite; so does a readout value beyond the float range, after the
-    passes.  Only the engine's own checks give a per-setting NaN.
+    finite; so does a readout value beyond the float range, in the pass
+    that finds it.  Only the engine's own checks give a per-setting NaN.
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     readout = np.asarray(readout)
@@ -320,33 +327,27 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     _check_finite(readout, "readout operators")
     flat = readout.reshape(-1, 16)
-    # a part of 1 or more could overflow a sum Tr[R rho]: such a stack is read out
-    # divided by 2**scale, which is exact, and the values are scaled back at the end
-    largest = max(flat.real.max(initial=0.0), -flat.real.min(initial=0.0), flat.imag.max(initial=0.0),
-                  -flat.imag.min(initial=0.0))
-    scale = max(int(np.frexp(largest)[1]), 0)
-    if scale:
-        flat = flat * np.ldexp(1.0, -scale)
     plan = _engine_plan(probe, reg)
     values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
     rows = _block_rows(len(plan.mixer_rows) ** 2)
     for lo in range(0, t.size, rows):
         part = slice(lo, lo + rows)
-        _, _, signal, errors[part] = _engine_pass(plan, reg, t, gamma, part)
+        signal, errors[part] = _engine_pass(plan, reg, t, gamma, part)[2:]
         # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
         # setting's value depends neither on how many share its pass nor on
         # how many operators share its step
         rho_t = signal.swapaxes(1, 2).reshape(len(signal), 1, 16)
         step = _block_rows(16 * len(signal))
+        passed = np.equal(errors[part], None)
         for r in range(0, len(flat), step):
-            values[part, r:r + step] = (flat[None, r:r + step] * rho_t).sum(axis=-1).real
-    failed = ~np.equal(errors, None)
-    values[failed] = np.nan
-    if scale:
-        if np.abs(values[~failed]).max(initial=0.0) >= np.ldexp(1.0, 1024 - scale):
-            raise ValueError("readout value lies beyond the float range")
-        np.ldexp(values, scale, out=values)
+            # a sum beyond the float range reads inf or NaN, which raises unless its setting failed
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = (flat[None, r:r + step] * rho_t).sum(axis=-1).real
+            if not np.isfinite(block[passed]).all():
+                raise ValueError("readout value lies beyond the float range")
+            values[part, r:r + step] = block
+    values[~np.equal(errors, None)] = np.nan
     values = values.reshape((t.size,) + readout.shape[:-2])
     return BatchReadout(values, tuple(errors))
 

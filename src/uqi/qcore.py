@@ -183,9 +183,9 @@ class Register:
 DEFAULT_REGISTER = Register(DEFAULT_WIRES)
 
 
-def _support(stack) -> np.ndarray:
-    """The indices, ascending, whose row or column holds a non-zero entry in some matrix of a ``(..., d, d)`` stack."""
-    nonzero = (stack != 0).reshape((-1,) + stack.shape[-2:]).any(axis=0)
+def _support(nonzero) -> np.ndarray:
+    """The indices, ascending, whose row or column is True in some ``d x d`` pattern of a boolean ``(..., d, d)`` stack."""
+    nonzero = nonzero.reshape((-1,) + nonzero.shape[-2:]).any(axis=0)
     return np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
 
 
@@ -290,7 +290,7 @@ class DensityMatrix:
             )
         # a trace beyond the float range reads inf (or NaN, from partial sums that overflow both ways,
         # which needs a diagonal entry below -9e307) without a warning: the trace or eigenvalue check fails
-        occupied = _support(m)
+        occupied = _support(m != 0)
         with np.errstate(over="ignore", invalid="ignore"):
             err = state_errors(m[np.ix_(occupied, occupied)][None], np.trace(m)[None])[0]
         if err is not None:
@@ -338,13 +338,16 @@ def partial_trace_stack(stack, reg: Register, keep, rows=None) -> np.ndarray:
     if not keep:
         raise ValueError("keep set must be nonempty")
     bits = [reg.n - 1 - i for i in reg.positions(keep)]
-    rows = np.arange(reg.dim) if rows is None else np.asarray(rows)
-    kept = sum(((rows >> b) & 1) << (len(bits) - 1 - j) for j, b in enumerate(bits))
-    traced = rows & ~sum(1 << b for b in bits)
+    mask = sum(1 << b for b in bits)
+    # the few indices are worked out on Python ints, which adds no numpy code pages to the RSS
+    groups = {}
+    for at, row in enumerate(range(reg.dim) if rows is None else np.asarray(rows).tolist()):
+        kept = sum(((row >> b) & 1) << (len(bits) - 1 - j) for j, b in enumerate(bits))
+        groups.setdefault(row & ~mask, []).append((at, kept))
     out = np.zeros((len(stack), 2 ** len(keep), 2 ** len(keep)), dtype=complex)
-    for value in sorted(set(traced.tolist())):
-        at = np.flatnonzero(traced == value)
-        out[:, kept[at, None], kept[at]] += stack[:, at[:, None], at]
+    for value in sorted(groups):
+        at, kept = np.array(groups[value]).T
+        out[:, kept[:, None], kept] += stack[:, at[:, None], at]
     return out
 
 
@@ -354,10 +357,13 @@ def apply_kraus_stack(stack, kraus) -> np.ndarray:
     ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
     set.  The set becomes one ``d^2 x d^2`` superoperator per state, which
     acts on the factor's row and column legs of that state by a single
-    batched matmul, one column per entry of the other factor.  Unvalidated:
-    the caller checks the resulting states.
+    batched matmul, one column per entry of the other factor.  A state
+    dimension that ``d`` does not divide raises ValueError; nothing else is
+    validated, and the caller checks the resulting states.
     """
     n, d = len(stack), kraus.shape[-1]
+    if stack.shape[-1] % d:
+        raise ValueError(f"{d}x{d} Kraus operators have no factor in {stack.shape[-1]}x{stack.shape[-1]} states")
     m = stack.shape[-1] // d
     tensor = stack.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
     sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)

@@ -84,7 +84,7 @@ def sweep_points(t, g, phis, shots=0, seed=None):
 
 def stack_errors(stack) -> list:
     """``state_errors`` of whole ``(n, d, d)`` states, on the rows and columns where some state is non-zero."""
-    occupied = _support(stack)
+    occupied = _support(stack != 0)
     return state_errors(stack[:, occupied[:, None], occupied], np.trace(stack, axis1=1, axis2=2)).tolist()
 
 

@@ -123,7 +123,7 @@ def test_apply_channel_identity():
 def test_apply_channel_dimension_mismatch():
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng, DEFAULT_REGISTER)
-    with pytest.raises(ValueError):  # a 4x4 channel has no leading factor in a 6x6 state
+    with pytest.raises(ValueError, match=r"4x4 Kraus operators have no factor in 6x6 states"):
         apply_kraus_stack(np.eye(6)[None] / 6, np.eye(4, dtype=complex)[None, None])
     with pytest.raises(ValueError):
         KrausChannel((np.eye(2, dtype=complex),)).apply(rho.mat)
@@ -151,7 +151,9 @@ def test_object_on_probe_reproduces_intermediate_state():
 def test_trace_preserved_through_apply_channel():
     rng = np.random.default_rng(6)
     ts, gs = rng.uniform(0, 1, 20), rng.uniform(-np.pi, np.pi, 20)
-    stack = np.array([random_density_matrix(rng, DEFAULT_REGISTER).mat for _ in range(20)])
+    # i1 leads each state, so the channel acts on the object wire
+    stack = np.array([random_density_matrix(rng, DEFAULT_REGISTER).reordered(["i1", "s1", "i2", "s2"])
+                      for _ in range(20)])
     out = apply_kraus_stack(stack, object_kraus(ts, gs))
     assert np.max(np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)) < ATOL
 

@@ -1,6 +1,8 @@
 """Differential tests of the batched engine and its stage view against a
 loop over embedded Kraus operators and the closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -113,7 +115,7 @@ def singlet_idler_probe() -> DensityMatrix:
 
 def passes_of(monkeypatch, chunk, probe, ts, gammas) -> list:
     """Set the entry budget to ``chunk`` post-mixer blocks of the call; returns the list each pass appends its size to."""
-    block = len(_support(pipeline_stages(probe, ts, gammas).post_mixer))
+    block = len(_support(pipeline_stages(probe, ts, gammas).post_mixer != 0))
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", chunk * block**2)
     sizes = []
     engine_pass = circuit._engine_pass
@@ -181,6 +183,19 @@ def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
         for name in ("post_object", "post_mixer", "signal"):
             assert np.array_equal(getattr(stages, name)[rows], getattr(alone_stages, name))
         assert tuple(stages.errors[i] for i in rows) == alone_stages.errors
+
+
+def test_distinct_probes_are_held_only_on_their_block():
+    # 1000 distinct Werner probes: a stack of the whole 16x16 probes alone takes 4 MB
+    probes = [prepare_werner(xi) for xi in np.linspace(0.0, 1.0, 1000)]
+    tracemalloc.start()
+    try:
+        plan = circuit._engine_plan(probes, DEFAULT_REGISTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.starts.shape == (1000, 8, 8)  # the Werner probe's rest indices, with i1 leading
+    assert peak < 1000 * 16 * 16 * 16, peak
 
 
 def test_mixer_is_not_an_option():

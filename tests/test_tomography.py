@@ -635,7 +635,7 @@ def test_image_scan_independent_of_batch_size(monkeypatch, shots):
     phis = [2 * np.pi * k / 8 for k in range(8)]
     scans = []
     # passes of chunk settings: chunk post-mixer blocks of the Bell probe
-    block = len(_support(pipeline_stages(prepare_probe(), maps.t_map, maps.gamma_map).post_mixer))
+    block = len(_support(pipeline_stages(prepare_probe(), maps.t_map, maps.gamma_map).post_mixer != 0))
     for chunk in (1, 7, 20, 64):
         monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", chunk * block**2)
         scans.append(image_scan(maps, phis, shots=shots, seed=3))
