@@ -233,7 +233,7 @@ class ModeMixer:
 MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
 
 
-def mix_stack(stack, m, rows, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def mix_stack(stack, m, rows, dim: int, mixed, out) -> tuple[np.ndarray, np.ndarray]:
     """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]`` per state of a block stack.
 
     The ``(n, k, k)`` stack holds some rows and columns of states on a
@@ -241,12 +241,17 @@ def mix_stack(stack, m, rows, dim: int) -> tuple[np.ndarray, np.ndarray]:
     embedded on that register, restricted to those columns and to the rows
     ``rows`` (ascending) that they reach.  Both are ascending, so each
     product adds the terms of the full product that are not zero, in the
-    same order.  Nonlinear by construction.  Returns the renormalized
-    states on ``rows`` and a mask of those whose normalization vanished (at
-    most 1e-14), i.e. that have no overlap with the mixer's support; those
-    are left unnormalized.
+    same order.  Nonlinear by construction.  ``M rho`` is formed in
+    ``mixed``, an ``(n, len(rows), k)`` complex array, and the states are
+    formed and renormalized in ``out``, a C-contiguous
+    ``(n, len(rows), len(rows))`` complex array, which is returned with a
+    mask of the states whose normalization vanished (at most 1e-14), i.e.
+    that have no overlap with the mixer's support; those are left
+    unnormalized.
     """
-    num = m @ stack @ m.conj().T
-    norm = _block_trace(num, rows, dim).real
+    np.matmul(np.matmul(m, stack, out=mixed), m.conj().T, out=out)
+    norm = _block_trace(out, rows, dim).real
     vanished = norm <= 1e-14
-    return num / np.where(vanished, 1.0, norm)[:, None, None], vanished
+    # the division of num / norm, in place: the same ufunc on the same operands, so the same bits
+    np.divide(out, np.where(vanished, 1.0, norm)[:, None, None], out=out)
+    return out, vanished

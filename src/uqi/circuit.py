@@ -15,9 +15,10 @@ takes n object settings and reads them out against a stack of
 measurement operators (:func:`measurement_stack`).  Each stage holds a
 setting only on its occupied block, the rows and columns that the probes
 and the operators before it can make non-zero: for the Bell probe 3 rows
-after the object and 8 after the mixer, of 16.  :func:`pipeline_stages`
-places the same pass's blocks in full ``(n, 16, 16)`` stacks for
-inspection.
+after the object and 8 after the mixer, of 16.  A call allocates the
+arrays its passes work in once (:func:`_engine_buffers`).
+:func:`pipeline_stages` places the same pass's blocks in full
+``(n, 16, 16)`` stacks for inspection.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from .qcore import (
     _block_trace,
     _check_finite,
     _check_probability,
+    _kraus_tensor,
+    _superoperator,
     _support,
     _value_class,
-    apply_kraus_stack,
     as_complex_matrix,
     basis_ket,
     embed,
@@ -124,14 +126,25 @@ def prepare_werner(xi: float) -> DensityMatrix:
     ``P_encoded`` projects on span{|0000>, |0011>, |1100>, |1111>}.  The
     state is entangled across (s1,i1)|(i2,s2) exactly for ``xi < 2/3``.
     """
-    xi = float(xi)
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must lie in [0, 1], got {xi}")
-    mat = (1.0 - xi) * prepare_probe().mat
+    return _werner_probes([xi])[0]
+
+
+def _werner_probes(xis) -> tuple[DensityMatrix, ...]:
+    """:func:`prepare_werner` of each of the n values ``xis``, built as one stack and checked as one.
+
+    The first ``xi`` outside [0, 1], in order, raises ValueError before
+    any state is built.
+    """
+    xis = [float(xi) for xi in xis]
+    for xi in xis:
+        if not 0.0 <= xi <= 1.0:
+            raise ValueError(f"xi must lie in [0, 1], got {xi}")
+    xis = np.array(xis)
+    mats = (1.0 - xis)[:, None, None] * prepare_probe().mat
     for bits in ENCODED_BASIS:
         i = int(bits, 2)
-        mat[i, i] += xi / 4.0
-    return DensityMatrix(mat, DEFAULT_REGISTER)
+        mats[:, i, i] += xis / 4.0
+    return DensityMatrix._of_stack(mats, DEFAULT_REGISTER)
 
 
 def _record(errors: np.ndarray, new) -> None:
@@ -170,17 +183,19 @@ def _engine_inputs(probe, t, gamma):
 class _Plan:
     """Where the stages of one engine call are non-zero, from :func:`_engine_plan`.
 
-    ``starts`` holds each distinct probe on the rows and columns ``legs``
+    ``tensors`` holds each distinct probe on the rows and columns ``legs``
     (the occupied rest indices with ``i1`` leading, the object's tensor
-    factor); ``which[i]`` is setting i's probe among them, or None when one
-    probe serves every setting.  ``at`` picks the post-object rows
-    ``object_rows`` out of ``legs``, and ``mixer`` is the embedded mixer on
-    those columns and the rows ``mixer_rows`` it reaches.
+    factor), in the layout of ``qcore._kraus_tensor``; ``which[i]`` is
+    setting i's probe among them, or None when one probe serves every
+    setting.  ``index`` picks the entries of the post-object rows
+    ``object_rows`` out of the object's output in that layout, row by row,
+    and ``mixer`` is the embedded mixer on those columns and the rows
+    ``mixer_rows`` it reaches.
     """
 
-    starts: np.ndarray
+    tensors: np.ndarray
     which: np.ndarray | None
-    at: np.ndarray
+    index: np.ndarray
     object_rows: np.ndarray
     mixer_rows: np.ndarray
     mixer: np.ndarray
@@ -218,36 +233,73 @@ def _engine_plan(probe, reg: Register) -> _Plan:
     # kernels would add about 300 kB of code pages to the process's RSS
     place = np.zeros(reg.dim, dtype=int)
     place[legs] = np.arange(len(legs))
-    at = place[object_rows]
-    starts = np.stack([p.mat[legs[:, None], legs] for p in distinct])
-    return _Plan(starts, which, at, object_rows, mixer_rows, mixer[mixer_rows])
+    # entry ((a, x), (b, y)) of a state, a and b on i1, is entry ((a, b), (x, y)) of its tensor layout;
+    # worked out on Python ints, like the lookup above
+    m = len(rest)
+    spots = [divmod(p, m) for p in place[object_rows].tolist()]
+    index = np.array([(2 * a + b) * m * m + m * x + y for a, x in spots for b, y in spots])
+    tensors = np.concatenate([_kraus_tensor(p.mat[legs[:, None], legs][None], 2) for p in distinct])
+    return _Plan(tensors, which, index, object_rows, mixer_rows, mixer[mixer_rows])
 
 
-def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, part: slice):
+def _engine_buffers(plan: _Plan, rows: int) -> dict[str, np.ndarray | None]:
+    """Every pass-sized array of the engine's passes over up to ``rows`` settings, allocated once per engine call.
+
+    Arrays that each pass allocated and freed let glibc trim the top of the
+    heap between passes, and the next pass faulted those pages back in.
+    The checks' Cholesky factors are the one pass-sized allocation left.
+    ``tensor`` gathers per-setting probes and is None for a shared probe.
+    """
+    k1, k2 = len(plan.object_rows), len(plan.mixer_rows)
+    layout = plan.tensors.shape[1:]
+    shapes = {
+        "tensor": layout if plan.which is not None else None,
+        "product": layout,
+        "post_object": (k1, k1),
+        "object_scratch": (k1, k1),
+        "mixed": (k2, k1),
+        "post_mixer": (k2, k2),
+        "mixer_scratch": (k2, k2),
+    }
+    return {name: None if shape is None else np.empty((rows,) + shape, dtype=complex) for name, shape in shapes.items()}
+
+
+def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, part: slice, buffers: dict):
     """One engine pass over the object settings ``part`` of the float arrays ``t``, ``gamma``.
 
     The settings obey :class:`ObjectParams`' rule (:func:`_engine_inputs`),
-    and every stage acts on ``plan``'s blocks of the register ``reg``.
+    and every stage acts on ``plan``'s blocks of the register ``reg``, in
+    the leading rows of ``buffers`` (:func:`_engine_buffers`).
     Returns the post-object stack on ``plan.object_rows``, the post-mixer
-    stack on ``plan.mixer_rows``, the ``(n, 4, 4)`` signal stack and each
+    stack on ``plan.mixer_rows`` (both views of ``buffers``), the
+    ``(n, 4, 4)`` signal stack and each
     setting's first failed engine check (None if it passed): the Kraus
     trace-preserving check, the mixer's normalization and the checks of
     :class:`DensityMatrix` on every stage.  A setting that fails one is
     reported, not raised, and carries on through the pass.
     """
     t, gamma = t[part], gamma[part]
+    n = t.size
+    work = {name: None if buf is None else buf[:n] for name, buf in buffers.items()}
     if plan.which is None:
-        start = np.broadcast_to(plan.starts[0], (t.size,) + plan.starts.shape[1:])
-    else:
-        start = plan.starts[plan.which[part]]
-    errors = np.full(t.size, None, dtype=object)
+        tensor = np.broadcast_to(plan.tensors[0], (n,) + plan.tensors.shape[1:])
+    else:  # mode="clip" writes straight into out; the default buffers a copy (every index is valid)
+        tensor = np.take(plan.tensors, plan.which[part], axis=0, out=work["tensor"], mode="clip")
+    errors = np.full(n, None, dtype=object)
     kraus = object_kraus(t, fold_angles(gamma))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
-    post_object = apply_kraus_stack(start, kraus)[:, plan.at[:, None], plan.at]
-    _record(errors, state_errors(post_object, _block_trace(post_object, plan.object_rows, reg.dim)))
-    post_mixer, vanished = mix_stack(post_object, plan.mixer, plan.mixer_rows, reg.dim)
+    product = np.matmul(_superoperator(kraus), tensor, out=work["product"])
+    post_object = work["post_object"]
+    entries = post_object.reshape(n, plan.index.size)
+    np.take(product.reshape(n, plan.tensors[0].size), plan.index, axis=1, out=entries, mode="clip")
+    trace = _block_trace(post_object, plan.object_rows, reg.dim)
+    _record(errors, state_errors(post_object, trace, work["object_scratch"]))
+    post_mixer, vanished = mix_stack(
+        post_object, plan.mixer, plan.mixer_rows, reg.dim, work["mixed"], work["post_mixer"]
+    )
     _record(errors, np.where(vanished, MIXER_VANISHED, None))
-    _record(errors, state_errors(post_mixer, _block_trace(post_mixer, plan.mixer_rows, reg.dim)))
+    trace = _block_trace(post_mixer, plan.mixer_rows, reg.dim)
+    _record(errors, state_errors(post_mixer, trace, work["mixer_scratch"]))
     signal = partial_trace_stack(post_mixer, reg, ["s1", "s2"], plan.mixer_rows)
     _record(errors, state_errors(signal, np.trace(signal, axis1=1, axis2=2)))
     return post_object, post_mixer, signal, errors
@@ -279,7 +331,8 @@ def pipeline_stages(probe, t, gamma) -> PipelineStages:
     """
     probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
     plan = _engine_plan(probe, reg)
-    post_object, post_mixer, signal, errors = _engine_pass(plan, reg, t, gamma, slice(None))
+    buffers = _engine_buffers(plan, t.size)
+    post_object, post_mixer, signal, errors = _engine_pass(plan, reg, t, gamma, slice(None), buffers)
     stacks = []
     for block, rows in ((post_object, plan.object_rows), (post_mixer, plan.mixer_rows)):
         full = np.zeros((t.size, reg.dim, reg.dim), dtype=complex)
@@ -331,9 +384,10 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
     values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
     rows = _block_rows(len(plan.mixer_rows) ** 2)
+    buffers = _engine_buffers(plan, min(rows, t.size))
     for lo in range(0, t.size, rows):
         part = slice(lo, lo + rows)
-        signal, errors[part] = _engine_pass(plan, reg, t, gamma, part)[2:]
+        signal, errors[part] = _engine_pass(plan, reg, t, gamma, part, buffers)[2:]
         # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
         # setting's value depends neither on how many share its pass nor on
         # how many operators share its step

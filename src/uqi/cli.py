@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .channels import ObjectParams, chi_matrix, fold_angles, object_channel
-from .circuit import _check_sampler, measurement_stack, prepare_probe, prepare_werner, run_batch, sample_frequencies
+from .circuit import _check_sampler, _werner_probes, measurement_stack, prepare_probe, run_batch, sample_frequencies
 from .qcore import _block_rows, partial_transpose
-from .tomography import ImageMaps, _fit, _phase_design, _sinusoid_rows, image_scan, operator_schmidt, visibility
+from .tomography import ImageMaps, _fit, _phase_design, _sinusoid_rows, _visibilities, image_scan, operator_schmidt
 
 DEFAULT_SEED = 42
 _DEG = np.pi / 180.0
@@ -247,7 +247,7 @@ _WERNER_GAMMA_POINTS = 24
 
 def cmd_werner(args) -> int:
     xis = _float_list(args.xi, "xi")
-    probes = [prepare_werner(xi) for xi in xis]  # rejects any xi outside [0, 1]
+    probes = _werner_probes(xis)  # rejects any xi outside [0, 1]
     t = args.T  # the engine applies ObjectParams' rule
     gammas = np.array([2.0 * np.pi * k / _WERNER_GAMMA_POINTS for k in range(_WERNER_GAMMA_POINTS)])
     pair0 = measurement_stack([0.0])[0]
@@ -263,14 +263,16 @@ def cmd_werner(args) -> int:
     clicks = p_h + values[..., 1]
     conds = p_h / clicks
     offsets_raw, half_amps = (p_h[:, None, :] * rows).sum(axis=-1).T.tolist()
+    # the raw rows first: a bad one raises before any conditioned row is read
+    visibilities = _visibilities(np.concatenate([p_h, conds])).tolist()
     columns = [
         xis,
         [2.0 * abs(a) for a in half_amps],
         offsets_raw,
         (conds * rows[0]).sum(axis=-1).tolist(),
         np.mean(1.0 - clicks, axis=-1).tolist(),
-        list(map(visibility, p_h)),
-        list(map(visibility, conds)),
+        visibilities[:len(xis)],
+        visibilities[len(xis):],
         ppt_mins,
     ]
     config = {"xi": xis, "t": t, "gamma_points": _WERNER_GAMMA_POINTS}

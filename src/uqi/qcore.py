@@ -202,7 +202,7 @@ def _block_trace(block, rows, dim: int) -> np.ndarray:
     return diag.sum(axis=1)
 
 
-def state_errors(block, trace) -> np.ndarray:
+def state_errors(block, trace, scratch=None) -> np.ndarray:
     """First failed physicality check of each state, from its occupied block and its trace.
 
     ``block`` is an ``(n, k, k)`` stack of the rows and columns of each
@@ -211,11 +211,17 @@ def state_errors(block, trace) -> np.ndarray:
     :class:`DensityMatrix`, in its order: Hermiticity within 1e-12, unit
     trace within 1e-12, eigenvalues above -1e-10.  Returns an object array
     holding the failed check's message, or None for a physical state.  The
-    block must be finite.
+    block must be finite.  ``scratch``, if given, is a C-contiguous complex
+    array of the block's shape that the checks may overwrite; by default
+    one is allocated.
 
     The verdicts are those of the whole states: outside the block every
     entry is zero, so it adds nothing to the Hermiticity deviation and only
-    zero eigenvalues, which pass.  One batched Cholesky factorization of
+    zero eigenvalues, which pass.  The deviation ``|rho - rho^†|`` of an
+    entry is the ``hypot`` of its real and imaginary parts, so it lies
+    between the larger part and sqrt(2) times it: the parts decide every
+    state but those whose largest part falls in that band around 1e-12,
+    for which the modulus is taken.  One batched Cholesky factorization of
     ``block + 5e-11 I`` screens the stack: it succeeds only if every
     eigenvalue lies above about -5e-11, so every state passes.  If it
     fails, ``eigvalsh`` on the block gives each state's verdict.
@@ -224,9 +230,19 @@ def state_errors(block, trace) -> np.ndarray:
     herm = np.zeros(len(block))
     low = np.zeros(len(block), dtype=bool)
     if block.shape[-1]:  # an all-zero state is Hermitian with zero eigenvalues
-        herm = np.abs(block - block.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        if scratch is None:
+            scratch = np.empty(block.shape, dtype=complex)
+        np.subtract(block.real, block.real.swapaxes(1, 2), out=scratch.real)
+        np.add(block.imag, block.imag.swapaxes(1, 2), out=scratch.imag)
+        parts = scratch.view(float)
+        herm = np.abs(parts, out=parts).max(axis=(1, 2))
+        # 1.4143 is just above sqrt(2), a margin no rounding of the product can cross
+        band = np.flatnonzero((herm <= ATOL) & (herm * 1.4143 > ATOL))
+        if band.size:
+            herm[band] = np.abs(block[band] - block[band].conj().swapaxes(1, 2)).max(axis=(1, 2))
+        np.add(block, (PSD_SLACK / 2) * np.eye(block.shape[-1]), out=scratch)
         try:
-            np.linalg.cholesky(block + (PSD_SLACK / 2) * np.eye(block.shape[-1]))
+            np.linalg.cholesky(scratch)
         except np.linalg.LinAlgError:
             low = np.linalg.eigvalsh(block)[:, 0] < -PSD_SLACK
     errors[herm > ATOL] = "density matrix is not Hermitian within 1e-12"
@@ -234,6 +250,29 @@ def state_errors(block, trace) -> np.ndarray:
         errors[i] = f"density matrix trace {trace[i]} is not 1 within 1e-12"
     errors[low & np.equal(errors, None)] = "density matrix has an eigenvalue below -1e-10"
     return errors
+
+
+def _stack_errors(mats) -> np.ndarray:
+    """:func:`state_errors` of an ``(n, d, d)`` stack of whole finite states, on the rows and columns where some
+    state is non-zero.
+
+    A trace beyond the float range reads inf (or NaN, from partial sums
+    that overflow both ways, which needs a diagonal entry below -9e307)
+    without a warning, and the trace or the eigenvalue check fails.
+    """
+    occupied = _support(mats != 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return state_errors(mats[:, occupied[:, None], occupied], np.trace(mats, axis1=1, axis2=2))
+
+
+def _check_states(mats, register) -> None:
+    """The rule of :class:`DensityMatrix` on an ``(n, d, d)`` stack of finite complex matrices: ValueError with the
+    first failing state's message, in stack order."""
+    if mats.shape[1:] != (register.dim, register.dim):
+        raise ValueError(f"state shape {mats.shape[1:]} does not match register dimension {register.dim}")
+    for err in _stack_errors(mats):
+        if err is not None:
+            raise ValueError(err)
 
 
 def basis_ket(bits: str) -> np.ndarray:
@@ -265,8 +304,10 @@ def embed(op, targets, reg: Register) -> np.ndarray:
         raise ValueError(f"operator shape {op.shape} does not match {k} target wire(s)")
     rest = [i for i in range(reg.n) if i not in idx]
     full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # current leg order is targets + rest; sort legs back into register order
-    return _permute_wires(full, list(np.argsort(idx + rest)))
+    # current leg order is targets + rest; sort legs back into register order, on Python ints: numpy's
+    # argsort would map its SIMD sort kernels, about 0.4 MB of code pages, into the process
+    legs = idx + rest
+    return _permute_wires(full, sorted(range(reg.n), key=legs.__getitem__))
 
 
 @_value_class
@@ -284,19 +325,27 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat).copy()
-        if m.shape != (self.register.dim, self.register.dim):
-            raise ValueError(
-                f"state shape {m.shape} does not match register dimension {self.register.dim}"
-            )
-        # a trace beyond the float range reads inf (or NaN, from partial sums that overflow both ways,
-        # which needs a diagonal entry below -9e307) without a warning: the trace or eigenvalue check fails
-        occupied = _support(m != 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = state_errors(m[np.ix_(occupied, occupied)][None], np.trace(m)[None])[0]
-        if err is not None:
-            raise ValueError(err)
+        _check_states(m[None], self.register)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    @classmethod
+    def _of_stack(cls, mats, register: Register) -> tuple["DensityMatrix", ...]:
+        """The states of an ``(n, d, d)`` complex stack, checked by one :func:`_check_states` call, the rule of
+        ``__post_init__``, instead of one per state.
+
+        The stack is taken over: it is frozen, and each state's ``mat`` is
+        one of its rows.
+        """
+        _check_states(mats, register)
+        mats.setflags(write=False)
+        states = []
+        for m in mats:
+            rho = cls.__new__(cls)
+            object.__setattr__(rho, "mat", m)
+            object.__setattr__(rho, "register", register)
+            states.append(rho)
+        return tuple(states)
 
     @classmethod
     def from_ket(cls, ket, register: Register) -> "DensityMatrix":
@@ -351,6 +400,21 @@ def partial_trace_stack(stack, reg: Register, keep, rows=None) -> np.ndarray:
     return out
 
 
+def _kraus_tensor(stack, d: int) -> np.ndarray:
+    """An ``(n, d m, d m)`` stack in the ``(n, d^2, m^2)`` layout that a ``d^2 x d^2`` superoperator on each state's
+    leading tensor factor acts on by one matmul: row ``(a, b)`` holds the factor's entry ``(a, b)`` of every block
+    ``(x, y)`` of the other factor (a copy)."""
+    n, m = len(stack), stack.shape[-1] // d
+    return stack.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
+
+
+def _superoperator(kraus) -> np.ndarray:
+    """The ``(n, d^2, d^2)`` superoperators of an ``(n, K, d, d)`` stack of Kraus sets, on :func:`_kraus_tensor`'s
+    layout."""
+    n, d = len(kraus), kraus.shape[-1]
+    return np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
+
+
 def apply_kraus_stack(stack, kraus) -> np.ndarray:
     """``rho -> sum_k K_k rho K_k^†`` on the leading tensor factor of each state of an ``(n, d m, d m)`` stack.
 
@@ -365,9 +429,7 @@ def apply_kraus_stack(stack, kraus) -> np.ndarray:
     if stack.shape[-1] % d:
         raise ValueError(f"{d}x{d} Kraus operators have no factor in {stack.shape[-1]}x{stack.shape[-1]} states")
     m = stack.shape[-1] // d
-    tensor = stack.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
-    sup = np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
-    out = (sup @ tensor).reshape(n, d, d, m, m)
+    out = (_superoperator(kraus) @ _kraus_tensor(stack, d)).reshape(n, d, d, m, m)
     return out.transpose(0, 1, 3, 2, 4).reshape(n, d * m, d * m)
 
 

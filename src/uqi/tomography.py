@@ -355,12 +355,20 @@ def estimate_object(probabilities, shots: int = 0) -> ObjectEstimate:
 
 def visibility(p_series) -> float:
     """Fringe visibility ``(P_max - P_min) / (P_max + P_min)``; each probability must be finite and lie in [0, 1] within ``ATOL``."""
-    ps = np.asarray(list(p_series), dtype=float)
-    if ps.size == 0:
+    return float(_visibilities(np.asarray(list(p_series), dtype=float).reshape(1, -1))[0])
+
+
+def _visibilities(series) -> np.ndarray:
+    """:func:`visibility` of each row of an ``(n, m)`` float array; the first bad row, in order, raises its error."""
+    if series.shape[1] == 0:
         raise ValueError("visibility needs a nonempty series")
-    _check_probability(ps, "detection probability")
-    hi, lo = float(ps.max()), float(ps.min())
-    if hi + lo == 0.0:
+    hi, lo = series.max(axis=1), series.min(axis=1)
+    # true exactly for the rows the checks below accept: a non-finite entry makes an extreme non-finite, and a
+    # sum that leaves the float range (or adds inf to -inf) belongs to a row outside [0, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        good = (np.maximum(np.abs(hi - 0.5), np.abs(lo - 0.5)) <= 0.5 + ATOL) & (hi + lo != 0.0)
+    for row in series[~good][:1]:
+        _check_probability(row, "detection probability")
         raise ValueError("visibility is undefined for an all-zero series")
     return (hi - lo) / (hi + lo)
 

@@ -7,10 +7,9 @@ from uqi.qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,
     Register,
-    _support,
+    _stack_errors,
     embed,
     partial_trace_stack,
-    state_errors,
 )
 
 
@@ -84,8 +83,7 @@ def sweep_points(t, g, phis, shots=0, seed=None):
 
 def stack_errors(stack) -> list:
     """``state_errors`` of whole ``(n, d, d)`` states, on the rows and columns where some state is non-zero."""
-    occupied = _support(stack != 0)
-    return state_errors(stack[:, occupied[:, None], occupied], np.trace(stack, axis1=1, axis2=2)).tolist()
+    return _stack_errors(stack).tolist()
 
 
 def _kraus_on_i1(stack, kraus) -> np.ndarray:

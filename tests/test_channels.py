@@ -351,8 +351,9 @@ MIXER_ON_IDLERS = embed(ModeMixer.op, ["i1", "i2"], DEFAULT_REGISTER)
 
 
 def mix_whole(stack, m):
-    """:func:`mix_stack` on whole states: every row and column of the register."""
-    return mix_stack(stack, m, np.arange(len(m)), len(m))
+    """:func:`mix_stack` on whole states: every row and column of the register, in a new array."""
+    n, k = len(stack), len(m)
+    return mix_stack(stack, m, np.arange(k), k, np.empty((n, k, k), dtype=complex), np.empty((n, k, k), dtype=complex))
 
 
 def test_apply_mode_mixer_leaves_00_support_alone():
@@ -383,6 +384,38 @@ def test_apply_mode_mixer_vanishing_support():
     rho = DensityMatrix.from_ket(psi, DEFAULT_REGISTER)
     _, vanished = mix_whole(np.stack([rho.mat, np.eye(16) / 16]), MIXER_ON_IDLERS)
     assert vanished.tolist() == [True, False]
+
+
+def test_mix_stack_renormalizes_in_place_with_the_bits_of_a_division():
+    # the parent formed num = M rho M^† and returned num / norm; mix_stack divides in place in its out array
+    rng = np.random.default_rng(27)
+    singlet = (basis_ket("0010") - basis_ket("0100")) / np.sqrt(2)  # the mixer's kernel: its norm vanishes
+    stack = np.array(
+        [random_density_matrix(rng, DEFAULT_REGISTER).mat for _ in range(5)]
+        + [np.outer(singlet, singlet.conj()), np.zeros((16, 16)), np.diag(np.arange(16.0) / 120)]
+    )
+    stack[1, ::2, 1::2] = stack[1, 1::2, ::2] = 0.0  # exact zeros on a checkerboard
+    out = np.full((len(stack), 16, 16), np.nan, dtype=complex)
+    mixed, vanished = mix_stack(stack, MIXER_ON_IDLERS, np.arange(16), 16, np.empty_like(out), out)
+    num = MIXER_ON_IDLERS @ stack @ MIXER_ON_IDLERS.conj().T
+    norm = np.trace(num, axis1=1, axis2=2).real
+    assert vanished.tolist() == (norm <= 1e-14).tolist() == [False] * 5 + [True, True, False]
+    assert mixed is out
+    assert out.tobytes() == (num / np.where(vanished, 1.0, norm)[:, None, None]).tobytes()
+
+
+def test_in_place_division_keeps_signed_zeros_and_unit_divisors():
+    # the identity mix_stack relies on: np.divide into its own operand gives the bits of num / norm,
+    # where a multiply by the reciprocal flips the sign of some zeros
+    parts = np.array([0.0, -0.0, 1e-300, -3.5, 5e-324, -0.0, 0.25, 0.0])
+    num = (parts[:, None] + 1j * parts[None, ::-1]).reshape(4, 4, 4)
+    norm = np.array([3.0, 1.0, 0.7, 1.0])  # 1.0 in place of a vanished normalization
+    want = num / norm[:, None, None]
+    reciprocal = num * (1.0 / norm)[:, None, None]
+    np.divide(num, norm[:, None, None], out=num)
+    assert num.tobytes() == want.tobytes()
+    flipped = np.signbit(reciprocal.view(float)) != np.signbit(want.view(float))
+    assert flipped.any() and (want.view(float)[flipped] == 0.0).all()
 
 
 def test_channel_tensor_product():

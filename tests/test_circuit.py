@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from conftest import readout, unmixed_readout
 
-from uqi import qcore
+from uqi import circuit, qcore
 from uqi.circuit import (
+    ENCODED_BASIS,
     bell_ket,
     measurement_stack,
     pipeline_stages,
@@ -11,7 +12,7 @@ from uqi.circuit import (
     prepare_werner,
     sample_frequencies,
 )
-from uqi.qcore import PAULI, DensityMatrix, basis_ket, partial_transpose, pauli_decompose
+from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, basis_ket, partial_transpose, pauli_decompose
 
 ATOL = 1e-12
 
@@ -71,6 +72,39 @@ def test_werner_out_of_range():
         prepare_werner(-0.01)
     with pytest.raises(ValueError):
         prepare_werner(1.01)
+
+
+def one_werner_state(xi: float) -> np.ndarray:
+    """The Werner matrix formed one state at a time: the reference for the stacked build."""
+    mat = (1.0 - xi) * prepare_probe().mat
+    for bits in ENCODED_BASIS:
+        i = int(bits, 2)
+        mat[i, i] += xi / 4.0
+    return mat
+
+
+def test_werner_probes_built_as_one_stack_keep_the_bits_of_one_state(monkeypatch):
+    xis = [0.0, 0.3, 2.0 / 3.0, 1.0]
+    probes = circuit._werner_probes(xis * 2)
+    assert len(probes) == 8
+    for xi, probe in zip(xis * 2, probes):
+        assert probe.mat.tobytes() == prepare_werner(xi).mat.tobytes() == one_werner_state(xi).tobytes()
+        assert probe == prepare_werner(xi) and probe.register == DEFAULT_REGISTER
+        assert not probe.mat.flags.writeable
+    calls = []
+    state_errors = qcore.state_errors
+    monkeypatch.setattr(qcore, "state_errors", lambda *args: calls.append(len(args[0])) or state_errors(*args))
+    circuit._werner_probes(np.linspace(0.0, 1.0, 61))
+    assert calls == [61]  # the stack is checked by one call
+
+
+@pytest.mark.parametrize("bad", [1.01, -0.01, float("nan"), float("inf")])
+def test_werner_probes_reject_the_first_bad_xi_as_prepare_werner_does(bad):
+    with pytest.raises(ValueError) as alone:
+        prepare_werner(bad)
+    with pytest.raises(ValueError) as stacked:
+        circuit._werner_probes([0.3, bad, 2.0, -1.0])
+    assert str(stacked.value) == str(alone.value) == f"xi must lie in [0, 1], got {bad}"
 
 
 def test_werner_ppt_threshold():

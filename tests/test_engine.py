@@ -1,7 +1,11 @@
 """Differential tests of the batched engine and its stage view against a
 loop over embedded Kraus operators and the closed forms."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,9 +124,10 @@ def passes_of(monkeypatch, chunk, probe, ts, gammas) -> list:
     sizes = []
     engine_pass = circuit._engine_pass
 
-    def counted(plan, reg, t, gamma, part):
-        sizes.append(t[part].size)
-        return engine_pass(plan, reg, t, gamma, part)
+    def counted(*args, **kwargs):
+        stages = engine_pass(*args, **kwargs)
+        sizes.append(len(stages[2]))  # the pass's signal stack: one state per setting
+        return stages
 
     monkeypatch.setattr(circuit, "_engine_pass", counted)
     return sizes
@@ -194,7 +199,8 @@ def test_distinct_probes_are_held_only_on_their_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert plan.starts.shape == (1000, 8, 8)  # the Werner probe's rest indices, with i1 leading
+    # the Werner probe's 8 rest indices, with i1 leading, in the object's (i1 x i1, rest x rest) layout
+    assert plan.tensors.shape == (1000, 4, 16)
     assert peak < 1000 * 16 * 16 * 16, peak
 
 
@@ -241,7 +247,7 @@ def test_per_setting_probes_are_validated():
     (0.5, np.nan, "phase must be finite, got nan"),
 ], ids=["T", "gamma"])
 def test_bad_object_setting_raises_before_any_pass(monkeypatch, bad_t, bad_gamma, message):
-    def no_pass(*args):
+    def no_pass(*args, **kwargs):
         raise AssertionError("an engine pass ran before the settings were checked")
 
     monkeypatch.setattr(circuit, "_engine_pass", no_pass)
@@ -330,3 +336,30 @@ def test_engine_matches_whole_stack_reference(name):
     live = ~np.isnan(values)
     assert np.array_equal(np.isnan(batch.values), ~live)
     assert np.max(np.abs(batch.values[live] - values[live]), initial=0.0) <= 1e-15
+
+
+# one werner-shaped run_batch in a fresh process: 61 Werner probes x 24 phases, 16 passes of 96 settings;
+# prints the minor page faults the call took
+_WERNER_BATCH_FAULTS = """
+import resource
+import numpy as np
+from uqi.circuit import measurement_stack, prepare_werner, run_batch
+probes = [prepare_werner(xi) for xi in np.linspace(0.0, 1.0, 61)]
+gammas = 2.0 * np.pi * np.arange(24) / 24
+pair = measurement_stack([0.0])[0]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_batch([p for p in probes for _ in gammas], np.full(61 * 24, 0.83), np.tile(gammas, 61), pair)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_werner_shaped_batch_does_not_fault_its_passes_back_in():
+    # when every pass allocated and freed its arrays, glibc trimmed the heap and the next pass faulted
+    # those pages back in: about 3,400 minor faults (13 MB) in this call; with the engine's arrays
+    # allocated once per call it takes 140 to 440, by what the process allocated before it
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(circuit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WERNER_BATCH_FAULTS], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(proc.stdout) < 1000, proc.stdout

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_unitary, stack_errors
 
+from uqi import qcore
 from uqi.circuit import pipeline_stages, prepare_probe, prepare_werner
 from uqi.qcore import ATOL, DEFAULT_REGISTER, PSD_SLACK, DensityMatrix
 
@@ -162,3 +163,71 @@ def test_density_matrix_validation_matches_full_checks():
             with pytest.raises(ValueError) as info:
                 DensityMatrix(m, DEFAULT_REGISTER)
             assert str(info.value) == want
+
+
+SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("re, im", [
+    (0.999 * SQRT_HALF, 0.999 * SQRT_HALF),  # both parts just below ATOL/sqrt(2): the parts clear it
+    (0.999 * SQRT_HALF, 0.0),
+    (SQRT_HALF, SQRT_HALF),  # the band's lower edge: |d| rounds to ATOL
+    (0.72, 0.72),  # in the band, |d| = 1.018 ATOL: fails
+    (0.75, 0.0),  # in the band, |d| = 0.75 ATOL: passes
+    (0.0, -0.9),
+    (0.9, 0.43),  # |d| = 0.997 ATOL: passes
+    (0.9, -0.45),  # |d| = 1.006 ATOL: fails
+    (1.0, 0.0),  # |d| = ATOL exactly: passes
+    (1.001, 0.0),  # just above ATOL: the real part alone fails it
+    (0.0, 1.001),
+    (-1.001, 0.2),
+], ids=lambda v: f"{v:+.4g}")
+def test_hermiticity_from_parts_matches_the_modulus(re, im):
+    # the deviation rho_ij - conj(rho_ji) = (re + i im) ATOL on one entry of an exactly Hermitian state
+    index = [2, 5, 11]
+    state = padded(np.diag([0.5, 0.3, 0.2]).astype(complex), index)
+    state[5, 11] += complex(re, im) * ATOL
+    deviation = abs(complex(re, im) * ATOL)
+    want = "density matrix is not Hermitian within 1e-12" if deviation > ATOL else None
+    assert stack_errors(state[None]) == reference_errors(state[None]) == [want]
+
+
+def test_hermiticity_band_is_taken_per_state():
+    # states inside and outside the band around ATOL in one stack, beside clean ones
+    index = [0, 3, 12, 15]
+    base = padded(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), index)
+    stack = np.array([base] * 8)
+    for s, d in enumerate([0.0, 0.72 + 0.72j, 0.75, 0.5 + 0.5j, 1.001j, 0.9 - 0.43j, 0.9 - 0.45j, 0.0]):
+        stack[s, 3, 12] += d * ATOL
+    got = stack_errors(stack)
+    assert got == reference_errors(stack)
+    assert [e is not None for e in got] == [False, True, False, False, True, False, True, False]
+
+
+def test_stack_of_states_takes_the_density_matrix_rule(monkeypatch):
+    # one validator for DensityMatrix and for a stack of states: the first failing state's message, in order
+    rng = np.random.default_rng(16)
+    index = [1, 4, 7]
+    good = [padded(random_state(rng, 3), index) for _ in range(3)]
+    skew = good[0].copy()
+    skew[1, 7] += 1e-9
+    low = padded(with_spectrum(rng, [-1e-3, 0.5, 0.503]), index)
+    for stack in ([good[0], low, good[1], skew], [good[2], skew, low], [1.5 * good[0], skew]):
+        mats = np.array(stack)
+        want = next(err for err in reference_errors(mats) if err is not None)
+        with pytest.raises(ValueError) as whole:
+            DensityMatrix._of_stack(mats, DEFAULT_REGISTER)
+        first_bad = next(m for m in stack if reference_errors(m[None])[0] is not None)
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(first_bad, DEFAULT_REGISTER)
+        assert str(whole.value) == str(alone.value) == want
+    calls = []
+    state_errors = qcore.state_errors
+    monkeypatch.setattr(qcore, "state_errors", lambda *args: calls.append(len(args[0])) or state_errors(*args))
+    states = DensityMatrix._of_stack(np.array(good), DEFAULT_REGISTER)
+    assert calls == [3]  # one check of the whole stack
+    for m, rho in zip(good, states):
+        assert rho == DensityMatrix(m, DEFAULT_REGISTER)
+        assert not rho.mat.flags.writeable
+    with pytest.raises(ValueError, match=r"state shape \(4, 4\) does not match register dimension 16"):
+        DensityMatrix._of_stack(np.zeros((2, 4, 4), dtype=complex), DEFAULT_REGISTER)

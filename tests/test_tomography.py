@@ -36,6 +36,7 @@ from uqi.tomography import (
     _fit,
     _phase_design,
     _sinusoid_rows,
+    _visibilities,
     aapt_predict,
     estimate_object,
     image_scan,
@@ -574,6 +575,54 @@ def test_visibility_errors():
         visibility([0.0, 0.0])
     with pytest.raises(ValueError):
         visibility([-0.1, 0.5])
+
+
+def one_visibility(series) -> float:
+    """Visibility of one series, as ``visibility`` computed it before the batched form (checks included)."""
+    ps = np.asarray(list(series), dtype=float)
+    if ps.size == 0:
+        raise ValueError("visibility needs a nonempty series")
+    qcore._check_probability(ps, "detection probability")
+    hi, lo = float(ps.max()), float(ps.min())
+    if hi + lo == 0.0:
+        raise ValueError("visibility is undefined for an all-zero series")
+    return (hi - lo) / (hi + lo)
+
+
+def test_batched_visibilities_match_visibility_row_by_row():
+    rng = np.random.default_rng(27)
+    rows = rng.uniform(0.0, 1.0, (40, 24))
+    rows[1] = 0.4  # a flat series
+    rows[2, 5] = 1.0 + ATOL / 2  # within ATOL of [0, 1]
+    rows[3, 7] = -ATOL / 2
+    rows[4] = 0.0
+    rows[4, 3] = 1e-300
+    rows[5, ::2] = -0.0
+    got = _visibilities(rows)
+    assert got.shape == (40,)
+    for row, value in zip(rows, got.tolist()):
+        assert repr(value) == repr(visibility(row)) == repr(one_visibility(row))
+
+
+BAD_ROWS = {
+    "nan": [0.5, np.nan], "inf": [np.inf, 0.2], "above": [2.0, 0.5], "below": [-0.1, 0.5],
+    "all-zero": [0.0, -0.0], "huge": [8.98846567431158e307, 8.98846567431158e307], "both-infs": [np.inf, -np.inf],
+}
+
+
+@pytest.mark.parametrize("first", sorted(BAD_ROWS))
+def test_batched_visibilities_raise_the_first_bad_rows_error(first):
+    with pytest.raises(ValueError) as alone:
+        one_visibility(BAD_ROWS[first])
+    with pytest.raises(ValueError) as single:
+        visibility(BAD_ROWS[first])
+    # a good row before it and every other bad row after it: the first bad row in order is reported
+    rows = np.array([[0.2, 0.7], BAD_ROWS[first]] + [r for name, r in sorted(BAD_ROWS.items()) if name != first])
+    with pytest.raises(ValueError) as batched:
+        _visibilities(rows)
+    assert str(batched.value) == str(single.value) == str(alone.value)
+    with pytest.raises(ValueError, match="nonempty series"):
+        _visibilities(np.zeros((3, 0)))
 
 
 def test_image_maps_validation():
