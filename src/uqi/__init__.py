@@ -14,8 +14,6 @@ from .channels import (
     ModeMixer,
     ObjectParams,
     chi_matrix,
-    choi_matrix,
-    choi_psd_check,
     object_channel,
 )
 from .circuit import (
@@ -40,7 +38,6 @@ from .qcore import (
     basis_ket,
     embed,
     partial_transpose,
-    pauli_decompose,
 )
 from .tomography import (
     ImageMaps,

@@ -18,11 +18,9 @@ to a fixed state ``|Xi>``, the rest of the two-wire space is untouched.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .qcore import ATOL, PAULI, PSD_SLACK, _block_trace, _unit_scaled, _value_class, as_complex_matrix
+from .qcore import ATOL, PAULI, PSD_SLACK, _block_trace, _value_class, as_complex_matrix
 
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
 
@@ -73,8 +71,7 @@ class KrausChannel:
     """Completely positive trace-preserving map as a list of Kraus operators.
 
     Trace preservation (``sum K^† K = I`` within 1e-12) is enforced at
-    construction; complete positivity is automatic in this form and can be
-    re-checked explicitly through :func:`choi_psd_check`.
+    construction; complete positivity is automatic in this form.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -148,17 +145,6 @@ class ChiMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def apply(self, mat) -> np.ndarray:
-        """Reconstruct the channel action from chi (the round trip)."""
-        mat = as_complex_matrix(mat)
-        out = np.zeros((2, 2), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                c = self.entries[a, b]
-                if c != 0:
-                    out += 0.5 * c * _PAULI_SEQ[a] @ mat @ _PAULI_SEQ[b]
-        return out
-
 
 def chi_matrix(ch: KrausChannel) -> ChiMatrix:
     """Chi representation of a single-qubit channel.
@@ -172,43 +158,6 @@ def chi_matrix(ch: KrausChannel) -> ChiMatrix:
         [[np.trace(s @ k) / np.sqrt(2) for s in _PAULI_SEQ] for k in ch.kraus_ops]
     )
     return ChiMatrix(coeffs.T @ coeffs.conj())
-
-
-def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
-    """Choi matrix from an unnormalized maximally entangled pair.
-
-    ``channel`` is a :class:`KrausChannel` or any callable acting on a
-    ``dim x dim`` matrix (callables let non-CP maps, e.g. transposition,
-    be probed too).  Layout: ``sum_ij |i><j| (x) E[|i><j|]``.
-    """
-    if isinstance(channel, KrausChannel):
-        fn, d = channel.apply, channel.dim
-    else:
-        if dim is None:
-            raise ValueError("dim is required when passing a bare callable")
-        fn, d = channel, dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out += np.kron(unit, as_complex_matrix(fn(unit)))
-    return out
-
-
-def choi_psd_check(channel, dim: int | None = None) -> tuple[bool, float]:
-    """Complete-positivity test: Choi positivity within the 1e-10 slack.
-
-    Returns ``(is_psd, min_eigenvalue)``; an eigenvalue beyond the float
-    range raises ValueError.
-    """
-    c, e = _unit_scaled(choi_matrix(channel, dim))  # eigvalsh on parts within 1, scaled back by 2**e
-    c = (c + c.conj().T) / 2  # symmetrize rounding noise before eigvalsh
-    try:
-        min_eig = math.ldexp(float(np.linalg.eigvalsh(c).min()), e)
-    except OverflowError:
-        raise ValueError("Choi matrix eigenvalue lies beyond the float range") from None
-    return min_eig >= -PSD_SLACK, min_eig
 
 
 @_value_class

@@ -50,11 +50,12 @@ from .qcore import (
     _kraus_tensor,
     _superoperator,
     _support,
+    _trace_groups,
+    _traced,
     _value_class,
     as_complex_matrix,
     basis_ket,
     embed,
-    partial_trace_stack,
     state_errors,
 )
 
@@ -154,11 +155,12 @@ def _record(errors: np.ndarray, new) -> None:
 
 
 def _engine_inputs(probe, t, gamma):
-    """One engine call's validated inputs: ``(probe, register, t, gamma)``.
+    """One engine call's validated inputs: ``(probes, which, register, t, gamma)``.
 
-    ``probe`` stays the one :class:`DensityMatrix` every setting shares,
-    or becomes a tuple of one per setting, all on one register; ``t`` and
-    ``gamma`` become flat float arrays of the n settings, each of which
+    ``probes`` holds the distinct probes, all on one register, and
+    ``which[i]`` is setting i's probe among them: for the one
+    :class:`DensityMatrix` every setting shares, a broadcast zero.  ``t``
+    and ``gamma`` become flat float arrays of the n settings, each of which
     must obey :class:`ObjectParams`' rule.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -166,17 +168,20 @@ def _engine_inputs(probe, t, gamma):
     if t.shape != gamma.shape:
         raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
     if isinstance(probe, DensityMatrix):
-        reg = probe.register
+        probes, which = (probe,), np.broadcast_to(0, t.size)
     else:
         probe = tuple(probe)
         if len(probe) != t.size or not probe:
             raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
-        reg = probe[0].register
-        # identity first: the probes of one call usually share one Register object
-        if any(p.register is not reg and p.register != reg for p in probe):
-            raise ValueError(f"probes must share one register, got {len({p.register for p in probe})}")
+        index = {}
+        which = np.array([index.setdefault(id(p), len(index)) for p in probe])
+        probes = tuple({id(p): p for p in probe}.values())
+    reg = probes[0].register
+    # identity first: the probes of one call usually share one Register object
+    if any(p.register is not reg and p.register != reg for p in probes):
+        raise ValueError(f"probes must share one register, got {len({p.register for p in probes})}")
     _check_object_params(t, gamma)
-    return probe, reg, t, gamma
+    return probes, which, reg, t, gamma
 
 
 @_value_class
@@ -186,23 +191,25 @@ class _Plan:
     ``tensors`` holds each distinct probe on the rows and columns ``legs``
     (the occupied rest indices with ``i1`` leading, the object's tensor
     factor), in the layout of ``qcore._kraus_tensor``; ``which[i]`` is
-    setting i's probe among them, or None when one probe serves every
-    setting.  ``index`` picks the entries of the post-object rows
-    ``object_rows`` out of the object's output in that layout, row by row,
-    and ``mixer`` is the embedded mixer on those columns and the rows
-    ``mixer_rows`` it reaches.
+    setting i's probe among them.  ``index`` picks the entries of the
+    post-object rows ``object_rows`` out of the object's output in that
+    layout, row by row, and ``mixer`` is the embedded mixer on those
+    columns and the rows ``mixer_rows`` it reaches.  ``idler_trace`` holds
+    the index groups that trace the idlers out of the post-mixer block
+    (``qcore._trace_groups``).
     """
 
     tensors: np.ndarray
-    which: np.ndarray | None
+    which: np.ndarray
     index: np.ndarray
     object_rows: np.ndarray
     mixer_rows: np.ndarray
     mixer: np.ndarray
+    idler_trace: tuple
 
 
-def _engine_plan(probe, reg: Register) -> _Plan:
-    """The occupied blocks of one engine call on ``probe`` (:func:`_engine_inputs`), found once from its operators.
+def _engine_plan(probes, which, reg: Register) -> _Plan:
+    """The occupied blocks of one engine call (:func:`_engine_inputs`), found once from its operators.
 
     The probe block is the union support of the distinct probes.  The
     object's Kraus pair on ``i1`` takes it to the post-object rows, and the
@@ -210,14 +217,8 @@ def _engine_plan(probe, reg: Register) -> _Plan:
     a stage outside its rows is zero.  A probe with full support gives the
     whole register at every stage.
     """
-    if isinstance(probe, DensityMatrix):
-        distinct, which = [probe], None
-    else:
-        index = {}
-        which = np.array([index.setdefault(id(p), len(index)) for p in probe])
-        distinct = list({id(p): p for p in probe}.values())
     nonzero = np.zeros((reg.dim, reg.dim), dtype=bool)
-    for p in distinct:  # probe by probe: no stack of whole probes is built
+    for p in probes:  # probe by probe: no stack of whole probes is built
         nonzero |= p.mat != 0
     occupied = _support(nonzero)
     i1 = 1 << (reg.n - 1 - reg.index("i1"))
@@ -238,22 +239,23 @@ def _engine_plan(probe, reg: Register) -> _Plan:
     m = len(rest)
     spots = [divmod(p, m) for p in place[object_rows].tolist()]
     index = np.array([(2 * a + b) * m * m + m * x + y for a, x in spots for b, y in spots])
-    tensors = np.concatenate([_kraus_tensor(p.mat[legs[:, None], legs][None], 2) for p in distinct])
-    return _Plan(tensors, which, index, object_rows, mixer_rows, mixer[mixer_rows])
+    tensors = np.concatenate([_kraus_tensor(p.mat[legs[:, None], legs][None], 2) for p in probes])
+    idler_trace = _trace_groups(reg, ["s1", "s2"], mixer_rows)
+    return _Plan(tensors, which, index, object_rows, mixer_rows, mixer[mixer_rows], idler_trace)
 
 
-def _engine_buffers(plan: _Plan, rows: int) -> dict[str, np.ndarray | None]:
+def _engine_buffers(plan: _Plan, rows: int) -> dict[str, np.ndarray]:
     """Every pass-sized array of the engine's passes over up to ``rows`` settings, allocated once per engine call.
 
     Arrays that each pass allocated and freed let glibc trim the top of the
     heap between passes, and the next pass faulted those pages back in.
     The checks' Cholesky factors are the one pass-sized allocation left.
-    ``tensor`` gathers per-setting probes and is None for a shared probe.
+    ``tensor`` gathers each setting's probe.
     """
     k1, k2 = len(plan.object_rows), len(plan.mixer_rows)
     layout = plan.tensors.shape[1:]
     shapes = {
-        "tensor": layout if plan.which is not None else None,
+        "tensor": layout,
         "product": layout,
         "post_object": (k1, k1),
         "object_scratch": (k1, k1),
@@ -261,7 +263,7 @@ def _engine_buffers(plan: _Plan, rows: int) -> dict[str, np.ndarray | None]:
         "post_mixer": (k2, k2),
         "mixer_scratch": (k2, k2),
     }
-    return {name: None if shape is None else np.empty((rows,) + shape, dtype=complex) for name, shape in shapes.items()}
+    return {name: np.empty((rows,) + shape, dtype=complex) for name, shape in shapes.items()}
 
 
 def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, part: slice, buffers: dict):
@@ -280,11 +282,9 @@ def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, p
     """
     t, gamma = t[part], gamma[part]
     n = t.size
-    work = {name: None if buf is None else buf[:n] for name, buf in buffers.items()}
-    if plan.which is None:
-        tensor = np.broadcast_to(plan.tensors[0], (n,) + plan.tensors.shape[1:])
-    else:  # mode="clip" writes straight into out; the default buffers a copy (every index is valid)
-        tensor = np.take(plan.tensors, plan.which[part], axis=0, out=work["tensor"], mode="clip")
+    work = {name: buf[:n] for name, buf in buffers.items()}
+    # mode="clip" writes straight into out; the default buffers a copy (every index is valid)
+    tensor = np.take(plan.tensors, plan.which[part], axis=0, out=work["tensor"], mode="clip")
     errors = np.full(n, None, dtype=object)
     kraus = object_kraus(t, fold_angles(gamma))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
@@ -300,7 +300,7 @@ def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, p
     _record(errors, np.where(vanished, MIXER_VANISHED, None))
     trace = _block_trace(post_mixer, plan.mixer_rows, reg.dim)
     _record(errors, state_errors(post_mixer, trace, work["mixer_scratch"]))
-    signal = partial_trace_stack(post_mixer, reg, ["s1", "s2"], plan.mixer_rows)
+    signal = _traced(post_mixer, plan.idler_trace, 4)
     _record(errors, state_errors(signal, np.trace(signal, axis1=1, axis2=2)))
     return post_object, post_mixer, signal, errors
 
@@ -329,8 +329,8 @@ def pipeline_stages(probe, t, gamma) -> PipelineStages:
     settings: the same input rules, blocks, checks and per-setting messages
     as in :func:`run_batch`, with the blocks placed in full stacks.
     """
-    probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
-    plan = _engine_plan(probe, reg)
+    probes, which, reg, t, gamma = _engine_inputs(probe, t, gamma)
+    plan = _engine_plan(probes, which, reg)
     buffers = _engine_buffers(plan, t.size)
     post_object, post_mixer, signal, errors = _engine_pass(plan, reg, t, gamma, slice(None), buffers)
     stacks = []
@@ -374,13 +374,13 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
     finite; so does a readout value beyond the float range, in the pass
     that finds it.  Only the engine's own checks give a per-setting NaN.
     """
-    probe, reg, t, gamma = _engine_inputs(probe, t, gamma)
+    probes, which, reg, t, gamma = _engine_inputs(probe, t, gamma)
     readout = np.asarray(readout)
     if readout.shape[-2:] != (4, 4):
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     _check_finite(readout, "readout operators")
     flat = readout.reshape(-1, 16)
-    plan = _engine_plan(probe, reg)
+    plan = _engine_plan(probes, which, reg)
     values = np.empty((t.size, len(flat)))
     errors = np.full(t.size, None, dtype=object)
     rows = _block_rows(len(plan.mixer_rows) ** 2)

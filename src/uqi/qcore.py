@@ -3,9 +3,9 @@
 Everything in this package runs through the primitives defined here:
 embedding of small operators onto a labeled register, the batched
 physicality checks, the Kraus action on a stack of states, partial
-trace, partial transpose and Pauli-basis decomposition.  Matrices are
-plain complex numpy arrays; states are wrapped in :class:`DensityMatrix`,
-which validates physicality on construction.
+trace and partial transpose.  Matrices are plain complex numpy arrays;
+states are wrapped in :class:`DensityMatrix`, which validates
+physicality on construction.
 
 Conventions:
 
@@ -16,10 +16,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
-import math
 
 import numpy as np
 
@@ -52,14 +48,6 @@ def _check_probability(values, name: str) -> None:
     if values.size and max(abs(values.min() - 0.5), abs(values.max() - 0.5)) > 0.5 + ATOL:
         outside = values[np.abs(values - 0.5) > 0.5 + ATOL]
         raise ValueError(f"{name} must lie in [0, 1], got {outside[0].item()}")
-
-
-def _unit_scaled(m) -> tuple[np.ndarray, int]:
-    """``(m / 2**e, e)`` for a finite complex array, with the least ``e`` that brings every real and imaginary part
-    within 1: exact for parts in the normal range, so that a sum over the parts can no longer overflow."""
-    parts = np.ascontiguousarray(m).view(float)
-    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
-    return np.ldexp(parts, -e).view(complex), e
 
 
 PAULI = {
@@ -384,20 +372,38 @@ def partial_trace_stack(stack, reg: Register, keep, rows=None) -> np.ndarray:
     the caller checks the resulting states.
     """
     keep = list(keep)
+    return _traced(stack, _trace_groups(reg, keep, rows), 2 ** len(keep))
+
+
+def _trace_groups(reg: Register, keep: list, rows=None) -> tuple:
+    """:func:`partial_trace_stack`'s index groups, which depend on the register, the kept wires and the rows alone:
+    for each value of the discarded wires, ascending, the flat indices of its entries in the reduced matrix and in
+    the block."""
     if not keep:
         raise ValueError("keep set must be nonempty")
     bits = [reg.n - 1 - i for i in reg.positions(keep)]
     mask = sum(1 << b for b in bits)
+    rows = range(reg.dim) if rows is None else np.asarray(rows).tolist()
     # the few indices are worked out on Python ints, which adds no numpy code pages to the RSS
     groups = {}
-    for at, row in enumerate(range(reg.dim) if rows is None else np.asarray(rows).tolist()):
+    for at, row in enumerate(rows):
         kept = sum(((row >> b) & 1) << (len(bits) - 1 - j) for j, b in enumerate(bits))
         groups.setdefault(row & ~mask, []).append((at, kept))
-    out = np.zeros((len(stack), 2 ** len(keep), 2 ** len(keep)), dtype=complex)
-    for value in sorted(groups):
-        at, kept = np.array(groups[value]).T
-        out[:, kept[:, None], kept] += stack[:, at[:, None], at]
-    return out
+    side = 2 ** len(keep)
+    return tuple(
+        (np.array([side * a + b for _, a in group for _, b in group]),
+         np.array([len(rows) * a + b for a, _ in group for b, _ in group]))
+        for _, group in sorted(groups.items())
+    )
+
+
+def _traced(stack, groups, side: int) -> np.ndarray:
+    """The ``(n, side, side)`` reduced matrices of a block stack, from its :func:`_trace_groups`."""
+    out = np.zeros((len(stack), side * side), dtype=complex)
+    flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
+    for reduced, block in groups:
+        out[:, reduced] += flat[:, block]
+    return out.reshape(len(stack), side, side)
 
 
 def _kraus_tensor(stack, d: int) -> np.ndarray:
@@ -413,24 +419,6 @@ def _superoperator(kraus) -> np.ndarray:
     layout."""
     n, d = len(kraus), kraus.shape[-1]
     return np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
-
-
-def apply_kraus_stack(stack, kraus) -> np.ndarray:
-    """``rho -> sum_k K_k rho K_k^†`` on the leading tensor factor of each state of an ``(n, d m, d m)`` stack.
-
-    ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
-    set.  The set becomes one ``d^2 x d^2`` superoperator per state, which
-    acts on the factor's row and column legs of that state by a single
-    batched matmul, one column per entry of the other factor.  A state
-    dimension that ``d`` does not divide raises ValueError; nothing else is
-    validated, and the caller checks the resulting states.
-    """
-    n, d = len(stack), kraus.shape[-1]
-    if stack.shape[-1] % d:
-        raise ValueError(f"{d}x{d} Kraus operators have no factor in {stack.shape[-1]}x{stack.shape[-1]} states")
-    m = stack.shape[-1] // d
-    out = (_superoperator(kraus) @ _kraus_tensor(stack, d)).reshape(n, d, d, m, m)
-    return out.transpose(0, 1, 3, 2, 4).reshape(n, d * m, d * m)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
@@ -449,26 +437,3 @@ def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
         axes[i], axes[n + i] = axes[n + i], axes[i]
     t = rho.mat.reshape((2,) * (2 * n)).transpose(axes)
     return np.ascontiguousarray(t.reshape(rho.register.dim, rho.register.dim))
-
-
-def pauli_decompose(m) -> dict[str, complex]:
-    """Expand a ``2**n x 2**n`` matrix over the Pauli strings of n wires.
-
-    Returns ``{label: c_P}`` with ``c_P = Tr[P m] / 2^n``, one letter of
-    ``IXYZ`` per wire, in ``IXYZ`` order; terms below 1e-14 in magnitude
-    are dropped, so ``m = sum_P c_P P`` over the returned labels.  Each part
-    of ``c_P`` is at most ``m``'s largest part in magnitude, so it is finite.
-    """
-    m = as_complex_matrix(m)
-    n = len(m).bit_length() - 1
-    if n < 1 or m.shape != (2**n, 2**n):
-        raise ValueError(f"matrix shape {m.shape} is not 2**n x 2**n with n >= 1")
-    m, e = _unit_scaled(m)  # each coefficient is scaled back by 2**e
-    terms = {}
-    for letters in itertools.product("IXYZ", repeat=n):
-        p = functools.reduce(np.kron, [PAULI[w] for w in letters])
-        c = complex(np.einsum("ij,ji->", p, m) / 2**n)
-        c = complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
-        if abs(c / 2) > 1e-14 / 2:  # halved, so the modulus cannot overflow
-            terms["".join(letters)] = c
-    return terms

@@ -52,13 +52,6 @@ class SchmidtData:
     def rank(self) -> int:
         return len(self.r)
 
-    def reconstruct(self) -> np.ndarray:
-        """``sum_l r_l A_l (x) B_l`` on the (A wires, B wires) ordering."""
-        out = np.zeros((self.dim_a * self.dim_b,) * 2, dtype=complex)
-        for r, a, b in zip(self.r, self.a_ops, self.b_ops):
-            out += r * np.kron(a, b)
-        return out
-
 
 def _hermitian_basis(cols: list[np.ndarray], k: int) -> list[np.ndarray] | None:
     """Orthonormal Hermitian basis of span(cols), or None if there is none.

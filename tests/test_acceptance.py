@@ -8,11 +8,11 @@ import time
 
 import numpy as np
 from conftest import angle_diff, readout, sweep_points, unmixed_readout
+from verifiers import chi_apply, choi_psd_check, pauli_decompose
 
 from uqi.channels import (
     ObjectParams,
     chi_matrix,
-    choi_psd_check,
     object_channel,
 )
 from uqi.circuit import (
@@ -22,7 +22,7 @@ from uqi.circuit import (
     prepare_probe,
     prepare_werner,
 )
-from uqi.qcore import PAULI, partial_transpose, pauli_decompose
+from uqi.qcore import PAULI, partial_transpose
 from uqi.tomography import ImageMaps, estimate_object, image_scan, operator_schmidt
 
 TOL = 1e-12
@@ -116,7 +116,7 @@ def test_criterion_4_object_channel_validity():
             for j in range(2):
                 unit = np.zeros((2, 2), dtype=complex)
                 unit[i, j] = 1.0
-                worst_chi = max(worst_chi, float(np.max(np.abs(chi.apply(unit) - ch.apply(unit)))))
+                worst_chi = max(worst_chi, float(np.max(np.abs(chi_apply(chi, unit) - ch.apply(unit)))))
     assert worst_chi < TOL
     # two independent real parameters: finite-difference Jacobian has rank 2
     def chi_vec(t, g):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_density_matrix
+from verifiers import apply_kraus_stack, chi_apply, choi_matrix, choi_psd_check
 
 from uqi.channels import (
     ChiMatrix,
@@ -8,8 +9,6 @@ from uqi.channels import (
     ModeMixer,
     ObjectParams,
     chi_matrix,
-    choi_matrix,
-    choi_psd_check,
     fold_angles,
     mix_stack,
     object_channel,
@@ -20,7 +19,6 @@ from uqi.qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,
     Register,
-    apply_kraus_stack,
     basis_ket,
     embed,
     partial_trace_stack,
@@ -199,7 +197,7 @@ def test_chi_roundtrip_reproduces_channel_on_basis():
         ch = object_channel(p)
         chi = chi_matrix(ch)
         for unit in KET.values():
-            assert np.allclose(chi.apply(unit), ch.apply(unit), atol=ATOL)
+            assert np.allclose(chi_apply(chi, unit), ch.apply(unit), atol=ATOL)
 
 
 def test_chi_rejects_wrong_dimension():

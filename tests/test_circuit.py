@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import readout, unmixed_readout
+from verifiers import pauli_decompose
 
 from uqi import circuit, qcore
 from uqi.circuit import (
@@ -12,7 +13,7 @@ from uqi.circuit import (
     prepare_werner,
     sample_frequencies,
 )
-from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, basis_ket, partial_transpose, pauli_decompose
+from uqi.qcore import DEFAULT_REGISTER, PAULI, DensityMatrix, basis_ket, partial_transpose
 
 ATOL = 1e-12
 

@@ -1,6 +1,8 @@
 """Differential tests of the batched engine and its stage view against a
-loop over embedded Kraus operators and the closed forms."""
+loop over embedded Kraus operators, the Heisenberg-picture oracle and the
+closed forms."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import (
     random_density_matrix,
+    random_hermitian,
     readout,
     reference_readout,
     reference_stages,
@@ -19,6 +22,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from verifiers import heisenberg_readout
 
 from uqi import circuit, qcore
 from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, ObjectParams, object_channel
@@ -195,7 +199,7 @@ def test_distinct_probes_are_held_only_on_their_block():
     probes = [prepare_werner(xi) for xi in np.linspace(0.0, 1.0, 1000)]
     tracemalloc.start()
     try:
-        plan = circuit._engine_plan(probes, DEFAULT_REGISTER)
+        plan = circuit._engine_plan(probes, np.arange(1000), DEFAULT_REGISTER)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,3 +367,42 @@ def test_werner_shaped_batch_does_not_fault_its_passes_back_in():
         [sys.executable, "-c", _WERNER_BATCH_FAULTS], env=env, capture_output=True, text=True, check=True
     )
     assert int(proc.stdout) < 1000, proc.stdout
+
+
+def _oracle_probe(name, rng) -> DensityMatrix:
+    """A seeded probe of one kind: mixed (full rank), Werner, a product over the four wires, or a pure state coherent
+    between the idler sectors ``{01, 10}`` and ``{00, 11}``, where the mixer's target state enters the readouts."""
+    if name == "mixed":
+        return random_density_matrix(rng, DEFAULT_REGISTER)
+    if name == "werner":
+        return prepare_werner(rng.uniform(0.0, 1.0))
+    if name == "product":
+        wires = [random_density_matrix(rng, Register(("a",))).mat for _ in range(4)]
+        return DensityMatrix(functools.reduce(np.kron, wires), DEFAULT_REGISTER)
+    probe = DensityMatrix.from_ket(rng.normal(size=16) + 1j * rng.normal(size=16), DEFAULT_REGISTER)
+    sector = np.array([(i >> 2 & 1) != (i >> 1 & 1) for i in range(16)])  # i1 != i2: idlers 01 or 10
+    assert np.abs(probe.mat[np.ix_(sector, ~sector)]).max() > 1e-3
+    return probe
+
+
+ORACLE_PROBES = ["mixed", "werner", "product", "idler-coherent"]
+ORACLE_CASES = ORACLE_PROBES + ["per-setting"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_run_batch_matches_the_heisenberg_oracle(name):
+    rng = np.random.default_rng([31, ORACLE_CASES.index(name)])
+    n = 18  # T = 0 and T = 1 among the seeded settings
+    if name == "per-setting":  # each probe kind above, in a seeded order
+        pool = [_oracle_probe(kind, rng) for kind in ORACLE_PROBES]
+        probe = [pool[i] for i in rng.integers(0, len(pool), n)]
+    else:
+        probe = _oracle_probe(name, rng)
+    t = np.concatenate([rng.uniform(0.0, 1.0, n - 2), [0.0, 1.0]])
+    gamma = rng.uniform(-np.pi, np.pi, n)
+    # detector pairs at seeded phases beside Hermitian operators
+    stack = np.concatenate([measurement_stack(rng.uniform(-np.pi, np.pi, 4)).reshape(-1, 4, 4),
+                            [random_hermitian(rng, 4) for _ in range(2)]])
+    batch = run_batch(probe, t, gamma, stack)
+    assert batch.errors == (None,) * n
+    assert np.max(np.abs(batch.values - heisenberg_readout(probe, t, gamma, stack))) <= 1e-12

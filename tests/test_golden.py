@@ -127,10 +127,15 @@ def _has_avx2() -> bool:
     return platform.machine().lower() in ("x86_64", "amd64") and features.get("X86_V3", False)
 
 
-def _child_env(kernel: str) -> dict:
-    """A child's environment: OpenBLAS asked for ``kernel`` and reporting the core it loads, numpy on AVX2."""
-    path = str(Path(uqi.__file__).parents[1])
-    return {**os.environ, **AVX2, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_VERBOSE": "2", "PYTHONPATH": path}
+def _child_env(setup: dict) -> dict:
+    """A child's environment: this process's with the variables of ``setup``, and OpenBLAS reporting the core it
+    loads."""
+    return {**os.environ, **setup, "OPENBLAS_VERBOSE": "2", "PYTHONPATH": str(Path(uqi.__file__).parents[1])}
+
+
+def _kernel(name: str) -> dict:
+    """The setup of OpenBLAS's ``name`` kernel with numpy's AVX2 dispatch."""
+    return {**AVX2, "OPENBLAS_CORETYPE": name}
 
 
 def _loaded_core(stderr: str) -> str | None:
@@ -142,18 +147,19 @@ def _loaded_core(stderr: str) -> str | None:
 def _openblas_core(kernel: str) -> str | None:
     """The core OpenBLAS loads in a child process asked for ``kernel``."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import numpy"], env=_child_env(kernel), capture_output=True, text=True, check=True
+        [sys.executable, "-c", "import numpy"], env=_child_env(_kernel(kernel)), capture_output=True, text=True,
+        check=True,
     )
     return _loaded_core(proc.stderr)
 
 
-def _golden_cases_differ(kernel: str, tmp_path) -> tuple[str | None, list]:
-    """Every golden case in one child process on ``kernel`` with AVX2 dispatch: the core the child loaded and the
-    names of the cases whose exit code or output differ."""
+def _golden_cases_differ(setup: dict, tmp_path) -> tuple[str | None, list]:
+    """Every golden case in one child process under the environment variables ``setup``: the core the child loaded
+    and the names of the cases whose exit code or output differ."""
     argvs = {name: list(argv) for name, argv in CASES.items()}
     argvs.update((name, list(argv(tmp_path))) for name, (argv, _) in SCALE_CASES.items())
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD], input=json.dumps(list(argvs.values())), env=_child_env(kernel),
+        [sys.executable, "-c", _CHILD], input=json.dumps(list(argvs.values())), env=_child_env(setup),
         capture_output=True, text=True, check=True,
     )
     differ = []
@@ -170,7 +176,7 @@ def _golden_cases_differ(kernel: str, tmp_path) -> tuple[str | None, list]:
 @pytest.mark.skipif(not _has_avx2(), reason="the FMA kernels and the AVX2 targets need an x86-64 CPU with AVX2")
 def test_golden_bytes_hold_under_haswell_kernel_and_avx2_dispatch(tmp_path):
     # the variables are set in the child process only; every case runs in one process
-    core, differ = _golden_cases_differ("Haswell", tmp_path)
+    core, differ = _golden_cases_differ(_kernel("Haswell"), tmp_path)
     assert differ == [], f"OpenBLAS core {core}"
 
 
@@ -180,5 +186,11 @@ def test_golden_bytes_hold_under_zen_kernel_and_avx2_dispatch(tmp_path):
     core = _openblas_core("Zen")
     if core is not None and core == _openblas_core("Haswell"):
         pytest.skip(f"OPENBLAS_CORETYPE=Zen loads the {core} core here, which the Haswell test checks")
-    core, differ = _golden_cases_differ("Zen", tmp_path)
+    core, differ = _golden_cases_differ(_kernel("Zen"), tmp_path)
+    assert differ == [], f"OpenBLAS core {core}"
+
+
+def test_golden_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one OpenBLAS thread on the default kernel and dispatch: no step may split a BLAS call across threads
+    core, differ = _golden_cases_differ({"OPENBLAS_NUM_THREADS": "1"}, tmp_path)
     assert differ == [], f"OpenBLAS core {core}"

@@ -1,9 +1,11 @@
 import functools
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from conftest import random_density_matrix, random_hermitian, random_unitary
+from verifiers import pauli_decompose
 
 from uqi.qcore import (
     DEFAULT_REGISTER,
@@ -14,7 +16,6 @@ from uqi.qcore import (
     embed,
     partial_trace_stack,
     partial_transpose,
-    pauli_decompose,
 )
 
 I2 = np.eye(2)
@@ -169,6 +170,24 @@ def test_partial_trace_of_mixed_four_wire_state():
     assert abs(red[1, 1] - 0.5) < 1e-12
     assert abs(red[2, 1] - t * np.exp(1j * g) / 2) < 1e-12
     assert abs(red[1, 2] - t * np.exp(-1j * g) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("keep", [["s1", "s2"], ["i2"], ["s2", "i1"]])
+def test_partial_trace_adds_terms_in_the_order_of_the_discarded_values(keep):
+    # each reduced entry is 0 plus its term at each value of the discarded wires, ascending on the
+    # register: the order the engine's byte contract rests on, whatever order the groups are held in
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+    kept = DEFAULT_REGISTER.positions(keep)
+    rest = [i for i in range(4) if i not in kept]
+    want = np.zeros((5, 2 ** len(keep), 2 ** len(keep)), dtype=complex)
+    for value in itertools.product((0, 1), repeat=len(rest)):
+        rows = []
+        for bits in itertools.product((0, 1), repeat=len(keep)):
+            wires = dict(zip(kept, bits)) | dict(zip(rest, value))
+            rows.append(sum(wires[i] << (3 - i) for i in range(4)))
+        want += stack[:, np.array(rows)[:, None], rows]
+    assert partial_trace_stack(stack, DEFAULT_REGISTER, keep).tobytes() == want.tobytes()
 
 
 def test_partial_trace_empty_keep_rejected():

@@ -1,4 +1,5 @@
-"""Every public entry point at any finite scale returns what its docstring says, or raises ValueError.
+"""Every public entry point, and the test-side verifiers of ``verifiers.py``, at any finite scale returns what its
+docstring says, or raises ValueError.
 
 Floats are drawn over the whole exponent range, subnormals included, and
 every warning is an error, so a numpy overflow or invalid value fails the
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from verifiers import choi_psd_check, pauli_decompose
 
 from uqi import (
     ChiMatrix,
@@ -20,11 +22,9 @@ from uqi import (
     Gate,
     ImageMaps,
     Register,
-    choi_psd_check,
     estimate_object,
     image_scan,
     measurement_stack,
-    pauli_decompose,
     prepare_probe,
     prepare_werner,
     run_batch,

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import angle_diff, fail_second_setting, random_density_matrix, readout, sweep_points
+from verifiers import schmidt_reconstruct
 
 from uqi.channels import (
     KrausChannel,
@@ -64,7 +65,7 @@ def explicit_hermitian_basis():
 
 def check_schmidt_contract(rho, parts):
     sd = operator_schmidt(rho, parts)
-    recon = sd.reconstruct()
+    recon = schmidt_reconstruct(sd)
     target = rho.reordered(list(parts[0]) + list(parts[1]))
     assert np.max(np.abs(recon - target)) < ATOL
     for ops in (sd.a_ops, sd.b_ops):

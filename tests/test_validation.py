@@ -8,11 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from verifiers import choi_matrix, choi_psd_check, pauli_decompose
 
-from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, choi_matrix, choi_psd_check, object_channel
+from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, object_channel
 from uqi.circuit import Gate, measurement_stack, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import main
-from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, as_complex_matrix, pauli_decompose
+from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, as_complex_matrix
 from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt, visibility
 
 
