@@ -15,10 +15,11 @@ takes n object settings and reads them out against a stack of
 measurement operators (:func:`measurement_stack`).  Each stage holds a
 setting only on its occupied block, the rows and columns that the probes
 and the operators before it can make non-zero: for the Bell probe 3 rows
-after the object and 8 after the mixer, of 16.  A call allocates the
-arrays its passes work in once (:func:`_engine_buffers`).
-:func:`pipeline_stages` places the same pass's blocks in full
-``(n, 16, 16)`` stacks for inspection.
+after the object and 8 after the mixer, of 16.  A call builds one
+:class:`_Engine`, which checks the inputs, finds the blocks and runs the
+passes in arrays it allocates once; :func:`pipeline_stages` runs the
+same passes and places their blocks in full ``(n, 16, 16)`` stacks for
+inspection.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .qcore import (
     ATOL,
     DEFAULT_REGISTER,
     DensityMatrix,
-    Register,
     _block_rows,
     _block_trace,
     _check_finite,
@@ -154,153 +154,139 @@ def _record(errors: np.ndarray, new) -> None:
     errors[pending] = np.asarray(new, dtype=object)[pending]
 
 
-def _engine_inputs(probe, t, gamma):
-    """One engine call's validated inputs: ``(probes, which, register, t, gamma)``.
+class _Engine:
+    """One engine call, from the object stage on: its checked inputs and the occupied blocks of its stages.
 
-    ``probes`` holds the distinct probes, all on one register, and
-    ``which[i]`` is setting i's probe among them: for the one
-    :class:`DensityMatrix` every setting shares, a broadcast zero.  ``t``
-    and ``gamma`` become flat float arrays of the n settings, each of which
-    must obey :class:`ObjectParams`' rule.
-    """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if t.shape != gamma.shape:
-        raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
-    if isinstance(probe, DensityMatrix):
-        probes, which = (probe,), np.broadcast_to(0, t.size)
-    else:
-        probe = tuple(probe)
-        if len(probe) != t.size or not probe:
-            raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
-        index = {}
-        which = np.array([index.setdefault(id(p), len(index)) for p in probe])
-        probes = tuple({id(p): p for p in probe}.values())
-    reg = probes[0].register
-    # identity first: the probes of one call usually share one Register object
-    if any(p.register is not reg and p.register != reg for p in probes):
-        raise ValueError(f"probes must share one register, got {len({p.register for p in probes})}")
-    _check_object_params(t, gamma)
-    return probes, which, reg, t, gamma
-
-
-@_value_class
-class _Plan:
-    """Where the stages of one engine call are non-zero, from :func:`_engine_plan`.
-
-    ``tensors`` holds each distinct probe on the rows and columns ``legs``
-    (the occupied rest indices with ``i1`` leading, the object's tensor
-    factor), in the layout of ``qcore._kraus_tensor``; ``which[i]`` is
-    setting i's probe among them.  ``index`` picks the entries of the
-    post-object rows ``object_rows`` out of the object's output in that
-    layout, row by row, and ``mixer`` is the embedded mixer on those
-    columns and the rows ``mixer_rows`` it reaches.  ``idler_trace`` holds
-    the index groups that trace the idlers out of the post-mixer block
-    (``qcore._trace_groups``).
-    """
-
-    tensors: np.ndarray
-    which: np.ndarray
-    index: np.ndarray
-    object_rows: np.ndarray
-    mixer_rows: np.ndarray
-    mixer: np.ndarray
-    idler_trace: tuple
-
-
-def _engine_plan(probes, which, reg: Register) -> _Plan:
-    """The occupied blocks of one engine call (:func:`_engine_inputs`), found once from its operators.
+    The constructor checks ``probe``, ``t`` and ``gamma`` (as in
+    :func:`run_batch`) and finds the blocks, once per call; :meth:`passes`
+    runs the call.  ``t`` and ``gamma`` become flat float arrays of the n
+    settings, each obeying :class:`ObjectParams`' rule, ``reg`` is the
+    distinct probes' one register, and ``which[i]`` is setting i's probe
+    among them.
 
     The probe block is the union support of the distinct probes.  The
-    object's Kraus pair on ``i1`` takes it to the post-object rows, and the
-    mixer on ``(i1, i2)`` takes those to the post-mixer rows; every entry of
-    a stage outside its rows is zero.  A probe with full support gives the
-    whole register at every stage.
+    object's Kraus pair on ``i1`` takes it to the rows ``object_rows``, and
+    the mixer on ``(i1, i2)`` takes those to the rows ``mixer_rows``; every
+    entry of a stage outside its rows is zero.  ``tensors`` holds each
+    distinct probe on its occupied rest indices with ``i1`` leading (the
+    object's tensor factor), in the layout of ``qcore._kraus_tensor``;
+    ``index`` picks the post-object block out of the object's output in
+    that layout, ``mixer`` is the embedded mixer from the post-object to
+    the post-mixer rows, and ``idler_trace`` holds the index groups that
+    trace the idlers out of the post-mixer block (``qcore._trace_groups``).
     """
-    nonzero = np.zeros((reg.dim, reg.dim), dtype=bool)
-    for p in probes:  # probe by probe: no stack of whole probes is built
-        nonzero |= p.mat != 0
-    occupied = _support(nonzero)
-    i1 = 1 << (reg.n - 1 - reg.index("i1"))
-    rest = np.array(sorted({r & ~i1 for r in occupied.tolist()}))
-    legs = np.concatenate([rest, rest + i1])  # i1's bit is clear in rest
-    # each entry of the pair is non-zero at T = 0 or at T = 1 or at no T, so
-    # the two ends of the range give the zero pattern of every setting
-    pattern = (object_kraus([0.0, 1.0], [0.0, 0.0]) != 0).any(axis=(0, 1))
-    object_rows = np.flatnonzero((embed(pattern, ["i1"], reg)[:, occupied] != 0).any(axis=1))
-    mixer = embed(ModeMixer.op, ["i1", "i2"], reg)[:, object_rows]
-    mixer_rows = np.flatnonzero((mixer != 0).any(axis=1))
-    # each row's place in legs from a lookup table, not a sort, whose SIMD
-    # kernels would add about 300 kB of code pages to the process's RSS
-    place = np.zeros(reg.dim, dtype=int)
-    place[legs] = np.arange(len(legs))
-    # entry ((a, x), (b, y)) of a state, a and b on i1, is entry ((a, b), (x, y)) of its tensor layout;
-    # worked out on Python ints, like the lookup above
-    m = len(rest)
-    spots = [divmod(p, m) for p in place[object_rows].tolist()]
-    index = np.array([(2 * a + b) * m * m + m * x + y for a, x in spots for b, y in spots])
-    tensors = np.concatenate([_kraus_tensor(p.mat[legs[:, None], legs][None], 2) for p in probes])
-    idler_trace = _trace_groups(reg, ["s1", "s2"], mixer_rows)
-    return _Plan(tensors, which, index, object_rows, mixer_rows, mixer[mixer_rows], idler_trace)
+
+    def __init__(self, probe, t, gamma):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        gamma = np.asarray(gamma, dtype=float).reshape(-1)
+        if t.shape != gamma.shape:
+            raise ValueError(f"got {t.size} transmissions but {gamma.size} phases")
+        if isinstance(probe, DensityMatrix):
+            probes, which = (probe,), np.broadcast_to(0, t.size)
+        else:
+            given, probe = probe, tuple(probe)
+            probes = tuple({id(p): p for p in probe}.values())
+            for p in probes:
+                if not isinstance(p, DensityMatrix):
+                    kind = f"{type(given).__name__} of {type(p).__name__}"
+                    raise ValueError(f"probe must be a DensityMatrix or a sequence of them, got {kind}")
+            if len(probe) != t.size or not probe:
+                raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
+            index = {}
+            which = np.array([index.setdefault(id(p), len(index)) for p in probe])
+        reg = probes[0].register
+        # identity first: the probes of one call usually share one Register object
+        if any(p.register is not reg and p.register != reg for p in probes):
+            raise ValueError(f"probes must share one register, got {len({p.register for p in probes})}")
+        _check_object_params(t, gamma)
+        self.reg, self.t, self.gamma, self.which = reg, t, gamma, which
+
+        nonzero = np.zeros((reg.dim, reg.dim), dtype=bool)
+        for p in probes:  # probe by probe: no stack of whole probes is built
+            nonzero |= p.mat != 0
+        occupied = _support(nonzero)
+        i1 = 1 << (reg.n - 1 - reg.index("i1"))
+        rest = np.array(sorted({r & ~i1 for r in occupied.tolist()}))
+        legs = np.concatenate([rest, rest + i1])  # i1's bit is clear in rest
+        # each entry of the pair is non-zero at T = 0 or at T = 1 or at no T, so
+        # the two ends of the range give the zero pattern of every setting
+        pattern = (object_kraus([0.0, 1.0], [0.0, 0.0]) != 0).any(axis=(0, 1))
+        self.object_rows = np.flatnonzero((embed(pattern, ["i1"], reg)[:, occupied] != 0).any(axis=1))
+        mixer = embed(ModeMixer.op, ["i1", "i2"], reg)[:, self.object_rows]
+        self.mixer_rows = np.flatnonzero((mixer != 0).any(axis=1))
+        self.mixer = mixer[self.mixer_rows]
+        # each row's place in legs from a lookup table, not a sort, whose SIMD
+        # kernels would add about 300 kB of code pages to the process's RSS
+        place = np.zeros(reg.dim, dtype=int)
+        place[legs] = np.arange(len(legs))
+        # entry ((a, x), (b, y)) of a state, a and b on i1, is entry ((a, b), (x, y)) of its tensor layout;
+        # worked out on Python ints, like the lookup above
+        m = len(rest)
+        spots = [divmod(p, m) for p in place[self.object_rows].tolist()]
+        self.index = np.array([(2 * a + b) * m * m + m * x + y for a, x in spots for b, y in spots])
+        self.tensors = np.concatenate([_kraus_tensor(p.mat[legs[:, None], legs][None], 2) for p in probes])
+        self.idler_trace = _trace_groups(reg, ["s1", "s2"], self.mixer_rows)
+
+    def passes(self):
+        """Yield ``(part, post_object, post_mixer, signal, errors)`` for each pass, in order.
+
+        A pass runs :func:`_engine_pass` on the settings ``part``,
+        ``qcore._block_rows(k**2)`` of them for a post-mixer block of k rows.
+        Every pass-sized array is allocated once, before the first pass:
+        arrays that each pass allocated and freed let glibc trim the top of
+        the heap, and the next pass faulted those pages back in.  The
+        checks' Cholesky factors are the one pass-sized allocation left.
+        """
+        layout, k1, k2 = self.tensors.shape[1:], len(self.object_rows), len(self.mixer_rows)
+        rows = _block_rows(k2**2)
+        shapes = {
+            "tensor": layout,  # each setting's probe, gathered
+            "product": layout,
+            "post_object": (k1, k1),
+            "object_scratch": (k1, k1),
+            "mixed": (k2, k1),
+            "post_mixer": (k2, k2),
+            "mixer_scratch": (k2, k2),
+        }
+        size = min(rows, self.t.size)
+        buffers = {name: np.empty((size,) + shape, dtype=complex) for name, shape in shapes.items()}
+        for lo in range(0, self.t.size, rows):
+            part = slice(lo, lo + rows)
+            yield part, *_engine_pass(self, part, buffers)
 
 
-def _engine_buffers(plan: _Plan, rows: int) -> dict[str, np.ndarray]:
-    """Every pass-sized array of the engine's passes over up to ``rows`` settings, allocated once per engine call.
+def _engine_pass(engine: _Engine, part: slice, buffers: dict):
+    """One pass of ``engine`` over its object settings ``part``, in the leading rows of ``buffers``.
 
-    Arrays that each pass allocated and freed let glibc trim the top of the
-    heap between passes, and the next pass faulted those pages back in.
-    The checks' Cholesky factors are the one pass-sized allocation left.
-    ``tensor`` gathers each setting's probe.
+    Returns the post-object stack on ``engine.object_rows``, the
+    post-mixer stack on ``engine.mixer_rows`` (both views of ``buffers``),
+    the ``(n, 4, 4)`` signal stack and each setting's first failed engine
+    check (None if it passed): the Kraus trace-preserving check, the
+    mixer's normalization and the checks of :class:`DensityMatrix` on every
+    stage.  A setting that fails one is reported, not raised, and carries
+    on through the pass.
     """
-    k1, k2 = len(plan.object_rows), len(plan.mixer_rows)
-    layout = plan.tensors.shape[1:]
-    shapes = {
-        "tensor": layout,
-        "product": layout,
-        "post_object": (k1, k1),
-        "object_scratch": (k1, k1),
-        "mixed": (k2, k1),
-        "post_mixer": (k2, k2),
-        "mixer_scratch": (k2, k2),
-    }
-    return {name: np.empty((rows,) + shape, dtype=complex) for name, shape in shapes.items()}
-
-
-def _engine_pass(plan: _Plan, reg: Register, t: np.ndarray, gamma: np.ndarray, part: slice, buffers: dict):
-    """One engine pass over the object settings ``part`` of the float arrays ``t``, ``gamma``.
-
-    The settings obey :class:`ObjectParams`' rule (:func:`_engine_inputs`),
-    and every stage acts on ``plan``'s blocks of the register ``reg``, in
-    the leading rows of ``buffers`` (:func:`_engine_buffers`).
-    Returns the post-object stack on ``plan.object_rows``, the post-mixer
-    stack on ``plan.mixer_rows`` (both views of ``buffers``), the
-    ``(n, 4, 4)`` signal stack and each
-    setting's first failed engine check (None if it passed): the Kraus
-    trace-preserving check, the mixer's normalization and the checks of
-    :class:`DensityMatrix` on every stage.  A setting that fails one is
-    reported, not raised, and carries on through the pass.
-    """
-    t, gamma = t[part], gamma[part]
-    n = t.size
+    t, gamma = engine.t[part], engine.gamma[part]
+    n, dim = t.size, engine.reg.dim
     work = {name: buf[:n] for name, buf in buffers.items()}
     # mode="clip" writes straight into out; the default buffers a copy (every index is valid)
-    tensor = np.take(plan.tensors, plan.which[part], axis=0, out=work["tensor"], mode="clip")
+    tensor = np.take(engine.tensors, engine.which[part], axis=0, out=work["tensor"], mode="clip")
     errors = np.full(n, None, dtype=object)
     kraus = object_kraus(t, fold_angles(gamma))
     _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
     product = np.matmul(_superoperator(kraus), tensor, out=work["product"])
     post_object = work["post_object"]
-    entries = post_object.reshape(n, plan.index.size)
-    np.take(product.reshape(n, plan.tensors[0].size), plan.index, axis=1, out=entries, mode="clip")
-    trace = _block_trace(post_object, plan.object_rows, reg.dim)
+    entries = post_object.reshape(n, engine.index.size)
+    np.take(product.reshape(n, engine.tensors[0].size), engine.index, axis=1, out=entries, mode="clip")
+    trace = _block_trace(post_object, engine.object_rows, dim)
     _record(errors, state_errors(post_object, trace, work["object_scratch"]))
     post_mixer, vanished = mix_stack(
-        post_object, plan.mixer, plan.mixer_rows, reg.dim, work["mixed"], work["post_mixer"]
+        post_object, engine.mixer, engine.mixer_rows, dim, work["mixed"], work["post_mixer"]
     )
     _record(errors, np.where(vanished, MIXER_VANISHED, None))
-    trace = _block_trace(post_mixer, plan.mixer_rows, reg.dim)
+    trace = _block_trace(post_mixer, engine.mixer_rows, dim)
     _record(errors, state_errors(post_mixer, trace, work["mixer_scratch"]))
-    signal = _traced(post_mixer, plan.idler_trace, 4)
+    signal = _traced(post_mixer, engine.idler_trace, 4)
     _record(errors, state_errors(signal, np.trace(signal, axis1=1, axis2=2)))
     return post_object, post_mixer, signal, errors
 
@@ -325,19 +311,18 @@ class PipelineStages:
 def pipeline_stages(probe, t, gamma) -> PipelineStages:
     """The stages :func:`run_batch` reads out, for the n settings ``(t[i], gamma[i])``.
 
-    ``probe`` is as in :func:`run_batch`.  One engine pass over all n
-    settings: the same input rules, blocks, checks and per-setting messages
-    as in :func:`run_batch`, with the blocks placed in full stacks.
+    ``probe`` is as in :func:`run_batch`.  The same engine passes, with
+    the same input rules, blocks, checks and per-setting messages as in
+    :func:`run_batch`, each pass's blocks placed in full stacks.
     """
-    probes, which, reg, t, gamma = _engine_inputs(probe, t, gamma)
-    plan = _engine_plan(probes, which, reg)
-    buffers = _engine_buffers(plan, t.size)
-    post_object, post_mixer, signal, errors = _engine_pass(plan, reg, t, gamma, slice(None), buffers)
-    stacks = []
-    for block, rows in ((post_object, plan.object_rows), (post_mixer, plan.mixer_rows)):
-        full = np.zeros((t.size, reg.dim, reg.dim), dtype=complex)
-        full[:, rows[:, None], rows] = block
-        stacks.append(full)
+    engine = _Engine(probe, t, gamma)
+    n, dim = engine.t.size, engine.reg.dim
+    stacks = [np.zeros((n, dim, dim), dtype=complex) for _ in range(2)]
+    signal = np.empty((n, 4, 4), dtype=complex)
+    errors = np.full(n, None, dtype=object)
+    for part, *blocks, signal[part], errors[part] in engine.passes():
+        for full, block, rows in zip(stacks, blocks, (engine.object_rows, engine.mixer_rows)):
+            full[part, rows[:, None], rows] = block
     return PipelineStages(*stacks, signal, tuple(errors))
 
 
@@ -364,7 +349,7 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
     ``readout`` is a ``(..., 4, 4)`` stack of signal observables (e.g. from
     :func:`measurement_stack`), and ``values`` has shape ``(n, ...)``.
     Every stage works on the block of rows and columns that the probes and
-    the operators can make non-zero (:func:`_engine_plan`), and the settings
+    the operators can make non-zero (:class:`_Engine`), and the settings
     run in passes of ``qcore._block_rows(k**2)`` for a post-mixer block of
     k rows; each setting's result does not depend on the others or on the
     pass size.
@@ -374,20 +359,16 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
     finite; so does a readout value beyond the float range, in the pass
     that finds it.  Only the engine's own checks give a per-setting NaN.
     """
-    probes, which, reg, t, gamma = _engine_inputs(probe, t, gamma)
+    engine = _Engine(probe, t, gamma)
+    n = engine.t.size
     readout = np.asarray(readout)
     if readout.shape[-2:] != (4, 4):
         raise ValueError(f"readout operators must be 4x4 on (s1, s2), got shape {readout.shape}")
     _check_finite(readout, "readout operators")
     flat = readout.reshape(-1, 16)
-    plan = _engine_plan(probes, which, reg)
-    values = np.empty((t.size, len(flat)))
-    errors = np.full(t.size, None, dtype=object)
-    rows = _block_rows(len(plan.mixer_rows) ** 2)
-    buffers = _engine_buffers(plan, min(rows, t.size))
-    for lo in range(0, t.size, rows):
-        part = slice(lo, lo + rows)
-        signal, errors[part] = _engine_pass(plan, reg, t, gamma, part, buffers)[2:]
+    values = np.empty((n, len(flat)))
+    errors = np.full(n, None, dtype=object)
+    for part, _, _, signal, errors[part] in engine.passes():
         # Tr[R rho] = sum_ij R_ij rho_ji as one fixed-length sum per pair, so a
         # setting's value depends neither on how many share its pass nor on
         # how many operators share its step
@@ -402,7 +383,7 @@ def run_batch(probe, t, gamma, readout) -> BatchReadout:
                 raise ValueError("readout value lies beyond the float range")
             values[part, r:r + step] = block
     values[~np.equal(errors, None)] = np.nan
-    values = values.reshape((t.size,) + readout.shape[:-2])
+    values = values.reshape((n,) + readout.shape[:-2])
     return BatchReadout(values, tuple(errors))
 
 

@@ -147,8 +147,10 @@ def test_failed_setting_is_reported_while_neighbours_succeed(monkeypatch, chunk)
     batch = run_batch(probe, ts, gammas, stack)
     assert max(sizes) == min(chunk, len(ts))
     assert batch.errors == (None, MIXER_VANISHED, None)
-    # the stage view runs the same checks over all settings in one pass
+    # the stage view runs the same checks in the same passes
+    sizes.clear()
     assert pipeline_stages(probe, ts, gammas).errors == batch.errors
+    assert max(sizes) == min(chunk, len(ts))
     assert np.all(np.isnan(batch.values[1]))
     for i in (0, 2):
         alone = run_batch(probe, ts[i : i + 1], gammas[i : i + 1], stack)
@@ -178,7 +180,9 @@ def test_per_setting_probes_match_one_call_per_probe(monkeypatch, chunk):
     sizes = passes_of(monkeypatch, chunk, probes, ts, gammas)
     batch = run_batch(probes, ts, gammas, stack)
     assert max(sizes) == min(chunk, len(ts))
+    sizes.clear()
     stages = pipeline_stages(probes, ts, gammas)
+    assert max(sizes) == min(chunk, len(ts))
     assert batch.errors[4] == stages.errors[4] == MIXER_VANISHED
     assert sum(e is not None for e in batch.errors) == 1
     assert stages.errors == batch.errors
@@ -199,12 +203,12 @@ def test_distinct_probes_are_held_only_on_their_block():
     probes = [prepare_werner(xi) for xi in np.linspace(0.0, 1.0, 1000)]
     tracemalloc.start()
     try:
-        plan = circuit._engine_plan(probes, np.arange(1000), DEFAULT_REGISTER)
+        engine = circuit._Engine(probes, np.full(1000, 0.5), np.zeros(1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the Werner probe's 8 rest indices, with i1 leading, in the object's (i1 x i1, rest x rest) layout
-    assert plan.tensors.shape == (1000, 4, 16)
+    assert engine.tensors.shape == (1000, 4, 16)
     assert peak < 1000 * 16 * 16 * 16, peak
 
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import angle_diff, fail_second_setting, random_density_matrix, readout, sweep_points
-from verifiers import schmidt_reconstruct
+from verifiers import heisenberg_operators, schmidt_reconstruct
 
 from uqi.channels import (
     KrausChannel,
@@ -873,17 +873,21 @@ def test_probe_ppt_on_both_two_pair_cuts_keeps_modulation():
     assert _modulation(probe) == pytest.approx(0.2, abs=1e-12)
 
 
-def test_fully_separable_probe_biases_the_estimate():
-    # the equal mixture over theta = 2 pi k/8 of (|0> + e^{i theta}|1>)/sqrt(2)
-    # on s1 and i2, with |+> on i1 and s2: at T = 1 the least-squares sweep
-    # finds gamma with a raw amplitude of 1/8, below it the phase is off
+def _fully_separable_probe() -> DensityMatrix:
+    """The equal mixture over theta = 2 pi k/8 of (|0> + e^{i theta}|1>)/sqrt(2) on s1 and i2, with |+> on i1 and s2."""
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     mat = np.zeros((16, 16), dtype=complex)
     for k in range(8):
         a = np.array([1.0, np.exp(2j * np.pi * k / 8)]) / np.sqrt(2)
         ket = np.kron(np.kron(np.kron(a, plus), a), plus)
         mat += np.outer(ket, ket.conj()) / 8
-    probe = DensityMatrix(mat, DEFAULT_REGISTER)
+    return DensityMatrix(mat, DEFAULT_REGISTER)
+
+
+def test_fully_separable_probe_biases_the_estimate():
+    # at T = 1 the least-squares sweep finds gamma with a raw amplitude of 1/8,
+    # below it the phase is off
+    probe = _fully_separable_probe()
     phis = 2 * np.pi * np.arange(24) / 24
 
     def estimate(t, gamma):
@@ -896,6 +900,24 @@ def test_fully_separable_probe_biases_the_estimate():
         assert est.t_hat == pytest.approx(1 / 8, abs=1e-12)
         assert abs(angle_diff(est.gamma_hat, gamma)) < 1e-12
     assert abs(angle_diff(estimate(0.8, 2.0).gamma_hat, 2.0)) > 0.4
+
+
+@pytest.mark.parametrize(
+    "make, weight",
+    [(prepare_probe, 0.0), (lambda: prepare_werner(0.3), 0.0), (_fully_separable_probe, 0.25)],
+    ids=["bell", "werner-0.3", "separable"],
+)
+def test_separable_probe_breaks_the_coherence_clause_not_the_normalization(make, weight):
+    # the condition's first clause: weight on the entries coherent between signal |01> and |10> whose i1 bit
+    # does not flip, which carry phi but no object term; its second, Tr[rho N] free of the object, holds for all three
+    probe = make()
+    signal = [(i >> 3 & 1, i & 1) for i in range(16)]  # (s1, s2) of each basis index in (s1, i1, i2, s2) order
+    unflipped = np.array([[{signal[r], signal[c]} == {(0, 1), (1, 0)} and (r >> 2 & 1) == (c >> 2 & 1)
+                           for c in range(16)] for r in range(16)])
+    assert np.abs(probe.mat[unflipped]).sum() == pytest.approx(weight, abs=1e-12)
+    for t, gamma in ((1.0, 0.0), (0.8, 2.0), (0.3, -1.0)):
+        norm = heisenberg_operators(t, gamma, measurement_stack([0.0]))[1]
+        assert np.trace(probe.mat @ norm) == pytest.approx(1.0, abs=1e-12)
 
 
 def _shot_z_scores(t, shots):

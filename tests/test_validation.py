@@ -34,6 +34,15 @@ CHECKS = [
         lambda: run_batch(prepare_probe(), [0.5, 0.6], [0.0], measurement_stack([0.0])),
         "got 2 transmissions but 1 phases",
     ),
+    # a probe that is not a DensityMatrix failed with AttributeError on its missing register
+    (
+        lambda: run_batch(prepare_probe().mat, [0.5], [0.0], measurement_stack([0.0])),
+        "probe must be a DensityMatrix or a sequence of them, got ndarray of ndarray",
+    ),
+    (
+        lambda: run_batch([prepare_probe().mat], [0.5], [0.0], measurement_stack([0.0])),
+        "probe must be a DensityMatrix or a sequence of them, got list of ndarray",
+    ),
     (
         lambda: run_batch(prepare_probe(), [0.5], [0.0], np.eye(2)),
         "readout operators must be 4x4 on (s1, s2), got shape (2, 2)",
