@@ -184,12 +184,16 @@ class _Engine:
         if isinstance(probe, DensityMatrix):
             probes, which = (probe,), np.broadcast_to(0, t.size)
         else:
-            given, probe = probe, tuple(probe)
+            wrong = f"probe must be a DensityMatrix or a sequence of them, got {type(probe).__name__}"
+            try:
+                items = iter(probe)
+            except TypeError:
+                raise ValueError(wrong) from None
+            probe = tuple(items)
             probes = tuple({id(p): p for p in probe}.values())
             for p in probes:
                 if not isinstance(p, DensityMatrix):
-                    kind = f"{type(given).__name__} of {type(p).__name__}"
-                    raise ValueError(f"probe must be a DensityMatrix or a sequence of them, got {kind}")
+                    raise ValueError(f"{wrong} of {type(p).__name__}")
             if len(probe) != t.size or not probe:
                 raise ValueError(f"need one probe per setting, got {len(probe)} probes for {t.size} settings")
             index = {}

@@ -361,28 +361,16 @@ class DensityMatrix:
         return _permute_wires(self.mat, perm)
 
 
-def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
-    """Reduced matrices on the ``keep`` wires (in the order given) of an ``(n, d, d)`` stack of states on ``reg``.
-
-    Discarded wires are contracted, so the trace is preserved: each reduced
-    entry adds its terms one at a time, in the order of the discarded
-    wires' values on the register.  Unvalidated: the caller checks the
-    resulting states.
-    """
-    keep = list(keep)
-    return _traced(stack, _trace_groups(reg, keep), 2 ** len(keep))
-
-
-def _trace_groups(reg: Register, keep: list, rows=None) -> tuple:
+def _trace_groups(reg: Register, keep: list, rows) -> tuple:
     """The index groups that trace a stack down to the ``keep`` wires, which depend on the register, the kept wires
-    and the rows alone.  The stack holds the rows and columns ``rows`` (ascending basis indices of ``reg``; every
-    index by default) of states whose other entries are zero.  For each value of the discarded wires, ascending:
+    and the rows alone.  The stack holds the rows and columns ``rows`` (ascending basis indices of ``reg``) of states
+    whose other entries are zero.  For each value of the discarded wires, ascending:
     the flat indices of its entries in the reduced matrix and in the block."""
     if not keep:
         raise ValueError("keep set must be nonempty")
     bits = [reg.n - 1 - i for i in reg.positions(keep)]
     mask = sum(1 << b for b in bits)
-    rows = range(reg.dim) if rows is None else np.asarray(rows).tolist()
+    rows = np.asarray(rows).tolist()
     # the few indices are worked out on Python ints, which adds no numpy code pages to the RSS
     groups = {}
     for at, row in enumerate(rows):

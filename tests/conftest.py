@@ -1,4 +1,5 @@
 import numpy as np
+from verifiers import partial_trace_stack
 
 from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, fold_angles, object_kraus, tp_deviation
 from uqi.circuit import BatchReadout, measurement_stack, pipeline_stages, prepare_probe, run_batch
@@ -9,7 +10,6 @@ from uqi.qcore import (
     Register,
     _stack_errors,
     embed,
-    partial_trace_stack,
 )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_density_matrix
-from verifiers import apply_kraus_stack, chi_apply, choi_matrix, choi_psd_check
+from verifiers import apply_kraus_stack, chi_apply, choi_matrix, choi_psd_check, partial_trace_stack
 
 from uqi.channels import (
     ChiMatrix,
@@ -21,7 +21,6 @@ from uqi.qcore import (
     Register,
     basis_ket,
     embed,
-    partial_trace_stack,
 )
 
 ATOL = 1e-12

@@ -20,9 +20,9 @@ from conftest import (
     stack_errors,
     unmixed_readout,
 )
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from verifiers import heisenberg_readout
+from verifiers import fringe, heisenberg_operators, heisenberg_readout
 
 from uqi import circuit, qcore
 from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, ObjectParams, object_channel
@@ -393,20 +393,77 @@ ORACLE_PROBES = ["mixed", "werner", "product", "idler-coherent"]
 ORACLE_CASES = ORACLE_PROBES + ["per-setting"]
 
 
-@pytest.mark.parametrize("name", ORACLE_CASES)
-def test_run_batch_matches_the_heisenberg_oracle(name):
-    rng = np.random.default_rng([31, ORACLE_CASES.index(name)])
-    n = 18  # T = 0 and T = 1 among the seeded settings
+def _oracle_case(name, rng):
+    """``(probe, t, gamma)`` of one oracle case: 18 seeded settings, T = 0 and T = 1 among them."""
+    n = 18
     if name == "per-setting":  # each probe kind above, in a seeded order
         pool = [_oracle_probe(kind, rng) for kind in ORACLE_PROBES]
         probe = [pool[i] for i in rng.integers(0, len(pool), n)]
     else:
         probe = _oracle_probe(name, rng)
     t = np.concatenate([rng.uniform(0.0, 1.0, n - 2), [0.0, 1.0]])
-    gamma = rng.uniform(-np.pi, np.pi, n)
+    return probe, t, rng.uniform(-np.pi, np.pi, n)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_run_batch_matches_the_heisenberg_oracle(name):
+    rng = np.random.default_rng([31, ORACLE_CASES.index(name)])
+    probe, t, gamma = _oracle_case(name, rng)
     # detector pairs at seeded phases beside Hermitian operators
     stack = np.concatenate([measurement_stack(rng.uniform(-np.pi, np.pi, 4)).reshape(-1, 4, 4),
                             [random_hermitian(rng, 4) for _ in range(2)]])
     batch = run_batch(probe, t, gamma, stack)
-    assert batch.errors == (None,) * n
+    assert batch.errors == (None,) * t.size
     assert np.max(np.abs(batch.values - heisenberg_readout(probe, t, gamma, stack))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_fringe_functional_matches_run_batch(name):
+    # each detector's readout is a + b cos phi + c sin phi, with a, b and c in closed form in (T, gamma)
+    rng = np.random.default_rng([32, ORACLE_CASES.index(name)])
+    probe, t, gamma = _oracle_case(name, rng)
+    phis = rng.uniform(-np.pi, np.pi, 6)
+    batch = run_batch(probe, t, gamma, measurement_stack(phis))
+    assert batch.errors == (None,) * t.size
+    a, b, c = np.moveaxis(fringe(probe, t, gamma)[:, None], -1, 0)  # each (n, 1, 2): settings, phases, detectors
+    want = a + b * np.cos(phis)[:, None] + c * np.sin(phis)[:, None]
+    assert np.max(np.abs(batch.values - want)) <= 1e-12
+
+
+def _sparse_probe(rng, rows, rank) -> DensityMatrix:
+    """A seeded probe of rank at most ``rank`` on the basis rows ``rows``, zero on every other row and column."""
+    g = np.zeros((16, rank), dtype=complex)
+    g[rows] = rng.normal(size=(len(rows), rank)) + 1j * rng.normal(size=(len(rows), rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, DEFAULT_REGISTER)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-setting"])
+@pytest.mark.parametrize("size", range(1, 17))
+# no shrink phase: a seed drives the values, so a smaller seed is no simpler case, and shrinking one took minutes
+@settings(max_examples=10, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(st.permutations(range(16)), st.data(), st.integers(0, 2**32 - 1))
+def test_block_tables_match_the_oracle_on_random_supports(size, shared, order, data, seed):
+    # _Engine derives its tables (object_rows, mixer_rows, index, tensors, idler_trace) from the probes' union
+    # support; here that support is a random set of `size` rows, which the fixed probes above never reach
+    rows = sorted(order[:size])
+    rng = np.random.default_rng(seed)
+    n = 6  # T = 0 and T = 1 among the seeded settings
+    probe = _sparse_probe(rng, rows, data.draw(st.integers(1, size), label="rank"))
+    if not shared:  # the first setting's probe spans the rows, the others a seeded part of them, each of its own rank
+        parts = [rng.choice(rows, rng.integers(1, size + 1), replace=False) for _ in range(n - 1)]
+        probe = [probe] + [_sparse_probe(rng, part, rng.integers(1, len(part) + 1)) for part in parts]
+    t = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+    gamma = np.concatenate([rng.uniform(-np.pi, np.pi, 1), [0.0], rng.uniform(-np.pi, np.pi, n - 2)])
+    stack = np.concatenate([measurement_stack(rng.uniform(-np.pi, np.pi, 2)).reshape(-1, 4, 4),
+                            [random_hermitian(rng, 4) for _ in range(2)]])
+    batch = run_batch(probe, t, gamma, stack)
+    failed = ~np.equal(batch.errors, None)
+    probes = [probe] * n if shared else probe
+    for i in np.flatnonzero(failed):  # only a setting whose mixer leaves nothing may fail
+        norm = heisenberg_operators(t[i], gamma[i], stack)[1]
+        assert abs(np.trace(probes[i].mat @ norm)) <= 1e-12
+        assert np.all(np.isnan(batch.values[i]))
+    live = ~failed
+    want = heisenberg_readout([probes[i] for i in np.flatnonzero(live)], t[live], gamma[live], stack)
+    assert np.max(np.abs(batch.values[live] - want), initial=0.0) <= 1e-12

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_density_matrix, random_hermitian, random_unitary
-from verifiers import pauli_decompose
+from verifiers import partial_trace_stack, pauli_decompose
 
 from uqi.qcore import (
     DEFAULT_REGISTER,
@@ -14,7 +14,6 @@ from uqi.qcore import (
     Register,
     basis_ket,
     embed,
-    partial_trace_stack,
     partial_transpose,
 )
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import angle_diff, fail_second_setting, random_density_matrix, readout, sweep_points
-from verifiers import heisenberg_operators, schmidt_reconstruct
+from verifiers import fringe, heisenberg_operators, partial_trace_stack, schmidt_reconstruct
 
 from uqi.channels import (
     KrausChannel,
@@ -28,7 +28,6 @@ from uqi.qcore import (
     _support,
     basis_ket,
     embed,
-    partial_trace_stack,
     partial_transpose,
 )
 from uqi.tomography import (
@@ -854,8 +853,13 @@ def test_ppt_probe_across_signals_idlers_keeps_modulation(q):
     assert _modulation(probe) == pytest.approx((1 - q) * _T, abs=1e-12)
 
 
+def _dephased_probe() -> DensityMatrix:
+    """The Bell probe with every coherence removed: the diagonal of :func:`prepare_probe`."""
+    return DensityMatrix(np.diag(np.diag(prepare_probe().mat)), DEFAULT_REGISTER)
+
+
 def test_dephased_probe_has_no_modulation():
-    probe = DensityMatrix(np.diag(np.diag(prepare_probe().mat)), DEFAULT_REGISTER)
+    probe = _dephased_probe()
     assert _modulation(probe) < 1e-15
 
 
@@ -903,21 +907,35 @@ def test_fully_separable_probe_biases_the_estimate():
 
 
 @pytest.mark.parametrize(
-    "make, weight",
-    [(prepare_probe, 0.0), (lambda: prepare_werner(0.3), 0.0), (_fully_separable_probe, 0.25)],
-    ids=["bell", "werner-0.3", "separable"],
+    "make, unflipped, flipped",
+    [
+        (prepare_probe, 0.0, 1.0),
+        (lambda: prepare_werner(0.3), 0.0, 0.7),
+        (_fully_separable_probe, 0.25, 0.25),
+        (lambda: prepare_werner(0.5), 0.0, 0.5),
+        (lambda: prepare_werner(0.8), 0.0, 0.2),
+        (_dephased_probe, 0.0, 0.0),
+    ],
+    ids=["bell", "werner-0.3", "separable", "werner-0.5", "werner-0.8", "dephased"],
 )
-def test_separable_probe_breaks_the_coherence_clause_not_the_normalization(make, weight):
+def test_separable_probe_breaks_the_coherence_clause_not_the_normalization(make, unflipped, flipped):
     # the condition's first clause: weight on the entries coherent between signal |01> and |10> whose i1 bit
-    # does not flip, which carry phi but no object term; its second, Tr[rho N] free of the object, holds for all three
+    # does not flip, which carry phi but no object term; its second, Tr[rho N] free of the object, holds for all;
+    # the weight on those whose i1 bit flips (the |1100>/|0011> coherence) carries T e^{i gamma}
     probe = make()
     signal = [(i >> 3 & 1, i & 1) for i in range(16)]  # (s1, s2) of each basis index in (s1, i1, i2, s2) order
-    unflipped = np.array([[{signal[r], signal[c]} == {(0, 1), (1, 0)} and (r >> 2 & 1) == (c >> 2 & 1)
-                           for c in range(16)] for r in range(16)])
-    assert np.abs(probe.mat[unflipped]).sum() == pytest.approx(weight, abs=1e-12)
+    coherent = np.array([[{signal[r], signal[c]} == {(0, 1), (1, 0)} for c in range(16)] for r in range(16)])
+    flips = np.array([[(r >> 2 & 1) != (c >> 2 & 1) for c in range(16)] for r in range(16)])
+    assert np.abs(probe.mat[coherent & ~flips]).sum() == pytest.approx(unflipped, abs=1e-12)
+    assert np.abs(probe.mat[coherent & flips]).sum() == pytest.approx(flipped, abs=1e-12)
     for t, gamma in ((1.0, 0.0), (0.8, 2.0), (0.3, -1.0)):
         norm = heisenberg_operators(t, gamma, measurement_stack([0.0]))[1]
         assert np.trace(probe.mat @ norm) == pytest.approx(1.0, abs=1e-12)
+    if not unflipped:
+        # the flipped weight alone sets m_h's fringe, a half-amplitude of flipped * T / 2 at every gamma: the PPT
+        # Werner probe at xi = 0.8 images and the PPT dephased probe does not
+        _, b, c = fringe(probe, [0.8] * 3, [2.0, 0.0, -1.0])[:, 0].T
+        assert np.hypot(b, c) == pytest.approx([flipped * 0.8 / 2] * 3, abs=1e-12)
 
 
 def _shot_z_scores(t, shots):

@@ -11,7 +11,7 @@ import pytest
 from verifiers import choi_matrix, choi_psd_check, pauli_decompose
 
 from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, object_channel
-from uqi.circuit import Gate, measurement_stack, prepare_probe, run_batch, sample_frequencies
+from uqi.circuit import Gate, measurement_stack, pipeline_stages, prepare_probe, run_batch, sample_frequencies
 from uqi.cli import main
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, as_complex_matrix
 from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt, visibility
@@ -42,6 +42,15 @@ CHECKS = [
     (
         lambda: run_batch([prepare_probe().mat], [0.5], [0.0], measurement_stack([0.0])),
         "probe must be a DensityMatrix or a sequence of them, got list of ndarray",
+    ),
+    # a probe that is not iterable failed with TypeError from tuple(probe)
+    (
+        lambda: run_batch(None, [0.5], [0.0], measurement_stack([0.0])),
+        "probe must be a DensityMatrix or a sequence of them, got NoneType",
+    ),
+    (
+        lambda: run_batch(3, [0.5], [0.0], measurement_stack([0.0])),
+        "probe must be a DensityMatrix or a sequence of them, got int",
     ),
     (
         lambda: run_batch(prepare_probe(), [0.5], [0.0], np.eye(2)),
@@ -152,13 +161,19 @@ REPEATED = [
     (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [1e300] * 3), "duplicate phase values: cannot invert a single setting"),
     # m - m^† overflowed with a warning
     (lambda: ChiMatrix([[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), "chi matrix is not Hermitian"),
+    # run_batch's engine check, reached through pipeline_stages
+    (lambda: pipeline_stages(None, [0.5], [0.0]), "probe must be a DensityMatrix or a sequence of them, got NoneType"),
+    (lambda: pipeline_stages(3, [0.5], [0.0]), "probe must be a DensityMatrix or a sequence of them, got int"),
 ]
 
 
 @pytest.mark.parametrize(
     "check, message",
     REPEATED,
-    ids=["measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)", "image_scan at 1e300 x 3", "chi at 1e308"],
+    ids=[
+        "measurement_stack([0.0, nan])", "key 2**70", "key np.uint64(2**63)", "image_scan at 1e300 x 3", "chi at 1e308",
+        "pipeline_stages(None)", "pipeline_stages(3)",
+    ],
 )
 def test_repeated_input_check_message(check, message):
     test_input_check_message(None, check, message)

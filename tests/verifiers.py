@@ -13,6 +13,12 @@ for the signal state ``sigma`` of a probe ``rho``, with
 ``K_k`` acting on ``i1`` and ``M`` the mode mixer.  The readout ``R`` on
 the signals commutes with ``M`` on the idlers, so ``M^† (R (x) I) M`` is
 ``R (x) M^†M``, and the mixer's normalization is ``Tr[rho N]``.
+
+The object's Kraus pair makes ``O_R`` and ``N`` affine in ``T^2``,
+``T e^{i gamma}`` and ``T e^{-i gamma}``, and each detector operator of
+``measurement_stack`` is affine in ``cos phi`` and ``sin phi``; so each
+detector's fringe ``P(phi) = a + b cos phi + c sin phi`` has ``a``, ``b``
+and ``c`` in closed form in ``(T, gamma)`` (:func:`fringe`).
 """
 
 import functools
@@ -22,13 +28,17 @@ import math
 import numpy as np
 
 from uqi.channels import _PAULI_SEQ, ChiMatrix, KrausChannel, ModeMixer, ObjectParams, object_channel
+from uqi.circuit import measurement_stack
 from uqi.qcore import (
     DEFAULT_REGISTER,
     PAULI,
     PSD_SLACK,
     DensityMatrix,
+    Register,
     _kraus_tensor,
     _superoperator,
+    _trace_groups,
+    _traced,
     as_complex_matrix,
     embed,
 )
@@ -141,6 +151,19 @@ def apply_kraus_stack(stack, kraus) -> np.ndarray:
     return out.transpose(0, 1, 3, 2, 4).reshape(n, d * m, d * m)
 
 
+def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
+    """Reduced matrices on the ``keep`` wires (in the order given) of an ``(n, d, d)`` stack of states on ``reg``.
+
+    Discarded wires are contracted, so the trace is preserved: each reduced
+    entry adds its terms one at a time, in the order of the discarded
+    wires' values on the register, through the index groups the engine
+    traces its idlers with (``qcore._trace_groups`` on every row).
+    Unvalidated: the caller checks the resulting states.
+    """
+    keep = list(keep)
+    return _traced(stack, _trace_groups(reg, keep, range(reg.dim)), 2 ** len(keep))
+
+
 def heisenberg_operators(t: float, gamma: float, readout) -> tuple[np.ndarray, np.ndarray]:
     """``(O, N)`` of one object setting on ``DEFAULT_REGISTER``: ``O[r]`` is ``O_R`` of the r-th 4x4 operator of
     ``readout`` on ``(s1, s2)``, and ``N`` the normalization operator (module docstring)."""
@@ -165,3 +188,40 @@ def heisenberg_readout(probe, t, gamma, readout) -> np.ndarray:
         ops, norm = heisenberg_operators(ti, gi, readout)
         values.append(np.einsum("rij,ji->r", ops, rho.mat).real / np.trace(norm @ rho.mat).real)
     return np.reshape(values, (t.size,) + np.shape(readout)[:-2])
+
+
+def detector_parts() -> np.ndarray:
+    """``(3, 2, 4, 4)``: the operators ``(A, B, C)`` of the detector pair, ``measurement_stack([phi])[0] = A + B cos phi
+    + C sin phi``.  The phase shifter ``Z_phi`` on ``s2`` scales entry ``(i, j)`` of the Bell projectors by
+    ``e^{i phi (s2_i - s2_j)}``."""
+    turn = np.subtract.outer(np.arange(4) % 2, np.arange(4) % 2)  # s2_i - s2_j
+    return measurement_stack([0.0])[0] * np.array([turn == 0, turn != 0, 1j * turn])[:, None]
+
+
+def heisenberg_parts(readout) -> np.ndarray:
+    """``(4, r + 1, 16, 16)``: the parts ``(X_0, X_2, X_+, X_-)`` of :func:`heisenberg_operators`' ``O_R`` for each
+    of the r operators of ``readout``, then of ``N``, with ``X(T, gamma) = X_0 + T^2 X_2 + T e^{i gamma} X_+
+    + T e^{-i gamma} X_-``.  Read off ``O`` and ``N`` at T = 0 and at T = 1 with gamma = 0, pi/2 and pi."""
+    zero, east, north, west = (
+        np.concatenate([ops, norm[None]])
+        for ops, norm in (heisenberg_operators(t, g, readout) for t, g in ((0, 0), (1, 0), (1, np.pi / 2), (1, np.pi)))
+    )
+    even, odd = (east + west) / 2, (east - west) / 2  # X_0 + X_2 and X_+ + X_-
+    turn = (north - even) / 1j  # X_+ - X_-
+    return np.array([zero, even - zero, (odd + turn) / 2, (odd - turn) / 2])
+
+
+def fringe(probe, t, gamma) -> np.ndarray:
+    """``(n, 2, 3)``: ``(a, b, c)`` of each detector's fringe ``P(phi) = a + b cos phi + c sin phi`` at each of the
+    n settings ``(t[i], gamma[i])``, with ``probe`` as in :func:`heisenberg_readout`.
+
+    Each coefficient is ``Tr[rho O_R] / Tr[rho N]`` for one part ``R`` of
+    :func:`detector_parts`, written in the closed form of
+    :func:`heisenberg_parts` in ``(T, gamma)``.
+    """
+    t, gamma = np.asarray(t, dtype=float), np.asarray(gamma, dtype=float)
+    rhos = np.array([probe.mat] * t.size if isinstance(probe, DensityMatrix) else [p.mat for p in probe])
+    weights = np.stack([np.ones_like(t), t**2, t * np.exp(1j * gamma), t * np.exp(-1j * gamma)], axis=1)
+    traces = np.einsum("qkij,nji->nqk", heisenberg_parts(detector_parts()), rhos)
+    values = np.einsum("nq,nqk->nk", weights, traces).real
+    return (values[:, :-1] / values[:, -1:]).reshape(t.size, 3, 2).transpose(0, 2, 1)
