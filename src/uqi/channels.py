@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import ATOL, PAULI, PSD_SLACK, _block_trace, _value_class, as_complex_matrix
+from .qcore import ATOL, PAULI, PSD_SLACK, _value_class, as_complex_matrix
 
 _PAULI_SEQ = (PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"])
 
@@ -177,30 +177,3 @@ class ModeMixer:
     op = np.outer(xi, [0, 1, 1, 0]) + np.diag([1, 0, 0, 1])
     xi.setflags(write=False)
     op.setflags(write=False)
-
-
-MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
-
-
-def mix_stack(stack, m, rows, dim: int, mixed, out) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]`` per state of a block stack.
-
-    The ``(n, k, k)`` stack holds some rows and columns of states on a
-    register of dimension ``dim``, zero elsewhere; ``m`` is the mixer
-    embedded on that register, restricted to those columns and to the rows
-    ``rows`` (ascending) that they reach.  Both are ascending, so each
-    product adds the terms of the full product that are not zero, in the
-    same order.  Nonlinear by construction.  ``M rho`` is formed in
-    ``mixed``, an ``(n, len(rows), k)`` complex array, and the states are
-    formed and renormalized in ``out``, a C-contiguous
-    ``(n, len(rows), len(rows))`` complex array, which is returned with a
-    mask of the states whose normalization vanished (at most 1e-14), i.e.
-    that have no overlap with the mixer's support; those are left
-    unnormalized.
-    """
-    np.matmul(np.matmul(m, stack, out=mixed), m.conj().T, out=out)
-    norm = _block_trace(out, rows, dim).real
-    vanished = norm <= 1e-14
-    # the division of num / norm, in place: the same ufunc on the same operands, so the same bits
-    np.divide(out, np.where(vanished, 1.0, norm)[:, None, None], out=out)
-    return out, vanished

@@ -29,29 +29,16 @@ from functools import cache
 
 import numpy as np
 
-from .channels import (
-    MIXER_VANISHED,
-    TP_VIOLATED,
-    ModeMixer,
-    _check_object_params,
-    fold_angles,
-    mix_stack,
-    object_kraus,
-    tp_deviation,
-)
+from .channels import TP_VIOLATED, ModeMixer, _check_object_params, fold_angles, object_kraus, tp_deviation
 from .qcore import (
     ATOL,
     DEFAULT_REGISTER,
     DensityMatrix,
+    Register,
     _block_rows,
-    _block_trace,
     _check_finite,
     _check_probability,
-    _kraus_tensor,
-    _superoperator,
     _support,
-    _trace_groups,
-    _traced,
     _value_class,
     as_complex_matrix,
     basis_ket,
@@ -154,6 +141,93 @@ def _record(errors: np.ndarray, new) -> None:
     errors[pending] = np.asarray(new, dtype=object)[pending]
 
 
+def _block_trace(block, rows, dim: int) -> np.ndarray:
+    """Trace of each state of an ``(n, k, k)`` stack holding rows and columns ``rows`` of ``dim x dim`` states.
+
+    Every entry outside ``rows`` is taken as zero.  The sum runs over the
+    full-length diagonal with those zeros in place, so it has the bits of
+    ``np.trace`` on the whole matrices: numpy sums the entries pairwise,
+    and a shorter sum would group them otherwise.
+    """
+    diag = np.zeros((len(block), dim), dtype=block.dtype)
+    diag[:, rows] = block.diagonal(axis1=1, axis2=2)
+    return diag.sum(axis=1)
+
+
+def _trace_groups(reg: Register, keep: list, rows) -> tuple:
+    """The index groups that trace a stack down to the ``keep`` wires, which depend on the register, the kept wires
+    and the rows alone.  The stack holds the rows and columns ``rows`` (ascending basis indices of ``reg``) of states
+    whose other entries are zero.  For each value of the discarded wires, ascending:
+    the flat indices of its entries in the reduced matrix and in the block."""
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    bits = [reg.n - 1 - i for i in reg.positions(keep)]
+    mask = sum(1 << b for b in bits)
+    rows = np.asarray(rows).tolist()
+    # the few indices are worked out on Python ints, which adds no numpy code pages to the RSS
+    groups = {}
+    for at, row in enumerate(rows):
+        kept = sum(((row >> b) & 1) << (len(bits) - 1 - j) for j, b in enumerate(bits))
+        groups.setdefault(row & ~mask, []).append((at, kept))
+    side = 2 ** len(keep)
+    return tuple(
+        (np.array([side * a + b for _, a in group for _, b in group]),
+         np.array([len(rows) * a + b for a, _ in group for b, _ in group]))
+        for _, group in sorted(groups.items())
+    )
+
+
+def _traced(stack, groups, side: int) -> np.ndarray:
+    """The ``(n, side, side)`` reduced matrices of a block stack, from its :func:`_trace_groups`."""
+    out = np.zeros((len(stack), side * side), dtype=complex)
+    flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
+    for reduced, block in groups:
+        out[:, reduced] += flat[:, block]
+    return out.reshape(len(stack), side, side)
+
+
+def _kraus_tensor(stack, d: int) -> np.ndarray:
+    """An ``(n, d m, d m)`` stack in the ``(n, d^2, m^2)`` layout that a ``d^2 x d^2`` superoperator on each state's
+    leading tensor factor acts on by one matmul: row ``(a, b)`` holds the factor's entry ``(a, b)`` of every block
+    ``(x, y)`` of the other factor (a copy)."""
+    n, m = len(stack), stack.shape[-1] // d
+    return stack.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
+
+
+def _superoperator(kraus) -> np.ndarray:
+    """The ``(n, d^2, d^2)`` superoperators of an ``(n, K, d, d)`` stack of Kraus sets, on :func:`_kraus_tensor`'s
+    layout."""
+    n, d = len(kraus), kraus.shape[-1]
+    return np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
+
+
+MIXER_VANISHED = "mode mixer normalization vanished: state has no support on the mixer"
+
+
+def mix_stack(stack, m, rows, dim: int, mixed, out) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalizing mixer action ``rho -> M rho M^† / Tr[M rho M^†]`` per state of a block stack.
+
+    The ``(n, k, k)`` stack holds some rows and columns of states on a
+    register of dimension ``dim``, zero elsewhere; ``m`` is the mixer
+    embedded on that register, restricted to those columns and to the rows
+    ``rows`` (ascending) that they reach.  Both are ascending, so each
+    product adds the terms of the full product that are not zero, in the
+    same order.  Nonlinear by construction.  ``M rho`` is formed in
+    ``mixed``, an ``(n, len(rows), k)`` complex array, and the states are
+    formed and renormalized in ``out``, a C-contiguous
+    ``(n, len(rows), len(rows))`` complex array, which is returned with a
+    mask of the states whose normalization vanished (at most 1e-14), i.e.
+    that have no overlap with the mixer's support; those are left
+    unnormalized.
+    """
+    np.matmul(np.matmul(m, stack, out=mixed), m.conj().T, out=out)
+    norm = _block_trace(out, rows, dim).real
+    vanished = norm <= 1e-14
+    # the division of num / norm, in place: the same ufunc on the same operands, so the same bits
+    np.divide(out, np.where(vanished, 1.0, norm)[:, None, None], out=out)
+    return out, vanished
+
+
 class _Engine:
     """One engine call, from the object stage on: its checked inputs and the occupied blocks of its stages.
 
@@ -169,11 +243,11 @@ class _Engine:
     the mixer on ``(i1, i2)`` takes those to the rows ``mixer_rows``; every
     entry of a stage outside its rows is zero.  ``tensors`` holds each
     distinct probe on its occupied rest indices with ``i1`` leading (the
-    object's tensor factor), in the layout of ``qcore._kraus_tensor``;
+    object's tensor factor), in the layout of :func:`_kraus_tensor`;
     ``index`` picks the post-object block out of the object's output in
     that layout, ``mixer`` is the embedded mixer from the post-object to
     the post-mixer rows, and ``idler_trace`` holds the index groups that
-    trace the idlers out of the post-mixer block (``qcore._trace_groups``).
+    trace the idlers out of the post-mixer block (:func:`_trace_groups`).
     """
 
     def __init__(self, probe, t, gamma):
@@ -219,16 +293,13 @@ class _Engine:
         mixer = embed(ModeMixer.op, ["i1", "i2"], reg)[:, self.object_rows]
         self.mixer_rows = np.flatnonzero((mixer != 0).any(axis=1))
         self.mixer = mixer[self.mixer_rows]
-        # each row's place in legs from a lookup table, not a sort, whose SIMD
-        # kernels would add about 300 kB of code pages to the process's RSS
-        place = np.zeros(reg.dim, dtype=int)
-        place[legs] = np.arange(len(legs))
-        # entry ((a, x), (b, y)) of a state, a and b on i1, is entry ((a, b), (x, y)) of its tensor layout;
-        # worked out on Python ints, like the lookup above
-        m = len(rest)
-        spots = [divmod(p, m) for p in place[self.object_rows].tolist()]
-        self.index = np.array([(2 * a + b) * m * m + m * x + y for a, x in spots for b, y in spots])
         self.tensors = np.concatenate([_kraus_tensor(p.mat[legs[:, None], legs][None], 2) for p in probes])
+        # the same layout of the register's entry labels, inverted by one assignment, not a sort (whose SIMD kernels
+        # would add about 300 kB of code pages to the RSS): spot[e] is where entry e sits in a probe's tensor
+        entries = np.arange(reg.dim**2).reshape(reg.dim, reg.dim)
+        spot = np.zeros(reg.dim**2, dtype=int)
+        spot[_kraus_tensor(entries[legs[:, None], legs][None], 2).ravel()] = np.arange(len(legs) ** 2)
+        self.index = spot[entries[self.object_rows[:, None], self.object_rows].ravel()]
         self.idler_trace = _trace_groups(reg, ["s1", "s2"], self.mixer_rows)
 
     def passes(self):

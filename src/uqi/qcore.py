@@ -2,10 +2,11 @@
 
 Everything in this package runs through the primitives defined here:
 embedding of small operators onto a labeled register, the batched
-physicality checks, the Kraus action on a stack of states, partial
-trace and partial transpose.  Matrices are plain complex numpy arrays;
-states are wrapped in :class:`DensityMatrix`, which validates
-physicality on construction.
+physicality checks and partial transpose; the engine's block layout
+(the Kraus action, the mixer and the partial trace on occupied blocks)
+lives with the engine in :mod:`uqi.circuit`.  Matrices are plain
+complex numpy arrays; states are wrapped in :class:`DensityMatrix`,
+which validates physicality on construction.
 
 Conventions:
 
@@ -177,19 +178,6 @@ def _support(nonzero) -> np.ndarray:
     return np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
 
 
-def _block_trace(block, rows, dim: int) -> np.ndarray:
-    """Trace of each state of an ``(n, k, k)`` stack holding rows and columns ``rows`` of ``dim x dim`` states.
-
-    Every entry outside ``rows`` is taken as zero.  The sum runs over the
-    full-length diagonal with those zeros in place, so it has the bits of
-    ``np.trace`` on the whole matrices: numpy sums the entries pairwise,
-    and a shorter sum would group them otherwise.
-    """
-    diag = np.zeros((len(block), dim), dtype=block.dtype)
-    diag[:, rows] = block.diagonal(axis1=1, axis2=2)
-    return diag.sum(axis=1)
-
-
 def state_errors(block, trace, scratch=None) -> np.ndarray:
     """First failed physicality check of each state, from its occupied block and its trace.
 
@@ -359,53 +347,6 @@ class DensityMatrix:
         if len(perm) != self.n:
             raise ValueError("wire permutation must mention every wire exactly once")
         return _permute_wires(self.mat, perm)
-
-
-def _trace_groups(reg: Register, keep: list, rows) -> tuple:
-    """The index groups that trace a stack down to the ``keep`` wires, which depend on the register, the kept wires
-    and the rows alone.  The stack holds the rows and columns ``rows`` (ascending basis indices of ``reg``) of states
-    whose other entries are zero.  For each value of the discarded wires, ascending:
-    the flat indices of its entries in the reduced matrix and in the block."""
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    bits = [reg.n - 1 - i for i in reg.positions(keep)]
-    mask = sum(1 << b for b in bits)
-    rows = np.asarray(rows).tolist()
-    # the few indices are worked out on Python ints, which adds no numpy code pages to the RSS
-    groups = {}
-    for at, row in enumerate(rows):
-        kept = sum(((row >> b) & 1) << (len(bits) - 1 - j) for j, b in enumerate(bits))
-        groups.setdefault(row & ~mask, []).append((at, kept))
-    side = 2 ** len(keep)
-    return tuple(
-        (np.array([side * a + b for _, a in group for _, b in group]),
-         np.array([len(rows) * a + b for a, _ in group for b, _ in group]))
-        for _, group in sorted(groups.items())
-    )
-
-
-def _traced(stack, groups, side: int) -> np.ndarray:
-    """The ``(n, side, side)`` reduced matrices of a block stack, from its :func:`_trace_groups`."""
-    out = np.zeros((len(stack), side * side), dtype=complex)
-    flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
-    for reduced, block in groups:
-        out[:, reduced] += flat[:, block]
-    return out.reshape(len(stack), side, side)
-
-
-def _kraus_tensor(stack, d: int) -> np.ndarray:
-    """An ``(n, d m, d m)`` stack in the ``(n, d^2, m^2)`` layout that a ``d^2 x d^2`` superoperator on each state's
-    leading tensor factor acts on by one matmul: row ``(a, b)`` holds the factor's entry ``(a, b)`` of every block
-    ``(x, y)`` of the other factor (a copy)."""
-    n, m = len(stack), stack.shape[-1] // d
-    return stack.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
-
-
-def _superoperator(kraus) -> np.ndarray:
-    """The ``(n, d^2, d^2)`` superoperators of an ``(n, K, d, d)`` stack of Kraus sets, on :func:`_kraus_tensor`'s
-    layout."""
-    n, d = len(kraus), kraus.shape[-1]
-    return np.einsum("nkab,nkdc->nadbc", kraus, kraus.conj()).reshape(n, d * d, d * d)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:

@@ -1,8 +1,8 @@
 import numpy as np
 from verifiers import partial_trace_stack
 
-from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, fold_angles, object_kraus, tp_deviation
-from uqi.circuit import BatchReadout, measurement_stack, pipeline_stages, prepare_probe, run_batch
+from uqi.channels import TP_VIOLATED, ModeMixer, fold_angles, object_kraus, tp_deviation
+from uqi.circuit import MIXER_VANISHED, BatchReadout, measurement_stack, pipeline_stages, prepare_probe, run_batch
 from uqi.qcore import (
     ATOL,
     DEFAULT_REGISTER,

@@ -10,11 +10,10 @@ from uqi.channels import (
     ObjectParams,
     chi_matrix,
     fold_angles,
-    mix_stack,
     object_channel,
     object_kraus,
 )
-from uqi.circuit import measurement_stack, pipeline_stages, prepare_probe, prepare_werner
+from uqi.circuit import measurement_stack, mix_stack, pipeline_stages, prepare_probe, prepare_werner
 from uqi.qcore import (
     DEFAULT_REGISTER,
     DensityMatrix,

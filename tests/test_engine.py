@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 from verifiers import fringe, heisenberg_operators, heisenberg_readout
 
 from uqi import circuit, qcore
-from uqi.channels import MIXER_VANISHED, TP_VIOLATED, ModeMixer, ObjectParams, object_channel
+from uqi.channels import TP_VIOLATED, ModeMixer, ObjectParams, object_channel
 from uqi.circuit import (
+    MIXER_VANISHED,
     measurement_stack,
     pipeline_stages,
     prepare_probe,

@@ -28,20 +28,8 @@ import math
 import numpy as np
 
 from uqi.channels import _PAULI_SEQ, ChiMatrix, KrausChannel, ModeMixer, ObjectParams, object_channel
-from uqi.circuit import measurement_stack
-from uqi.qcore import (
-    DEFAULT_REGISTER,
-    PAULI,
-    PSD_SLACK,
-    DensityMatrix,
-    Register,
-    _kraus_tensor,
-    _superoperator,
-    _trace_groups,
-    _traced,
-    as_complex_matrix,
-    embed,
-)
+from uqi.circuit import _kraus_tensor, _superoperator, _trace_groups, _traced, measurement_stack
+from uqi.qcore import DEFAULT_REGISTER, PAULI, PSD_SLACK, DensityMatrix, Register, as_complex_matrix, embed
 from uqi.tomography import SchmidtData
 
 
@@ -138,7 +126,7 @@ def apply_kraus_stack(stack, kraus) -> np.ndarray:
 
     ``kraus`` is an ``(n, K, d, d)`` stack holding each state's own Kraus
     set.  The set becomes one ``d^2 x d^2`` superoperator per state
-    (``qcore._superoperator``, the engine's object stage), which acts on
+    (``circuit._superoperator``, the engine's object stage), which acts on
     the factor's row and column legs of that state by a single batched
     matmul, one column per entry of the other factor.  A state dimension
     that ``d`` does not divide raises ValueError.
@@ -157,7 +145,7 @@ def partial_trace_stack(stack, reg: Register, keep) -> np.ndarray:
     Discarded wires are contracted, so the trace is preserved: each reduced
     entry adds its terms one at a time, in the order of the discarded
     wires' values on the register, through the index groups the engine
-    traces its idlers with (``qcore._trace_groups`` on every row).
+    traces its idlers with (``circuit._trace_groups`` on every row).
     Unvalidated: the caller checks the resulting states.
     """
     keep = list(keep)
