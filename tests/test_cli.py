@@ -635,20 +635,35 @@ def _shot_rows(capsys, argv, shots, seed):
 @pytest.mark.parametrize(
     "argv",
     [
-        # record k (settings outer, phases inner) draws from default_rng([seed, k])
+        # setting s (T outer, gamma inner) draws its 3 phases, in order, from default_rng([seed, s])
         ("probabilities", "--T", "0.2,0.9", "--gamma", "0.4,-1.3", "--phi-points", "3"),
-        # phase point k draws from default_rng([seed, k])
+        # the one setting, s = 0, draws its 5 phases in order
         ("sweep", "--T", "0.6", "--gamma", "0.9", "--phi-points", "5"),
     ],
 )
 def test_shot_streams_follow_record_order(capsys, argv):
     exact, sampled = _shot_rows(capsys, argv, shots=300, seed=7)
+    phases = 3 if argv[0] == "probabilities" else 5
     assert len(exact) == len(sampled) == (12 if argv[0] == "probabilities" else 5)
     for k, (e, s) in enumerate(zip(exact, sampled)):
         assert (s["phi"], s.get("t"), s.get("gamma")) == (e["phi"], e.get("t"), e.get("gamma"))
-        n_h = np.random.default_rng([7, k]).binomial(300, min(max(float(e["p_h"]), 0.0), 1.0))
+        if k % phases == 0:
+            stream = np.random.default_rng([7, k // phases])
+        n_h = stream.binomial(300, min(max(float(e["p_h"]), 0.0), 1.0))
         assert float(s["p_h"]) == n_h / 300
         assert float(s["p_g"]) == 1.0 - n_h / 300
+
+
+@pytest.mark.parametrize("points", [5, 40])
+def test_sweep_samples_are_the_single_setting_probabilities(capsys, points):
+    # sweep is setting 0 of the stream rule, so its sample rows are probabilities' p_h
+    argv = ("--T", "0.55", "--gamma", "-2.1", "--phi-points", str(points), "--shots", "900", "--seed", "31")
+    _, swept, _ = run_cli(capsys, "sweep", *argv)
+    _, probed, _ = run_cli(capsys, "probabilities", *argv)
+    samples = [r for r in parse_csv(swept)[1] if r["record"] == "sample"]
+    rows = parse_csv(probed)[1]
+    assert len(samples) == len(rows) == points
+    assert [(r["phi"], r["p_h"], r["p_g"]) for r in samples] == [(r["phi"], r["p_h"], r["p_g"]) for r in rows]
 
 
 _numbers = st.one_of(

@@ -88,7 +88,7 @@ SCALE_CASES = {
             "sweep", "--T", "0.8", "--gamma", "0.5", "--phi-points", "4096",
             "--shots", "100000", "--seed", "601",
         ),
-        "e855590ebdecc4736254f29e8529a15a6e0a41b22b8669b8ed985c2ccb8b079e",
+        "25fef0449ab531667d283fb1f5c1e0f946bb789b0df3ecbda68ce03926e69aec",
     ),
     # 61 xi x 24 gamma settings: engine passes straddle the xi boundaries
     "werner-61-xi": (
