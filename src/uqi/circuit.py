@@ -78,6 +78,10 @@ def cnot(control_value: int = 1) -> Gate:
     equals ``control_value``.  ``control_value=0`` is the polarity used by
     the first gate of the probe-preparation chain.
     """
+    try:
+        control_value = operator.index(control_value)
+    except TypeError:
+        control_value = None  # not an integer: fails the test below
     if control_value not in (0, 1):
         raise ValueError("control_value must be 0 or 1")
     # the permutation that swaps |c0> and |c1> for c = control_value
@@ -305,65 +309,56 @@ class _Engine:
     def passes(self):
         """Yield ``(part, post_object, post_mixer, signal, errors)`` for each pass, in order.
 
-        A pass runs :func:`_engine_pass` on the settings ``part``,
-        ``qcore._block_rows(k**2)`` of them for a post-mixer block of k rows.
+        A pass takes the settings ``part``, ``qcore._block_rows(k**2)`` of
+        them for a post-mixer block of k rows, through the object channel,
+        the mixer and the idler trace, checking the state after each stage.
+        It yields the post-object stack on ``object_rows`` and the post-mixer
+        stack on ``mixer_rows`` (views of the pass arrays, which the next
+        pass overwrites), the ``(n, 4, 4)`` signal stack and each setting's
+        first failed engine check (None if it passed): the Kraus
+        trace-preserving check, the mixer's normalization and the checks of
+        :class:`DensityMatrix` on every stage.  A setting that fails one is
+        reported, not raised, and carries on through the pass.
         Every pass-sized array is allocated once, before the first pass:
         arrays that each pass allocated and freed let glibc trim the top of
         the heap, and the next pass faulted those pages back in.  The
-        checks' Cholesky factors are the one pass-sized allocation left.
+        checks' Hermiticity moduli and Cholesky factors are the pass-sized
+        allocations left.
         """
         layout, k1, k2 = self.tensors.shape[1:], len(self.object_rows), len(self.mixer_rows)
-        rows = _block_rows(k2**2)
-        shapes = {
-            "tensor": layout,  # each setting's probe, gathered
-            "product": layout,
-            "post_object": (k1, k1),
-            "object_scratch": (k1, k1),
-            "mixed": (k2, k1),
-            "post_mixer": (k2, k2),
-            "mixer_scratch": (k2, k2),
-        }
-        size = min(rows, self.t.size)
-        buffers = {name: np.empty((size,) + shape, dtype=complex) for name, shape in shapes.items()}
+        rows, dim = _block_rows(k2**2), self.reg.dim
+
+        def pass_array(*shape):
+            return np.empty((min(rows, self.t.size), *shape), dtype=complex)
+
+        tensors, products = pass_array(*layout), pass_array(*layout)  # each setting's probe, gathered, and its image
+        post_objects, object_scratch = pass_array(k1, k1), pass_array(k1, k1)
+        mixed = pass_array(k2, k1)
+        post_mixers, mixer_scratch = pass_array(k2, k2), pass_array(k2, k2)
         for lo in range(0, self.t.size, rows):
             part = slice(lo, lo + rows)
-            yield part, *_engine_pass(self, part, buffers)
-
-
-def _engine_pass(engine: _Engine, part: slice, buffers: dict):
-    """One pass of ``engine`` over its object settings ``part``, in the leading rows of ``buffers``.
-
-    Returns the post-object stack on ``engine.object_rows``, the
-    post-mixer stack on ``engine.mixer_rows`` (both views of ``buffers``),
-    the ``(n, 4, 4)`` signal stack and each setting's first failed engine
-    check (None if it passed): the Kraus trace-preserving check, the
-    mixer's normalization and the checks of :class:`DensityMatrix` on every
-    stage.  A setting that fails one is reported, not raised, and carries
-    on through the pass.
-    """
-    t, gamma = engine.t[part], engine.gamma[part]
-    n, dim = t.size, engine.reg.dim
-    work = {name: buf[:n] for name, buf in buffers.items()}
-    # mode="clip" writes straight into out; the default buffers a copy (every index is valid)
-    tensor = np.take(engine.tensors, engine.which[part], axis=0, out=work["tensor"], mode="clip")
-    errors = np.full(n, None, dtype=object)
-    kraus = object_kraus(t, fold_angles(gamma))
-    _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
-    product = np.matmul(_superoperator(kraus), tensor, out=work["product"])
-    post_object = work["post_object"]
-    entries = post_object.reshape(n, engine.index.size)
-    np.take(product.reshape(n, engine.tensors[0].size), engine.index, axis=1, out=entries, mode="clip")
-    trace = _block_trace(post_object, engine.object_rows, dim)
-    _record(errors, state_errors(post_object, trace, work["object_scratch"]))
-    post_mixer, vanished = mix_stack(
-        post_object, engine.mixer, engine.mixer_rows, dim, work["mixed"], work["post_mixer"]
-    )
-    _record(errors, np.where(vanished, MIXER_VANISHED, None))
-    trace = _block_trace(post_mixer, engine.mixer_rows, dim)
-    _record(errors, state_errors(post_mixer, trace, work["mixer_scratch"]))
-    signal = _traced(post_mixer, engine.idler_trace, 4)
-    _record(errors, state_errors(signal, np.trace(signal, axis1=1, axis2=2)))
-    return post_object, post_mixer, signal, errors
+            t, gamma = self.t[part], self.gamma[part]
+            n = t.size
+            # mode="clip" writes straight into out; the default buffers a copy (every index is valid)
+            tensor = np.take(self.tensors, self.which[part], axis=0, out=tensors[:n], mode="clip")
+            errors = np.full(n, None, dtype=object)
+            kraus = object_kraus(t, fold_angles(gamma))
+            _record(errors, np.where(tp_deviation(kraus) > ATOL, TP_VIOLATED, None))
+            product = np.matmul(_superoperator(kraus), tensor, out=products[:n])
+            post_object = post_objects[:n]
+            entries = post_object.reshape(n, self.index.size)
+            np.take(product.reshape(n, self.tensors[0].size), self.index, axis=1, out=entries, mode="clip")
+            trace = _block_trace(post_object, self.object_rows, dim)
+            _record(errors, state_errors(post_object, trace, object_scratch[:n]))
+            post_mixer, vanished = mix_stack(
+                post_object, self.mixer, self.mixer_rows, dim, mixed[:n], post_mixers[:n]
+            )
+            _record(errors, np.where(vanished, MIXER_VANISHED, None))
+            trace = _block_trace(post_mixer, self.mixer_rows, dim)
+            _record(errors, state_errors(post_mixer, trace, mixer_scratch[:n]))
+            signal = _traced(post_mixer, self.idler_trace, 4)
+            _record(errors, state_errors(signal, np.trace(signal, axis1=1, axis2=2)))
+            yield part, post_object, post_mixer, signal, errors
 
 
 @_value_class
@@ -472,10 +467,9 @@ _BELL_KETS = {
 
 def bell_ket(label: str) -> np.ndarray:
     """Two-qubit Bell state by label: phi+/phi-/psi+/psi-."""
-    try:
-        a, b, sign = _BELL_KETS[label.lower()]
-    except KeyError:
-        raise ValueError(f"unknown Bell label {label!r}") from None
+    if not isinstance(label, str) or label.lower() not in _BELL_KETS:
+        raise ValueError(f"unknown Bell label {label!r}")
+    a, b, sign = _BELL_KETS[label.lower()]
     return (basis_ket(a) + sign * basis_ket(b)) / np.sqrt(2)
 
 

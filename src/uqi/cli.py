@@ -195,10 +195,9 @@ def _shot_mode(p_h, p_g, args):
 
     Setting s draws its phases, in phase order, from the stream
     ``[seed, s]``, as an image pixel draws from ``[seed, row, col]``.  A
-    setting of at least ``circuit._ARRAY_DRAW_WIDTH`` (14) phases is drawn
-    in one binomial call: 10.8 against 11.1 us in scalar calls at 14
-    phases, 0.45 against 2.7 ms at 4096.  The Bell probe always clicks, so
-    ``p_g = 1 - p_h``.
+    setting of at least ``circuit._ARRAY_DRAW_WIDTH`` phases is drawn in
+    one binomial call (the constant's comment gives the timings).  The
+    Bell probe always clicks, so ``p_g = 1 - p_h``.
     """
     if not args.shots:
         return p_h.ravel(), p_g.ravel()

@@ -193,14 +193,12 @@ def state_errors(block, trace, scratch=None) -> np.ndarray:
 
     The verdicts are those of the whole states: outside the block every
     entry is zero, so it adds nothing to the Hermiticity deviation and only
-    zero eigenvalues, which pass.  The deviation ``|rho - rho^†|`` of an
-    entry is the ``hypot`` of its real and imaginary parts, so it lies
-    between the larger part and sqrt(2) times it: the parts decide every
-    state but those whose largest part falls in that band around 1e-12,
-    for which the modulus is taken.  One batched Cholesky factorization of
-    ``block + 5e-11 I`` screens the stack: it succeeds only if every
-    eigenvalue lies above about -5e-11, so every state passes.  If it
-    fails, ``eigvalsh`` on the block gives each state's verdict.
+    zero eigenvalues, which pass.  The deviation is ``max |rho - rho^†|``,
+    the modulus of each entry's difference, formed in ``scratch``.  One
+    batched Cholesky factorization of ``block + 5e-11 I`` screens the
+    stack: it succeeds only if every eigenvalue lies above about -5e-11,
+    so every state passes.  If it fails, ``eigvalsh`` on the block gives
+    each state's verdict.
     """
     errors = np.full(len(block), None, dtype=object)
     herm = np.zeros(len(block))
@@ -208,14 +206,8 @@ def state_errors(block, trace, scratch=None) -> np.ndarray:
     if block.shape[-1]:  # an all-zero state is Hermitian with zero eigenvalues
         if scratch is None:
             scratch = np.empty(block.shape, dtype=complex)
-        np.subtract(block.real, block.real.swapaxes(1, 2), out=scratch.real)
-        np.add(block.imag, block.imag.swapaxes(1, 2), out=scratch.imag)
-        parts = scratch.view(float)
-        herm = np.abs(parts, out=parts).max(axis=(1, 2))
-        # 1.4143 is just above sqrt(2), a margin no rounding of the product can cross
-        band = np.flatnonzero((herm <= ATOL) & (herm * 1.4143 > ATOL))
-        if band.size:
-            herm[band] = np.abs(block[band] - block[band].conj().swapaxes(1, 2)).max(axis=(1, 2))
+        np.conjugate(block.swapaxes(1, 2), out=scratch)
+        herm = np.abs(np.subtract(block, scratch, out=scratch)).max(axis=(1, 2))
         np.add(block, (PSD_SLACK / 2) * np.eye(block.shape[-1]), out=scratch)
         try:
             np.linalg.cholesky(scratch)

@@ -15,6 +15,7 @@ inverts the two object parameters from the sinusoid
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -328,7 +329,11 @@ def estimate_object(probabilities, shots: int = 0) -> ObjectEstimate:
     binomial uncertainty is propagated into standard errors and the
     degeneracy test becomes ``t_hat < 3 stderr_t``.
     """
-    pts = [(float(p), float(v)) for p, v in probabilities]
+    try:
+        pts = [(float(p), float(v)) for p, v in probabilities]
+    except TypeError:
+        given = reprlib.repr(probabilities)
+        raise ValueError(f"probabilities must be an iterable of (phi, P) pairs, got {given}") from None
     phis = np.array([p for p, _ in pts])
     ps = np.array([[v for _, v in pts]])
     _check_probability(ps, "detection probability")
@@ -429,7 +434,10 @@ def image_scan(maps: ImageMaps, phi_sweep, shots: int = 0, seed: int = 0) -> Sca
     sampled as zeros, carries NaN through the estimator, so its estimates
     are NaN and it is not degenerate.  Output grids match the input shape.
     """
-    phis = np.array([float(p) for p in phi_sweep])
+    try:
+        phis = np.array([float(p) for p in phi_sweep])
+    except TypeError:
+        raise ValueError(f"phases must be an iterable of numbers, got {reprlib.repr(phi_sweep)}") from None
     method, g = _phase_design(phis)
     _check_sampler(shots, seed)
     h, w = maps.height, maps.width

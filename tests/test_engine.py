@@ -127,14 +127,14 @@ def passes_of(monkeypatch, chunk, probe, ts, gammas) -> list:
     block = len(_support(pipeline_stages(probe, ts, gammas).post_mixer != 0))
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", chunk * block**2)
     sizes = []
-    engine_pass = circuit._engine_pass
+    passes = circuit._Engine.passes
 
-    def counted(*args, **kwargs):
-        stages = engine_pass(*args, **kwargs)
-        sizes.append(len(stages[2]))  # the pass's signal stack: one state per setting
-        return stages
+    def counted(engine):
+        for stages in passes(engine):
+            sizes.append(len(stages[3]))  # the pass's signal stack: one state per setting
+            yield stages
 
-    monkeypatch.setattr(circuit, "_engine_pass", counted)
+    monkeypatch.setattr(circuit._Engine, "passes", counted)
     return sizes
 
 
@@ -259,7 +259,7 @@ def test_bad_object_setting_raises_before_any_pass(monkeypatch, bad_t, bad_gamma
     def no_pass(*args, **kwargs):
         raise AssertionError("an engine pass ran before the settings were checked")
 
-    monkeypatch.setattr(circuit, "_engine_pass", no_pass)
+    monkeypatch.setattr(circuit._Engine, "passes", no_pass)
     probes, ts, gammas = interleaved_probes()
     ts[2], gammas[2] = bad_t, bad_gamma
     ts[5], gammas[5] = -1.0, np.inf  # a later bad setting: the first one in order is reported

@@ -41,6 +41,12 @@ def test_cnot_control_on_0():
     assert np.allclose(cnot(0).matrix @ basis_ket("10"), basis_ket("10"), atol=ATOL)
 
 
+def test_cnot_reads_its_control_as_an_integer():
+    # the control is read with operator.index, so True and numpy integers name the gate by their value
+    assert cnot(True) == cnot(1) and cnot(True).name == "CNOT1"
+    assert cnot(np.int64(0)) == cnot(0) and cnot(np.int64(0)).name == "CNOT0"
+
+
 def test_cnot_polarity_validation():
     with pytest.raises(ValueError):
         cnot(2)

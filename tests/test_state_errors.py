@@ -169,11 +169,11 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @pytest.mark.parametrize("re, im", [
-    (0.999 * SQRT_HALF, 0.999 * SQRT_HALF),  # both parts just below ATOL/sqrt(2): the parts clear it
+    (0.999 * SQRT_HALF, 0.999 * SQRT_HALF),  # |d| = 0.999 ATOL, both parts just below ATOL/sqrt(2): passes
     (0.999 * SQRT_HALF, 0.0),
-    (SQRT_HALF, SQRT_HALF),  # the band's lower edge: |d| rounds to ATOL
-    (0.72, 0.72),  # in the band, |d| = 1.018 ATOL: fails
-    (0.75, 0.0),  # in the band, |d| = 0.75 ATOL: passes
+    (SQRT_HALF, SQRT_HALF),  # |d| rounds to ATOL exactly: passes
+    (0.72, 0.72),  # each part below ATOL, |d| = 1.018 ATOL: fails
+    (0.75, 0.0),  # |d| = 0.75 ATOL: passes
     (0.0, -0.9),
     (0.9, 0.43),  # |d| = 0.997 ATOL: passes
     (0.9, -0.45),  # |d| = 1.006 ATOL: fails
@@ -193,7 +193,7 @@ def test_hermiticity_from_parts_matches_the_modulus(re, im):
 
 
 def test_hermiticity_band_is_taken_per_state():
-    # states inside and outside the band around ATOL in one stack, beside clean ones
+    # deviations just below and just above ATOL in one stack, beside clean ones: each state has its own verdict
     index = [0, 3, 12, 15]
     base = padded(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), index)
     stack = np.array([base] * 8)

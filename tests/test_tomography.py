@@ -770,6 +770,21 @@ def test_image_scan_empty_sweep_rejected():
         image_scan(maps, [])
 
 
+@pytest.mark.parametrize("shots", [0, 500])
+def test_phase_inputs_of_any_iterable_give_the_same_result(shots):
+    # phases and (phi, P) pairs are read item by item, so a generator or an array gives the list's result
+    rng = np.random.default_rng(8)
+    maps = ImageMaps(rng.uniform(0.0, 1.0, size=(3, 2)), rng.uniform(-3.0, 3.0, size=(3, 2)))
+    phis = [2 * np.pi * k / 5 for k in range(5)]
+    want = image_scan(maps, phis, shots=shots, seed=4)
+    for given in (tuple(phis), (p for p in phis), np.array(phis), [np.float64(p) for p in phis]):
+        assert image_scan(maps, given, shots=shots, seed=4) == want
+    pairs = [(p, 0.5 - 0.3 * np.cos(0.4 + p)) for p in phis]
+    want = estimate_object(pairs, shots=shots)
+    for given in (tuple(pairs), (pair for pair in pairs), np.array(pairs), [list(pair) for pair in pairs]):
+        assert estimate_object(given, shots=shots) == want
+
+
 def test_fit_runs_row_by_row_in_bounded_memory():
     # 65,536 pixels x 8 phases with shots: the (n, 2, 2, m) covariance
     # product of all rows at once would be 16.8 MB alone

@@ -11,7 +11,16 @@ import pytest
 from verifiers import choi_matrix, choi_psd_check, pauli_decompose
 
 from uqi.channels import ChiMatrix, KrausChannel, ModeMixer, ObjectParams, object_channel
-from uqi.circuit import Gate, measurement_stack, pipeline_stages, prepare_probe, run_batch, sample_frequencies
+from uqi.circuit import (
+    Gate,
+    bell_ket,
+    cnot,
+    measurement_stack,
+    pipeline_stages,
+    prepare_probe,
+    run_batch,
+    sample_frequencies,
+)
 from uqi.cli import main
 from uqi.qcore import DEFAULT_REGISTER, DensityMatrix, Register, as_complex_matrix
 from uqi.tomography import ImageMaps, aapt_predict, estimate_object, image_scan, operator_schmidt, visibility
@@ -136,6 +145,19 @@ CHECKS = [
     (lambda: Gate("g", np.eye(2) * 1e200), "gate 'g' is not unitary within 1e-12"),
     (lambda: choi_psd_check(lambda m: -m * 1e308, 2), "Choi matrix eigenvalue lies beyond the float range"),
     (lambda: estimate_object([(0.0, 0.5), (1.0, 0.5)], shots=None), "shots must be an integer, got None"),
+    # a label that is not a string raised AttributeError on its missing lower()
+    (lambda: bell_ket(3), "unknown Bell label 3"),
+    # a float control passed the membership test and named the gate CNOT1.0
+    (lambda: cnot(1.0), "control_value must be 0 or 1"),
+    # each of these raised TypeError, from float(p) or from unpacking a pair
+    (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), None), "phases must be an iterable of numbers, got None"),
+    (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), 3), "phases must be an iterable of numbers, got 3"),
+    (
+        lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), [[0, 1], [2, 3]]),
+        "phases must be an iterable of numbers, got [[0, 1], [2, 3]]",
+    ),
+    (lambda: estimate_object(None), "probabilities must be an iterable of (phi, P) pairs, got None"),
+    (lambda: estimate_object([1, 2, 3]), "probabilities must be an iterable of (phi, P) pairs, got [1, 2, 3]"),
 ]
 
 
