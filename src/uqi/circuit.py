@@ -24,6 +24,7 @@ inspection.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from functools import cache
 
@@ -37,6 +38,7 @@ from .qcore import (
     Register,
     _block_rows,
     _check_finite,
+    _check_numbers,
     _check_probability,
     _support,
     _value_class,
@@ -483,9 +485,10 @@ def measurement_stack(phis) -> np.ndarray:
     ``u_i conj(u_j)``.  ``m_h + m_g`` is the projector ``(II - ZZ)/2`` on
     the one-photon subspace at every phase, so ``P_h + P_g = 1`` for the
     Bell probe; a Werner probe leaks weight outside it, and the missing
-    weight is the no-click probability.  Phases must be finite.
+    weight is the no-click probability.  Phases: one number, or an iterable of numbers; each finite.
     """
-    phis = np.asarray(phis, dtype=float).reshape(-1)
+    bare = isinstance(phis, (numbers.Number, np.ndarray)) and np.ndim(phis) == 0
+    phis = _check_numbers([phis] if bare else phis, "measurement phases")
     _check_finite(phis, "measurement phase")
     u = np.ones((phis.size, 4), dtype=complex)
     u[:, 1] = u[:, 3] = np.exp(1j * phis)
@@ -582,8 +585,8 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
     which draws what scalar calls in row order draw.  Key
     elements are integers to ``operator.index`` in [0, 2**32), ``shots``
     lies in [1, 2**63) and the probabilities must lie in [0, 1] within
-    ``ATOL``; they are clipped to [0, 1] first, which absorbs the engine's
-    rounding.
+    ``ATOL``; they are clipped to [0, 1], which absorbs the engine's rounding, into
+    the result, whose rows their counts overwrite before one division by ``shots``.
     """
     # numpy.random stays out of the import path of the CLI
     from numpy.random.bit_generator import ISeedSequence
@@ -610,19 +613,15 @@ def sample_frequencies(p_h, shots: int, seed: int, keys) -> np.ndarray:
         raise ValueError("stream keys must lie in [0, 2**32)")
     keys = keys.astype(np.int64, copy=False)
     _check_probability(p_h, "click probability")
-    freqs = np.empty(p_h.shape)
+    freqs = np.clip(p_h, 0.0, 1.0)
     states = _stream_states(int(seed), keys)  # a Python int: numpy's would overflow in the word arithmetic
     row_seed = _RowSeed()
-    rows = _block_rows(p_h.shape[1])
     # below _ARRAY_DRAW_WIDTH an array call's validation pass costs more than
     # the scalar calls it saves
     wide = p_h.shape[1] >= _ARRAY_DRAW_WIDTH
-    counts = np.empty((min(rows, len(p_h)), p_h.shape[1]), dtype=np.int64)
-    for lo in range(0, len(p_h), rows):
-        block = np.clip(p_h[lo:lo + rows], 0.0, 1.0)
-        for r, (state, row) in enumerate(zip(states[lo:lo + rows], block if wide else block.tolist())):
-            row_seed.state = state
-            binomial = np.random.Generator(np.random.PCG64(row_seed)).binomial
-            counts[r] = binomial(shots, row) if wide else [binomial(shots, p) for p in row]
-        np.divide(counts[:len(block)], shots, out=freqs[lo:lo + rows])
+    for state, row in zip(states, freqs):
+        row_seed.state = state
+        binomial = np.random.Generator(np.random.PCG64(row_seed)).binomial
+        row[:] = binomial(shots, row) if wide else [binomial(shots, p) for p in row.tolist()]
+    np.divide(freqs, shots, out=freqs)
     return freqs

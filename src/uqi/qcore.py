@@ -18,6 +18,9 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
+import reprlib
+
 import numpy as np
 
 # Tolerances: algebraic identities at 1e-12, PSD slack at 1e-10 to absorb
@@ -40,6 +43,21 @@ def _check_finite(values, name: str) -> None:
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"{name} must be finite, got {bad[0].item()}")
+
+
+def _check_numbers(values, name: str, items: str = "numbers", row: tuple[int, ...] = ()) -> np.ndarray:
+    """``values``, an iterable of numbers (or of arrays of shape ``row``), as a float array: the one rule for both.
+
+    A str or bytes is neither, though Python iterates it, nor is anything ``float`` cannot read entry by entry in
+    that shape, such as ``None``, a bare number or a nested list.  An empty iterable gives zero rows of that shape.
+    An ndarray is read without a per-entry loop.
+    """
+    if not isinstance(values, (str, bytes)):
+        with contextlib.suppress(TypeError, ValueError):
+            out = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+            if out.ndim == 1 + len(row) and out.shape[1:] == row or out.shape == (0,):
+                return out.reshape(-1, *row)
+    raise ValueError(f"{name} must be an iterable of {items}, got {reprlib.repr(values)}")
 
 
 def _check_probability(values, name: str) -> None:

@@ -15,13 +15,12 @@ inverts the two object parameters from the sinusoid
 from __future__ import annotations
 
 import math
-import reprlib
 
 import numpy as np
 
 from .channels import KrausChannel, ModeMixer, _check_object_params, fold_angles
 from .circuit import _check_sampler, measurement_stack, prepare_probe, run_batch, sample_frequencies
-from .qcore import ATOL, DensityMatrix, _block_rows, _check_finite, _check_probability, _value_class
+from .qcore import ATOL, DensityMatrix, _block_rows, _check_finite, _check_numbers, _check_probability, _value_class
 
 # singular values closer than this (relative) are treated as one
 # degenerate group when fixing the Hermitian gauge
@@ -36,9 +35,9 @@ class SchmidtData:
     """Operator-Schmidt triple ``{r_l, A_l, B_l}`` of a bipartite state.
 
     Coefficients are the (nonnegative) singular values of the reshuffled
-    state; sign freedom is folded into the operators, which are gauged to
-    be Hermitian whenever the input admits it (``hermitian`` records the
-    outcome per term).  Both families are orthonormal under
+    state; sign freedom is folded into the operators.  Every ``A_l`` is
+    exactly Hermitian, and ``hermitian`` records per term whether ``B_l``
+    is Hermitian within 1e-10.  Both families are orthonormal under
     ``Tr[A A'^†] = delta``.
     """
 
@@ -54,11 +53,11 @@ class SchmidtData:
         return len(self.r)
 
 
-def _hermitian_basis(cols: list[np.ndarray], k: int) -> list[np.ndarray] | None:
-    """Orthonormal Hermitian basis of span(cols), or None if there is none.
+def _hermitian_basis(cols: list[np.ndarray], k: int) -> list[np.ndarray]:
+    """Orthonormal basis, exactly Hermitian, of span(cols): k dimensions closed under the adjoint.
 
-    Real-linear Gram-Schmidt over the Hermitian parts; two projection
-    passes keep the basis orthogonal to machine precision.
+    Real-linear Gram-Schmidt over the Hermitian parts, whose entries are conjugate-symmetric, with real
+    coefficients and norms; two projection passes keep the basis orthogonal to machine precision.
     """
     cands = []
     for a in cols:
@@ -73,8 +72,8 @@ def _hermitian_basis(cols: list[np.ndarray], k: int) -> list[np.ndarray] | None:
         if nrm > 1e-8:
             basis.append(c / nrm)
         if len(basis) == k:
-            return basis
-    return None
+            break
+    return basis
 
 
 def operator_schmidt(rho: DensityMatrix, bipartition) -> SchmidtData:
@@ -82,8 +81,8 @@ def operator_schmidt(rho: DensityMatrix, bipartition) -> SchmidtData:
 
     ``bipartition`` is a pair of wire collections that together cover the
     register exactly.  Works by singular-value factorization of the
-    reshuffled state matrix; degenerate singular values are re-gauged as a
-    block so the returned operators stay Hermitian for Hermitian input.
+    reshuffled state matrix; for a density matrix each degenerate group of
+    singular values spans a space closed under the adjoint, re-gauged as a block.
     """
     wires_a, wires_b = (list(w) for w in bipartition)
     all_wires = wires_a + wires_b
@@ -97,7 +96,7 @@ def operator_schmidt(rho: DensityMatrix, bipartition) -> SchmidtData:
     # reshuffle (a b, a' b') -> (a a', b b') so that factors separate
     resh = mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, sv, vh = np.linalg.svd(resh)
-    cutoff = _RANK_RTOL * max(1.0, float(sv[0]) if sv.size else 0.0)
+    cutoff = _RANK_RTOL * max(1.0, float(sv[0]))
     rank = int(np.sum(sv > cutoff))
 
     groups = []
@@ -112,23 +111,14 @@ def operator_schmidt(rho: DensityMatrix, bipartition) -> SchmidtData:
     b_out: list[np.ndarray] = []
     herm: list[bool] = []
     for lo, hi in groups:
-        cols = [u[:, i].reshape(da, da) for i in range(lo, hi)]
-        basis = _hermitian_basis(cols, hi - lo)
-        gauged = basis is not None
-        if not gauged:
-            basis = cols
-        for a in basis:
+        for a in _hermitian_basis([u[:, i].reshape(da, da) for i in range(lo, hi)], hi - lo):
             w = resh.conj().T @ a.reshape(da * da)
             r = float(np.linalg.norm(w))
             b = (w / r).conj().reshape(db, db)
             r_out.append(r)
             a_out.append(a)
             b_out.append(b)
-            herm.append(
-                gauged
-                and bool(np.max(np.abs(a - a.conj().T)) < 1e-10)
-                and bool(np.max(np.abs(b - b.conj().T)) < 1e-10)
-            )
+            herm.append(bool(np.max(np.abs(b - b.conj().T)) < 1e-10))
     return SchmidtData(
         r=np.array(r_out),
         a_ops=tuple(a_out),
@@ -329,13 +319,8 @@ def estimate_object(probabilities, shots: int = 0) -> ObjectEstimate:
     binomial uncertainty is propagated into standard errors and the
     degeneracy test becomes ``t_hat < 3 stderr_t``.
     """
-    try:
-        pts = [(float(p), float(v)) for p, v in probabilities]
-    except TypeError:
-        given = reprlib.repr(probabilities)
-        raise ValueError(f"probabilities must be an iterable of (phi, P) pairs, got {given}") from None
-    phis = np.array([p for p, _ in pts])
-    ps = np.array([[v for _, v in pts]])
+    pairs = _check_numbers(probabilities, "probabilities", "(phi, P) pairs", row=(2,)).T.copy()
+    phis, ps = pairs[0], pairs[1:]
     _check_probability(ps, "detection probability")
     method, g = _phase_design(phis)
     _check_sampler(shots, 0)
@@ -353,7 +338,7 @@ def estimate_object(probabilities, shots: int = 0) -> ObjectEstimate:
 
 def visibility(p_series) -> float:
     """Fringe visibility ``(P_max - P_min) / (P_max + P_min)``; each probability must be finite and lie in [0, 1] within ``ATOL``."""
-    return float(_visibilities(np.asarray(list(p_series), dtype=float).reshape(1, -1))[0])
+    return float(_visibilities(_check_numbers(p_series, "probabilities").reshape(1, -1))[0])
 
 
 def _visibilities(series) -> np.ndarray:
@@ -434,10 +419,7 @@ def image_scan(maps: ImageMaps, phi_sweep, shots: int = 0, seed: int = 0) -> Sca
     sampled as zeros, carries NaN through the estimator, so its estimates
     are NaN and it is not degenerate.  Output grids match the input shape.
     """
-    try:
-        phis = np.array([float(p) for p in phi_sweep])
-    except TypeError:
-        raise ValueError(f"phases must be an iterable of numbers, got {reprlib.repr(phi_sweep)}") from None
+    phis = _check_numbers(phi_sweep, "phases")
     method, g = _phase_design(phis)
     _check_sampler(shots, seed)
     h, w = maps.height, maps.width

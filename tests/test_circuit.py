@@ -320,7 +320,7 @@ def test_sample_frequencies_streams_are_default_rng_streams(seed, width):
 
 
 def test_sample_frequencies_rows_across_blocks_are_default_rng_streams(monkeypatch):
-    # the sampler converts and stores its rows a block at a time: here 1024 rows of 2 draws
+    # 2051 rows of 2 draws, each from its own stream
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 2048)
     n = 2 * qcore._block_rows(2) + 3
     rng = np.random.default_rng(77)
@@ -331,13 +331,15 @@ def test_sample_frequencies_rows_across_blocks_are_default_rng_streams(monkeypat
         assert np.array_equal(out[r], np.random.default_rng([13, *key]).binomial(100000, p[r]) / 100000)
 
 
-@pytest.mark.parametrize("shots", [20, 100000])
+@pytest.mark.parametrize("shots", [20, 100000, 2**62])
 @pytest.mark.parametrize(
     "width", [circuit._ARRAY_DRAW_WIDTH - 1, circuit._ARRAY_DRAW_WIDTH, circuit._ARRAY_DRAW_WIDTH + 1, 4096]
 )
 def test_sample_frequencies_array_rows_are_scalar_draws(monkeypatch, width, shots):
     # rows from the array call's width on draw one binomial call per row: the
-    # bytes stay those of scalar draws in row order, also across block edges
+    # bytes stay those of scalar draws in row order, on every row; beyond 2**53
+    # counts, drawn into the float result and divided once, still give the
+    # bits of counts / shots
     monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 64)
     n = 2 * qcore._block_rows(width) + 1
     rng = np.random.default_rng([width, shots])

@@ -188,8 +188,9 @@ def test_image_scan_samples_and_fits_its_readouts_in_place(n, shots, bound):
 
 
 def test_sampler_memory_does_not_grow_with_the_phases():
-    # 1024 rows x 1024 draws: the result takes 8 MB, while one block of all
-    # rows as Python lists, with a clipped copy and a count array, took 57 MB
+    # 1024 rows x 1024 draws: the result takes 8 MB, and the sampler draws into
+    # it; one block of all rows as Python lists, with a clipped copy and a
+    # count array, took 57 MB
     rng = np.random.default_rng(6)
     p, keys = rng.uniform(0.0, 1.0, (1024, 1024)), np.arange(1024)[:, None]
     sample_frequencies(p[:1], 100, 9, keys[:1])  # imports numpy.random outside the traced call

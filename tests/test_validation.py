@@ -158,6 +158,28 @@ CHECKS = [
     ),
     (lambda: estimate_object(None), "probabilities must be an iterable of (phi, P) pairs, got None"),
     (lambda: estimate_object([1, 2, 3]), "probabilities must be an iterable of (phi, P) pairs, got [1, 2, 3]"),
+    # a str or bytes is no sequence of numbers: each of these ran on its characters or bytes,
+    # leaked numpy's message, raised TypeError or flattened a nested list
+    (lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), "135"), "phases must be an iterable of numbers, got '135'"),
+    (
+        lambda: image_scan(ImageMaps([[0.5]], [[0.0]]), b"\x00\x01\x02"),
+        "phases must be an iterable of numbers, got b'\\x00\\x01\\x02'",
+    ),
+    (
+        lambda: estimate_object(["05", "15", "25"]),
+        "probabilities must be an iterable of (phi, P) pairs, got ['05', '15', '25']",
+    ),
+    (lambda: visibility("05"), "probabilities must be an iterable of numbers, got '05'"),
+    (lambda: visibility("0.5"), "probabilities must be an iterable of numbers, got '0.5'"),
+    (lambda: visibility(None), "probabilities must be an iterable of numbers, got None"),
+    (lambda: visibility(3), "probabilities must be an iterable of numbers, got 3"),
+    (lambda: visibility([[0.1, 0.2]]), "probabilities must be an iterable of numbers, got [[0.1, 0.2]]"),
+    (lambda: measurement_stack("135"), "measurement phases must be an iterable of numbers, got '135'"),
+    (
+        lambda: measurement_stack([[0, 1], [2, 3]]),
+        "measurement phases must be an iterable of numbers, got [[0, 1], [2, 3]]",
+    ),
+    (lambda: measurement_stack(None), "measurement phases must be an iterable of numbers, got None"),
 ]
 
 
